@@ -340,32 +340,31 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     if not words:
         raise ValueError("--words is required (comma-separated list)")
     k = params["k"]
-    rows = []
+    found = []
     for word in words:
         if word not in original:
             print(f"warning: {word!r} not in vocabulary, skipped", file=sys.stderr)
             continue
-        idx = original.index_of(word)
+        found.append(word)
+    rows = []
+    if found:
+        idx = np.array([original.index_of(w) for w in found], dtype=np.int64)
         clean_idx, _ = rank_queries(
-            original,
-            original.vectors[idx].reshape(1, -1),
-            min(k, original.n - 1),
-            np.array([idx]),
+            original, original.vectors[idx], min(k, original.n - 1), idx
         )
         # the perturbed query ranks the full vocabulary, the word included:
         # retrieving itself is exactly the leak being checked for
-        pert_idx, _ = rank_queries(
-            original, perturbed.vectors[idx].reshape(1, -1), min(k, original.n)
-        )
-        pert_list = [original.words[j] for j in pert_idx[0]]
-        rows.append(
-            {
-                "word": word,
-                "clean_neighbours": [original.words[j] for j in clean_idx[0]],
-                "perturbed_neighbours": pert_list,
-                "leak": word in pert_list,
-            }
-        )
+        pert_idx, _ = rank_queries(original, perturbed.vectors[idx], min(k, original.n))
+        for word, clean_row, pert_row in zip(found, clean_idx, pert_idx):
+            pert_list = [original.words[j] for j in pert_row]
+            rows.append(
+                {
+                    "word": word,
+                    "clean_neighbours": [original.words[j] for j in clean_row],
+                    "perturbed_neighbours": pert_list,
+                    "leak": word in pert_list,
+                }
+            )
     _write_json(out_dir / "neighbours.json", {"k": k, "rows": rows})
     width = max((len(r["word"]) for r in rows), default=4)
     print(f"{'word':{width}s} | clean | perturbed | leak")

@@ -5,8 +5,12 @@ Euclidean distance, and (b) the Jaccard similarity of their top-m sets meets
 the threshold tau. The graph over this symmetric relation is what the
 component factorisation and the noise calibration operate on.
 
-kNN is exact brute force with blocked distance computation; ties in distance
-are broken by ascending word index so results are reproducible.
+All searches go through one exact top-k primitive, `rank_queries`: blocked
+Gram-matrix distances, argpartition candidate selection per row, then an
+ordering of the candidates by (distance, index). A row whose tie group at
+the k-th distance straddles the candidate boundary falls back to a full
+stable sort, so results equal a full (distance, index) sort and are
+reproducible. `knn` is its self query.
 """
 
 from __future__ import annotations
@@ -43,6 +47,19 @@ class NeighbourSets:
     def row_set(self, i: int) -> set[int]:
         return set(self.indices[i].tolist())
 
+    def prefix(self, m: int) -> NeighbourSets:
+        """The top-m sets for m <= self.m: the first min(m, n-1) columns.
+
+        Rows are in (distance, index) order, so a prefix is exactly what
+        `knn(emb, m)` returns.
+        """
+        if not 1 <= m <= self.m:
+            raise ValueError(f"m must be in [1, {self.m}], got {m}")
+        k = min(m, self.n - 1)
+        return NeighbourSets(
+            m=m, indices=self.indices[:, :k], distances=self.distances[:, :k]
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class NeighbourGraph:
@@ -65,14 +82,48 @@ def _block_sq_dists(
     queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray
 ) -> np.ndarray:
     """Squared Euclidean distances of a query block to all rows of x,
-    clamped at 0 against floating-point noise."""
-    d2 = (
-        np.einsum("ij,ij->i", queries, queries)[:, None]
-        + sq_x[None, :]
-        - 2.0 * (queries @ x.T)
-    )
+    clamped at 0 against floating-point noise.
+
+    Evaluated as (|q|^2 + |x|^2) - 2 q.x in place, so a block holds at most
+    two (q, n) arrays at a time."""
+    d2 = np.einsum("ij,ij->i", queries, queries)[:, None] + sq_x[None, :]
+    gram = queries @ x.T
+    gram *= 2.0
+    d2 -= gram
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _block_topk(
+    queries: np.ndarray,
+    x: np.ndarray,
+    sq_x: np.ndarray,
+    exclude: np.ndarray | None,
+    k: int,
+    n_cand: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k indices and squared distances of one query block in (distance,
+    index) order. Its (q, n) arrays are freed on return, so no two blocks'
+    distance matrices are alive at once."""
+    d2 = _block_sq_dists(queries, x, sq_x)
+    if exclude is not None:
+        d2[np.arange(len(d2)), exclude] = np.inf
+    cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
+    cand_d = np.take_along_axis(d2, cand, axis=1)
+    order = np.lexsort((cand, cand_d), axis=1)[:, :k]
+    sel = np.take_along_axis(cand, order, axis=1)
+    sel_d = np.take_along_axis(cand_d, order, axis=1)
+    # a tie at the k-th distance may extend past the candidates; all
+    # non-candidates are >= the candidate maximum, so only a row whose k-th
+    # distance reaches that maximum is counted against its full row
+    boundary = sel_d[:, k - 1]
+    for r in np.nonzero(boundary >= cand_d.max(axis=1))[0]:
+        b = boundary[r]
+        if np.count_nonzero(d2[r] <= b) > np.count_nonzero(cand_d[r] <= b):
+            full = np.lexsort((np.arange(d2.shape[1]), d2[r]))[:k]
+            sel[r] = full
+            sel_d[r] = d2[r, full]
+    return sel, sel_d
 
 
 def rank_queries(
@@ -82,12 +133,19 @@ def rank_queries(
     exclude: np.ndarray | None = None,
     block_size: int = 1024,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k words of `emb` for each query vector, nearest first.
+    """Exact top-k words of `emb` for each query vector, nearest first.
 
     `exclude[q]`, when given, is a word index removed from query q's
     candidates (used to drop a word from its own ranking). Ties in distance
     are broken by ascending word index. Returns (indices, distances), each
     of shape (len(queries), k).
+
+    Distances are computed blockwise via the Gram matrix. Per row,
+    argpartition keeps the k + _TIE_SLACK nearest candidates, which are then
+    ordered by (distance, index); no full row is sorted. A row whose tie
+    group at the k-th distance straddles the candidate boundary falls back
+    to a full stable sort, so the output equals a full (distance, index)
+    sort, duplicate vectors included.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != emb.d:
@@ -101,63 +159,27 @@ def rank_queries(
     nq = queries.shape[0]
     indices = np.empty((nq, k), dtype=np.int64)
     distances = np.empty((nq, k), dtype=np.float64)
-    cols = np.arange(n)
+    n_cand = min(limit, k + _TIE_SLACK)
     for start in range(0, nq, block_size):
         stop = min(start + block_size, nq)
-        d2 = _block_sq_dists(queries[start:stop], x, sq_x)
-        if exclude is not None:
-            d2[np.arange(stop - start), exclude[start:stop]] = np.inf
-        order = np.lexsort((np.broadcast_to(cols, d2.shape), d2), axis=1)[:, :k]
-        indices[start:stop] = order
-        distances[start:stop] = np.sqrt(
-            np.take_along_axis(d2, order, axis=1)
-        )
+        excl = None if exclude is None else exclude[start:stop]
+        sel, sel_d = _block_topk(queries[start:stop], x, sq_x, excl, k, n_cand)
+        indices[start:stop] = sel
+        distances[start:stop] = np.sqrt(sel_d)
     return indices, distances
 
 
 def knn(emb: EmbeddingSet, m: int, block_size: int = 1024) -> NeighbourSets:
-    """Exact top-m Euclidean neighbours of every word, self excluded.
-
-    Distances are computed blockwise via the Gram matrix; candidate rows are
-    selected with argpartition and then ordered by (distance, index). Rows
-    whose tie group straddles the candidate boundary fall back to a full
-    stable sort, so the output is exact even for duplicate vectors.
-    """
+    """Exact top-m Euclidean neighbours of every word, self excluded: the
+    self query of `rank_queries`, with each word excluded from its own row."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n = emb.n
     if n < 2:
         raise ValueError(f"need at least 2 words, got {n}")
-    k = min(m, n - 1)
-    x = emb.vectors
-    sq_x = np.einsum("ij,ij->i", x, x)
-    indices = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k), dtype=np.float64)
-    n_cand = min(n - 1, k + _TIE_SLACK)
-    cols = np.arange(n)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        d2 = _block_sq_dists(x[start:stop], x, sq_x)
-        rows = np.arange(stop - start)
-        d2[rows, np.arange(start, stop)] = np.inf  # exclude self
-        if n_cand < n - 1:
-            cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
-        else:
-            cand = np.broadcast_to(cols, (stop - start, n)).copy()
-        cand_d = np.take_along_axis(d2, cand, axis=1)
-        order = np.lexsort((cand, cand_d), axis=1)[:, :k]
-        sel = np.take_along_axis(cand, order, axis=1)
-        sel_d = np.take_along_axis(cand_d, order, axis=1)
-        # a tie at the k-th distance may extend past the candidate set
-        boundary = sel_d[:, k - 1]
-        full_count = (d2 <= boundary[:, None]).sum(axis=1)
-        cand_count = (cand_d <= boundary[:, None]).sum(axis=1)
-        for r in np.nonzero(full_count > cand_count)[0]:
-            full = np.lexsort((cols, d2[r]))[:k]
-            sel[r] = full
-            sel_d[r] = d2[r, full]
-        indices[start:stop] = sel
-        distances[start:stop] = np.sqrt(sel_d)
+    indices, distances = rank_queries(
+        emb, emb.vectors, min(m, n - 1), np.arange(n), block_size
+    )
     return NeighbourSets(m=m, indices=indices, distances=distances)
 
 

@@ -408,7 +408,9 @@ class Perturber:
     @property
     def partition(self) -> ComponentPartition:
         if self._partition is None:
-            graph = build_graph(self.emb, self.m, self.tau)
+            # one kNN pass serves both the graph and the density sets
+            ns = self.density_sets.prefix(self.m) if self.m <= self.m_density else None
+            graph = build_graph(self.emb, self.m, self.tau, neighbour_sets=ns)
             self._partition = build_partition(graph, self.emb)
         return self._partition
 

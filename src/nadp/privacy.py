@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import rank_queries
+from .graph import jaccard, rank_queries
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -58,6 +58,17 @@ class PrivacyReport:
         return out
 
 
+def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
+    """Per-row Jaccard similarity of two (q, k) index rankings."""
+    return np.array(
+        [
+            jaccard(set(a.tolist()), set(b.tolist()))
+            for a, b in zip(clean_rows, query_rows)
+        ],
+        dtype=np.float64,
+    )
+
+
 def prediction_probability(
     original: EmbeddingSet,
     perturbed_vector: np.ndarray,
@@ -82,9 +93,7 @@ def prediction_probability(
         k,
         exclude,
     )
-    a = set(clean[0].tolist())
-    b = set(query[0].tolist())
-    return len(a & b) / len(a | b)
+    return float(_overlap(clean, query)[0])
 
 
 def skewness(values: np.ndarray | list[float]) -> float:
@@ -119,11 +128,7 @@ def privacy_report(
     self_idx = np.arange(n)
     clean, _ = rank_queries(original, original.vectors, k, self_idx)
     query, _ = rank_queries(original, perturbed.vectors, k, self_idx)
-    probs = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        a = set(clean[i].tolist())
-        b = set(query[i].tolist())
-        probs[i] = len(a & b) / len(a | b)
+    probs = _overlap(clean, query)
     std = float(probs.std(ddof=1)) if n > 1 else 0.0
     degenerate = std == 0.0
     skew = skewness(probs) if n >= 3 else 0.0

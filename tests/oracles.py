@@ -75,6 +75,26 @@ def knn_bruteforce(vectors: np.ndarray, m: int) -> list[list[int]]:
     return out
 
 
+def rank_bruteforce(
+    vectors: np.ndarray,
+    query: np.ndarray,
+    k: int,
+    exclude: np.ndarray | None,
+) -> list[list[int]]:
+    """Per query row: the words sorted by (Euclidean distance, index),
+    without exclude[q] when given, cut to the first k."""
+    out = []
+    for q in range(query.shape[0]):
+        pairs = []
+        for j in range(vectors.shape[0]):
+            if exclude is not None and j == exclude[q]:
+                continue
+            pairs.append((float(np.linalg.norm(query[q] - vectors[j])), j))
+        pairs.sort()
+        out.append([j for _, j in pairs[:k]])
+    return out
+
+
 def graph_edges_bruteforce(
     vectors: np.ndarray, m: int, tau: float
 ) -> set[tuple[int, int]]:

@@ -6,6 +6,7 @@ import pytest
 
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
+from nadp.graph import rank_queries
 
 from synth import clustered_embeddings
 
@@ -188,6 +189,33 @@ def test_neighbours_far_displacement_clears_leak_flag(emb_file, tmp_path):
                 "--words", emb.words[0], "-k", 3, "--out-dir", tmp_path) == 0
     report = json.loads((tmp_path / "neighbours.json").read_text())
     assert report["rows"][0]["leak"] is False
+
+
+def test_neighbours_batch_matches_per_word_queries(tmp_path, capsys):
+    # a duplicate group wider than the argpartition candidates, so the
+    # batched queries go through the tie fallback
+    rng = np.random.default_rng(11)
+    vectors = np.vstack([np.full((30, 4), 0.5), rng.integers(0, 3, (50, 4))])
+    words = tuple(f"w{i}" for i in range(len(vectors)))
+    noisy = vectors + rng.normal(scale=0.3, size=vectors.shape)
+    save_embeddings(EmbeddingSet(words, vectors), tmp_path / "clean.txt", precision=8)
+    save_embeddings(EmbeddingSet(words, noisy), tmp_path / "noisy.txt", precision=8)
+    query = ["w3", "missing", "w60", "w3", "w0"]
+    assert _run("neighbours", "--embeddings", tmp_path / "clean.txt",
+                "--perturbed", tmp_path / "noisy.txt", "--words", ",".join(query),
+                "-k", 5, "--out-dir", tmp_path) == 0
+    assert "'missing' not in vocabulary" in capsys.readouterr().err
+    original = load_embeddings(tmp_path / "clean.txt")
+    perturbed = load_embeddings(tmp_path / "noisy.txt")
+    rows = json.loads((tmp_path / "neighbours.json").read_text())["rows"]
+    assert [r["word"] for r in rows] == ["w3", "w60", "w3", "w0"]
+    for row in rows:
+        i = original.index_of(row["word"])
+        clean, _ = rank_queries(original, original.vectors[i : i + 1], 5, np.array([i]))
+        pert, _ = rank_queries(original, perturbed.vectors[i : i + 1], 5)
+        assert row["clean_neighbours"] == [original.words[j] for j in clean[0]]
+        assert row["perturbed_neighbours"] == [original.words[j] for j in pert[0]]
+        assert row["leak"] == (row["word"] in row["perturbed_neighbours"])
 
 
 def test_limit_and_vocab_file_pass_through(emb_file, tmp_path):

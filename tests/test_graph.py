@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from nadp.embeddings import EmbeddingSet
-from nadp.graph import NeighbourGraph, build_graph, jaccard, knn, rank_queries
+from nadp.graph import (
+    _TIE_SLACK,
+    NeighbourGraph,
+    build_graph,
+    jaccard,
+    knn,
+    rank_queries,
+)
 
-from oracles import graph_edges_bruteforce, knn_bruteforce
+from oracles import graph_edges_bruteforce, knn_bruteforce, rank_bruteforce
 from synth import random_embeddings, two_far_clusters
 
 
@@ -69,6 +76,30 @@ def test_knn_matches_bruteforce_with_heavy_ties():
     emb = EmbeddingSet(tuple(f"w{i}" for i in range(24)), pts)
     for m in (1, 2, 5, 23):
         assert knn(emb, m).indices.tolist() == knn_bruteforce(pts, m)
+
+
+def _heavy_tie_grid() -> EmbeddingSet:
+    # integer grid, so Gram and direct distances agree exactly; points 0..39
+    # share one vector, a duplicate group larger than k + _TIE_SLACK
+    rng = np.random.default_rng(4)
+    pts = np.vstack([np.full((40, 3), 1.0), rng.integers(0, 3, (60, 3))])
+    assert 40 > 10 + _TIE_SLACK
+    return EmbeddingSet(tuple(f"w{i}" for i in range(len(pts))), pts)
+
+
+def test_neighbour_sets_prefix_equals_knn():
+    emb = _heavy_tie_grid()
+    ns = knn(emb, 10)
+    for m in (1, 2, 5, 10):
+        pre = ns.prefix(m)
+        ref = knn(emb, m)
+        assert pre.m == m
+        assert np.array_equal(pre.indices, ref.indices)
+        assert np.array_equal(pre.distances, ref.distances)
+    with pytest.raises(ValueError):
+        ns.prefix(11)
+    with pytest.raises(ValueError):
+        ns.prefix(0)
 
 
 def test_knn_block_size_independent():
@@ -184,3 +215,25 @@ def test_rank_queries_without_exclusion_finds_self():
     idx, dist = rank_queries(emb, emb.vectors[:3], 1)
     assert idx[:, 0].tolist() == [0, 1, 2]
     assert np.allclose(dist[:, 0], 0.0)
+
+
+@pytest.mark.parametrize("block_size", [7, 1024])
+@pytest.mark.parametrize("with_exclude", [True, False])
+def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
+    block_size, with_exclude
+):
+    emb = _heavy_tie_grid()
+    rng = np.random.default_rng(5)
+    # half the queries sit on the duplicate group, half on grid points that
+    # are not rows of the set
+    queries = np.vstack([np.full((6, 3), 1.0), rng.integers(3, 5, (6, 3))])
+    exclude = None
+    if with_exclude:
+        # the queries on the duplicate group each drop one of its members
+        exclude = np.concatenate([np.arange(6), rng.integers(0, emb.n, 6)])
+    for k in (1, 3, 10, 45):
+        idx, dist = rank_queries(emb, queries, k, exclude, block_size)
+        expected = rank_bruteforce(emb.vectors, queries, k, exclude)
+        assert idx.tolist() == expected
+        direct = np.linalg.norm(queries[:, None, :] - emb.vectors[idx], axis=2)
+        assert np.array_equal(dist, direct)

@@ -337,3 +337,20 @@ def test_shape_and_token_preservation_all_mechanisms():
         assert report.kind == kind
         again, _ = perturber.perturb(kind, 0.8, seed=21)
         assert np.array_equal(out.vectors, again.vectors)
+
+
+@pytest.mark.filterwarnings("ignore:component .* zero sensitivity")
+@pytest.mark.parametrize("m_density", [1, 2, 30])
+def test_perturber_partition_matches_a_fresh_graph(m_density):
+    # the graph comes from a prefix of the density sets when m <= m_density;
+    # the duplicate groups make the prefix depend on exact tie order
+    rng = np.random.default_rng(17)
+    vecs = rng.integers(0, 2, (40, 3)).astype(float)
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
+    perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, m_density=m_density)
+    ref = build_partition(build_graph(emb, m=2, tau=0.1), emb)
+    assert perturber.partition.components == ref.components
+    assert np.array_equal(perturber.partition.assignment, ref.assignment)
+    assert np.array_equal(
+        perturber.partition.local_sensitivities, ref.local_sensitivities
+    )
