@@ -375,8 +375,8 @@ class Perturber:
     """Shared-state dispatcher over the five mechanisms for one clean set.
 
     The neighbour graph, component partition and density neighbour sets are
-    computed lazily once and reused across (mechanism, epsilon, seed) calls,
-    which is what benchmark sweeps need.
+    computed lazily once, from a single kNN pass, and reused across
+    (mechanism, epsilon, seed) calls, which is what benchmark sweeps need.
     """
 
     def __init__(
@@ -403,22 +403,28 @@ class Perturber:
         self.m_density = m_density
         self.strict = strict
         self._partition: ComponentPartition | None = None
-        self._density_sets: NeighbourSets | None = None
+        self._neighbour_sets: NeighbourSets | None = None
+
+    @property
+    def _knn(self) -> NeighbourSets:
+        # one kNN pass at max(m, m_density); the graph and the density sets
+        # are exact prefixes of it
+        if self._neighbour_sets is None:
+            self._neighbour_sets = knn(self.emb, max(self.m, self.m_density))
+        return self._neighbour_sets
 
     @property
     def partition(self) -> ComponentPartition:
         if self._partition is None:
-            # one kNN pass serves both the graph and the density sets
-            ns = self.density_sets.prefix(self.m) if self.m <= self.m_density else None
-            graph = build_graph(self.emb, self.m, self.tau, neighbour_sets=ns)
+            graph = build_graph(
+                self.emb, self.m, self.tau, neighbour_sets=self._knn.prefix(self.m)
+            )
             self._partition = build_partition(graph, self.emb)
         return self._partition
 
     @property
     def density_sets(self) -> NeighbourSets:
-        if self._density_sets is None:
-            self._density_sets = knn(self.emb, self.m_density)
-        return self._density_sets
+        return self._knn.prefix(self.m_density)
 
     def config(self, kind: str, epsilon: float, seed: int) -> MechanismConfig:
         return MechanismConfig(

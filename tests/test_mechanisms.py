@@ -342,8 +342,9 @@ def test_shape_and_token_preservation_all_mechanisms():
 @pytest.mark.filterwarnings("ignore:component .* zero sensitivity")
 @pytest.mark.parametrize("m_density", [1, 2, 30])
 def test_perturber_partition_matches_a_fresh_graph(m_density):
-    # the graph comes from a prefix of the density sets when m <= m_density;
-    # the duplicate groups make the prefix depend on exact tie order
+    # the graph and the density sets are prefixes of one kNN pass at
+    # max(m, m_density); the duplicate groups make a prefix depend on exact
+    # tie order
     rng = np.random.default_rng(17)
     vecs = rng.integers(0, 2, (40, 3)).astype(float)
     emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
@@ -354,3 +355,7 @@ def test_perturber_partition_matches_a_fresh_graph(m_density):
     assert np.array_equal(
         perturber.partition.local_sensitivities, ref.local_sensitivities
     )
+    dense = knn(emb, m_density)
+    assert perturber.density_sets.m == m_density
+    assert np.array_equal(perturber.density_sets.indices, dense.indices)
+    assert np.array_equal(perturber.density_sets.distances, dense.distances)
