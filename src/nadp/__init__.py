@@ -35,7 +35,6 @@ from .graph import (
     rank_queries,
 )
 from .mechanisms import (
-    MechanismConfig,
     PerturbationReport,
     Perturber,
     gaussian_perturb,
@@ -60,7 +59,6 @@ __all__ = [
     "CalibrationResult",
     "ComponentPartition",
     "EmbeddingSet",
-    "MechanismConfig",
     "NeighbourGraph",
     "NeighbourSets",
     "OddManDataset",

@@ -129,24 +129,33 @@ def solve_u_star(params: PrivacyParams) -> float:
     return hi
 
 
-def classic_gaussian_sigma(epsilon: float, delta: float, Delta: float) -> float:
-    """Closed-form scale Delta * sqrt(2*log(1.25/delta)) / epsilon.
+def classic_sigma_formula(epsilon: float, delta: float, Delta: float) -> float:
+    """Closed-form scale Delta * sqrt(2*log(1.25/delta)) / epsilon for any
+    epsilon > 0.
 
-    The closed form guarantees (epsilon, delta)-DP only for
-    epsilon in (0, 1); values outside that interval are rejected here (use
-    the analytic route, which covers all epsilon >= 0, or the explicit
-    unchecked formula in the mechanisms module for protocol sweeps).
+    It guarantees (epsilon, delta)-DP only for epsilon in (0, 1); the
+    mechanisms evaluate it outside that range only for protocol sweeps, and
+    then report the run as not proven.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(
-            "closed-form Gaussian calibration is only valid for "
-            f"0 < epsilon < 1, got {epsilon}"
-        )
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     return Delta * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+
+
+def classic_gaussian_sigma(epsilon: float, delta: float, Delta: float) -> float:
+    """`classic_sigma_formula` restricted to epsilon in (0, 1), the range in
+    which the closed form guarantees (epsilon, delta)-DP (use the analytic
+    route, which covers all epsilon >= 0, outside it)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(
+            "closed-form Gaussian calibration is only valid for "
+            f"0 < epsilon < 1, got {epsilon}"
+        )
+    return classic_sigma_formula(epsilon, delta, Delta)
 
 
 def check_dp_condition(Delta: float, sigma: float, params: PrivacyParams) -> bool:

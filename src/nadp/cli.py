@@ -27,7 +27,15 @@ from .calibration import (
 from .components import build_partition, partition_report
 from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from .graph import DEFAULT_M, DEFAULT_TAU, build_graph, graph_report, rank_queries
-from .mechanisms import MECHANISM_KINDS, Perturber
+from .mechanisms import (
+    DEFAULT_ALPHA1,
+    DEFAULT_ALPHA2,
+    DEFAULT_ETA0,
+    DEFAULT_LAMBDA,
+    DEFAULT_M_DENSITY,
+    MECHANISM_KINDS,
+    Perturber,
+)
 from .privacy import DEFAULT_EVAL_M, privacy_report
 from .utility import (
     UtilityDatasets,
@@ -44,17 +52,17 @@ _DEFAULTS = {
     "m": DEFAULT_M,
     "tau": DEFAULT_TAU,
     "m_eval": DEFAULT_EVAL_M,
-    "m_density": 10,
+    "m_density": DEFAULT_M_DENSITY,
     "epsilon": None,
     "epsilons": None,
     "delta": None,
     "seed": None,
     "seeds": None,
     "repeats": 5,
-    "lambda_": 1.0,
-    "eta0": 6.0,
-    "alpha1": 1.835,
-    "alpha2": 1.276,
+    "lambda_": DEFAULT_LAMBDA,
+    "eta0": DEFAULT_ETA0,
+    "alpha1": DEFAULT_ALPHA1,
+    "alpha2": DEFAULT_ALPHA2,
     "allow_unproven_epsilon": False,
     "precision": 6,
     "k": 3,
@@ -121,8 +129,10 @@ def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
 
 
 def _resolve_delta(params: dict, n: int) -> float:
-    # default delta is 1/n of the loaded vocabulary
-    return params["delta"] if params["delta"] is not None else 1.0 / n
+    # default delta is 1/n of the loaded vocabulary; recorded for replay
+    if params["delta"] is None:
+        params["delta"] = 1.0 / n
+    return params["delta"]
 
 
 def _resolve_seed(params: dict) -> int:
@@ -138,6 +148,21 @@ def _input_hashes(params: dict) -> dict[str, str]:
         if path is not None:
             hashes[str(path)] = _sha256(path)
     return hashes
+
+
+def _perturber(params: dict, emb: EmbeddingSet) -> Perturber:
+    return Perturber(
+        emb,
+        delta=_resolve_delta(params, emb.n),
+        m=params["m"],
+        tau=params["tau"],
+        lambda_=params["lambda_"],
+        eta0=params["eta0"],
+        alpha1=params["alpha1"],
+        alpha2=params["alpha2"],
+        m_density=params["m_density"],
+        strict=not params["allow_unproven_epsilon"],
+    )
 
 
 def cmd_graph(params: dict, out_dir: Path) -> list[str]:
@@ -167,7 +192,6 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
     if params["epsilon"] is None:
         raise ValueError("--epsilon is required")
     delta = _resolve_delta(params, emb.n)
-    params["delta"] = delta
     graph = build_graph(emb, params["m"], params["tau"])
     partition = build_partition(graph, emb)
     privacy = PrivacyParams(epsilon=params["epsilon"], delta=delta)
@@ -206,22 +230,10 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
         raise ValueError(f"--mechanism is required (one of {MECHANISM_KINDS})")
     if params["epsilon"] is None:
         raise ValueError("--epsilon is required")
-    delta = _resolve_delta(params, emb.n)
-    params["delta"] = delta
     seed = _resolve_seed(params)
-    perturber = Perturber(
-        emb,
-        delta=delta,
-        m=params["m"],
-        tau=params["tau"],
-        lambda_=params["lambda_"],
-        eta0=params["eta0"],
-        alpha1=params["alpha1"],
-        alpha2=params["alpha2"],
-        m_density=params["m_density"],
-        strict=not params["allow_unproven_epsilon"],
+    perturbed, report = _perturber(params, emb).perturb(
+        params["mechanism"], params["epsilon"], seed
     )
-    perturbed, report = perturber.perturb(params["mechanism"], params["epsilon"], seed)
     out_name = params["output"]
     save_embeddings(perturbed, out_dir / out_name, precision=params["precision"])
     report_name = params["report"] or "perturb_report.json"
@@ -284,20 +296,7 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         base = _resolve_seed(params)
         seeds = [base + i for i in range(params["repeats"])]
     params["seeds"] = seeds
-    delta = _resolve_delta(params, emb.n)
-    params["delta"] = delta
-    perturber = Perturber(
-        emb,
-        delta=delta,
-        m=params["m"],
-        tau=params["tau"],
-        lambda_=params["lambda_"],
-        eta0=params["eta0"],
-        alpha1=params["alpha1"],
-        alpha2=params["alpha2"],
-        m_density=params["m_density"],
-        strict=not params["allow_unproven_epsilon"],
-    )
+    perturber = _perturber(params, emb)
     rows = utility_suite(
         emb,
         datasets,
@@ -353,16 +352,19 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
             original, original.vectors[idx], min(k, original.n - 1), idx
         )
         # the perturbed query ranks the full vocabulary, the word included:
-        # retrieving itself is exactly the leak being checked for
+        # retrieving the word's clean vector is the leak being checked for,
+        # whether through the word itself or through an exact duplicate that
+        # the (distance, index) order ranks ahead of it
         pert_idx, _ = rank_queries(original, perturbed.vectors[idx], min(k, original.n))
-        for word, clean_row, pert_row in zip(found, clean_idx, pert_idx):
-            pert_list = [original.words[j] for j in pert_row]
+        same_vector = original.vectors[pert_idx] == original.vectors[idx, None]
+        leaks = same_vector.all(axis=2).any(axis=1)
+        for word, clean_row, pert_row, leak in zip(found, clean_idx, pert_idx, leaks):
             rows.append(
                 {
                     "word": word,
                     "clean_neighbours": [original.words[j] for j in clean_row],
-                    "perturbed_neighbours": pert_list,
-                    "leak": word in pert_list,
+                    "perturbed_neighbours": [original.words[j] for j in pert_row],
+                    "leak": bool(leak),
                 }
             )
     _write_json(out_dir / "neighbours.json", {"k": k, "rows": rows})
@@ -401,6 +403,23 @@ def _add_graph_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, help="Jaccard threshold (default 0.5)")
 
 
+def _add_mechanism_params(p: argparse.ArgumentParser) -> None:
+    _add_graph_params(p)
+    p.add_argument("--delta", type=float, help="default: 1/n of the vocabulary")
+    p.add_argument("--lambda", dest="lambda_", type=float, help="covariance blend")
+    p.add_argument("--eta0", type=float, help="density split threshold")
+    p.add_argument("--alpha1", type=float, help="dense-category scale constant")
+    p.add_argument("--alpha2", type=float, help="sparse-category scale constant")
+    p.add_argument("--m-density", dest="m_density", type=int)
+    p.add_argument(
+        "--allow-unproven-epsilon",
+        action="store_const",
+        const=True,
+        default=None,
+        help="run closed-form mechanisms outside their proven epsilon range",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nadp",
@@ -425,23 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", help="apply a DP mechanism to the embeddings")
     _add_common(p)
-    _add_graph_params(p)
+    _add_mechanism_params(p)
     p.add_argument("--mechanism", choices=MECHANISM_KINDS)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float, help="default: 1/n of the vocabulary")
     p.add_argument("--seed", type=int, help="drawn and recorded when absent")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="covariance blend")
-    p.add_argument("--eta0", type=float, help="density split threshold")
-    p.add_argument("--alpha1", type=float, help="dense-category scale constant")
-    p.add_argument("--alpha2", type=float, help="sparse-category scale constant")
-    p.add_argument("--m-density", dest="m_density", type=int)
-    p.add_argument(
-        "--allow-unproven-epsilon",
-        action="store_const",
-        const=True,
-        default=None,
-        help="run closed-form mechanisms outside their proven epsilon range",
-    )
     p.add_argument("--output", help="perturbed embedding file name")
     p.add_argument("--report", help="report file name")
     p.add_argument("--precision", type=int, help="decimal places written")
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-utility", help="utility sweep over mechanisms")
     _add_common(p)
-    _add_graph_params(p)
+    _add_mechanism_params(p)
     p.add_argument("--wordsim", help="word-pair similarity TSV")
     p.add_argument("--sts", help="sentence-pair TSV")
     p.add_argument("--oddman", help="odd-man-out TSV")
@@ -462,18 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--repeats", type=int, help="seeds drawn when --seeds absent")
     p.add_argument("--seed", type=int, help="base seed for --repeats")
-    p.add_argument("--delta", type=float, help="default: 1/n of the vocabulary")
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--m-density", dest="m_density", type=int)
-    p.add_argument(
-        "--allow-unproven-epsilon",
-        action="store_const",
-        const=True,
-        default=None,
-    )
 
     p = sub.add_parser("neighbours", help="inspect clean vs perturbed neighbours")
     _add_common(p)

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .embeddings import EmbeddingSet
 from .graph import NeighbourGraph
@@ -45,26 +46,17 @@ def connected_components(graph: NeighbourGraph) -> list[list[int]]:
     """Connected components of the undirected graph, canonicalised.
 
     Components are sorted by their smallest member and members ascend within
-    each component, so the output does not depend on traversal order.
-    Isolated vertices form singleton components.
+    each component, so the output does not depend on the labels scipy
+    assigns. Isolated vertices form singleton components.
     """
-    adj = graph.adjacency()
-    seen = np.zeros(graph.n, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
+    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(graph.n, graph.n)
+    )
+    k, labels = csgraph.connected_components(adj, directed=False)
+    components: list[list[int]] = [[] for _ in range(k)]
+    for v, label in enumerate(labels.tolist()):
+        components[label].append(v)
     components.sort(key=lambda c: c[0])
     return components
 

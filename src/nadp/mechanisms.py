@@ -18,51 +18,27 @@ parallelism.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import PrivacyParams, solve_u_star
+from .calibration import PrivacyParams, calibrate_components, classic_sigma_formula
 from .components import ComponentPartition, build_partition
 from .embeddings import EmbeddingSet
 from .graph import DEFAULT_M, DEFAULT_TAU, NeighbourSets, build_graph, knn
 
-MECHANISM_KINDS = ("nadp", "gaussian", "laplacian", "mahalanobis", "jaccard")
+# knob defaults of the baselines: `lambda_` blends the embedding covariance
+# into the Mahalanobis noise shape; `eta0` splits dense from sparse words by
+# mean neighbour distance; `alpha1`/`alpha2` are the dense/sparse scale
+# constants of the two-category mechanism, quoted for neighbourhood size
+# `m_density`
+DEFAULT_LAMBDA = 1.0
+DEFAULT_ETA0 = 6.0
+DEFAULT_ALPHA1 = 1.835
+DEFAULT_ALPHA2 = 1.276
+DEFAULT_M_DENSITY = 10
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class MechanismConfig:
-    """Mechanism selection plus the knobs the baselines need.
-
-    `lambda_` blends the embedding covariance into the Mahalanobis noise
-    shape; `eta0` splits dense from sparse words by mean neighbour distance;
-    `alpha1`/`alpha2` are the dense/sparse scale constants of the two-category
-    mechanism, quoted for neighbourhood size `m_density`.
-    """
-
-    kind: str
-    params: PrivacyParams
-    seed: int
-    lambda_: float = 1.0
-    eta0: float = 6.0
-    alpha1: float = 1.835
-    alpha2: float = 1.276
-    m_density: int = 10
-
-    def __post_init__(self) -> None:
-        if self.kind not in MECHANISM_KINDS:
-            raise ValueError(f"unknown mechanism {self.kind!r}")
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_}")
-        if not self.eta0 > 0.0:
-            raise ValueError(f"eta0 must be > 0, got {self.eta0}")
-        if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
-            raise ValueError("alpha1 and alpha2 must be > 0")
-        if self.m_density < 1:
-            raise ValueError(f"m_density must be >= 1, got {self.m_density}")
 
 
 @dataclass(frozen=True)
@@ -101,16 +77,6 @@ def word_substream(seed: int, word_index: int) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by (master seed, word index)."""
     key = np.array([seed & _MASK64, word_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _classic_sigma_unchecked(epsilon: float, delta: float, Delta: float) -> float:
-    # closed form without the epsilon < 1 validity check; used for sweeps
-    # that deliberately run the formula outside its proven range
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return Delta * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
 def _require_proven_range(epsilon: float, strict: bool, kind: str) -> bool:
@@ -154,8 +120,8 @@ def nadp_perturb(
             f"partition covers {partition.assignment.shape[0]} words, "
             f"embedding set has {emb.n}"
         )
-    u_star = solve_u_star(params)
-    sigmas = u_star * partition.local_sensitivities
+    calib = calibrate_components(partition.local_sensitivities, params)
+    sigmas = calib.sigma_per_component
     sigma_of_word = sigmas[partition.assignment]
     perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
     report = PerturbationReport(
@@ -166,7 +132,7 @@ def nadp_perturb(
         sigma_per_component=tuple(float(s) for s in sigmas),
         delta_per_component=tuple(float(d) for d in partition.local_sensitivities),
         global_sensitivity=partition.global_sensitivity,
-        u_star=u_star,
+        u_star=calib.u_star,
         zero_noise_words=zero,
         proven_dp=True,
     )
@@ -190,7 +156,7 @@ def gaussian_perturb(
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     proven = _require_proven_range(params.epsilon, strict, "gaussian")
-    sigma = _classic_sigma_unchecked(params.epsilon, params.delta, Delta)
+    sigma = classic_sigma_formula(params.epsilon, params.delta, Delta)
     sigma_of_word = np.full(emb.n, sigma)
     perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
     report = PerturbationReport(
@@ -325,7 +291,9 @@ def jaccard_mechanism_perturb(
     emb: EmbeddingSet,
     params: PrivacyParams,
     neighbour_sets: NeighbourSets,
-    config: MechanismConfig,
+    eta0: float,
+    alpha1: float,
+    alpha2: float,
     seed: int,
     strict: bool = True,
 ) -> tuple[EmbeddingSet, PerturbationReport]:
@@ -337,15 +305,19 @@ def jaccard_mechanism_perturb(
     epsilon, where Delta is the average distance from a word to its
     furthermost neighbour.
     """
+    if not eta0 > 0.0:
+        raise ValueError(f"eta0 must be > 0, got {eta0}")
+    if not (alpha1 > 0.0 and alpha2 > 0.0):
+        raise ValueError("alpha1 and alpha2 must be > 0")
     if neighbour_sets.n != emb.n:
         raise ValueError("neighbour sets do not match the embedding set")
     proven = _require_proven_range(params.epsilon, strict, "jaccard")
     eta = neighbourhood_density(neighbour_sets)
     Delta = float(neighbour_sets.distances[:, -1].mean())
-    dense = eta < config.eta0
-    base = _classic_sigma_unchecked(params.epsilon, params.delta, Delta)
-    sigma1 = config.alpha1 * base
-    sigma2 = config.alpha2 * base
+    dense = eta < eta0
+    base = classic_sigma_formula(params.epsilon, params.delta, Delta)
+    sigma1 = alpha1 * base
+    sigma2 = alpha2 * base
     sigma_of_word = np.where(dense, sigma1, sigma2)
     perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
     report = PerturbationReport(
@@ -360,9 +332,9 @@ def jaccard_mechanism_perturb(
         zero_noise_words=zero,
         proven_dp=proven,
         extra={
-            "eta0": config.eta0,
-            "alpha1": config.alpha1,
-            "alpha2": config.alpha2,
+            "eta0": eta0,
+            "alpha1": alpha1,
+            "alpha2": alpha2,
             "m_density": neighbour_sets.m,
             "dense_words": int(dense.sum()),
             "sparse_words": int(emb.n - dense.sum()),
@@ -385,11 +357,11 @@ class Perturber:
         delta: float,
         m: int = DEFAULT_M,
         tau: float = DEFAULT_TAU,
-        lambda_: float = 1.0,
-        eta0: float = 6.0,
-        alpha1: float = 1.835,
-        alpha2: float = 1.276,
-        m_density: int = 10,
+        lambda_: float = DEFAULT_LAMBDA,
+        eta0: float = DEFAULT_ETA0,
+        alpha1: float = DEFAULT_ALPHA1,
+        alpha2: float = DEFAULT_ALPHA2,
+        m_density: int = DEFAULT_M_DENSITY,
         strict: bool = True,
     ) -> None:
         self.emb = emb
@@ -426,47 +398,42 @@ class Perturber:
     def density_sets(self) -> NeighbourSets:
         return self._knn.prefix(self.m_density)
 
-    def config(self, kind: str, epsilon: float, seed: int) -> MechanismConfig:
-        return MechanismConfig(
-            kind=kind,
-            params=PrivacyParams(epsilon=epsilon, delta=self.delta),
-            seed=seed,
-            lambda_=self.lambda_,
-            eta0=self.eta0,
-            alpha1=self.alpha1,
-            alpha2=self.alpha2,
-            m_density=self.m_density,
-        )
-
     def perturb(
         self, kind: str, epsilon: float, seed: int
     ) -> tuple[EmbeddingSet, PerturbationReport]:
-        if kind not in MECHANISM_KINDS:
+        if kind not in _MECHANISMS:
             raise ValueError(f"unknown mechanism {kind!r}")
-        if kind == "nadp":
-            params = PrivacyParams(epsilon=epsilon, delta=self.delta)
-            return nadp_perturb(self.emb, self.partition, params, seed)
-        if kind == "gaussian":
-            params = PrivacyParams(epsilon=epsilon, delta=self.delta)
-            return gaussian_perturb(
-                self.emb,
-                params,
-                self.partition.global_sensitivity,
-                seed,
-                strict=self.strict,
-            )
-        if kind == "laplacian":
-            return laplacian_perturb(
-                self.emb, epsilon, self.partition.global_sensitivity, seed
-            )
-        if kind == "mahalanobis":
-            return mahalanobis_perturb(self.emb, epsilon, self.lambda_, seed)
-        params = PrivacyParams(epsilon=epsilon, delta=self.delta)
-        return jaccard_mechanism_perturb(
-            self.emb,
-            params,
-            self.density_sets,
-            self.config("jaccard", epsilon, seed),
-            seed,
-            strict=self.strict,
-        )
+        return _MECHANISMS[kind](self, epsilon, seed)
+
+
+# kind -> how a Perturber runs that mechanism on its shared state; the order
+# is the order in which the CLI lists the kinds
+_MECHANISMS = {
+    "nadp": lambda p, eps, seed: nadp_perturb(
+        p.emb, p.partition, PrivacyParams(eps, p.delta), seed
+    ),
+    "gaussian": lambda p, eps, seed: gaussian_perturb(
+        p.emb,
+        PrivacyParams(eps, p.delta),
+        p.partition.global_sensitivity,
+        seed,
+        strict=p.strict,
+    ),
+    "laplacian": lambda p, eps, seed: laplacian_perturb(
+        p.emb, eps, p.partition.global_sensitivity, seed
+    ),
+    "mahalanobis": lambda p, eps, seed: mahalanobis_perturb(
+        p.emb, eps, p.lambda_, seed
+    ),
+    "jaccard": lambda p, eps, seed: jaccard_mechanism_perturb(
+        p.emb,
+        PrivacyParams(eps, p.delta),
+        p.density_sets,
+        p.eta0,
+        p.alpha1,
+        p.alpha2,
+        seed,
+        strict=p.strict,
+    ),
+}
+MECHANISM_KINDS = tuple(_MECHANISMS)

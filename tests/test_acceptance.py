@@ -27,7 +27,6 @@ from nadp.components import build_partition, connected_components
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import NeighbourGraph, build_graph, knn
 from nadp.mechanisms import (
-    MechanismConfig,
     Perturber,
     gaussian_perturb,
     jaccard_mechanism_perturb,
@@ -121,10 +120,9 @@ def test_criterion_3_monte_carlo_dp():
     _, rep = gaussian_perturb(emb, params, 1.0, seed=0, strict=False)
     sigmas["gaussian"] = rep.sigma_per_component[0]
     density = knn(emb, 1)
-    config = MechanismConfig(kind="jaccard", params=params, seed=0, eta0=2.0,
-                             m_density=1)
     _, rep = jaccard_mechanism_perturb(
-        emb, params, density, config, seed=0, strict=False
+        emb, params, density, eta0=2.0, alpha1=1.835, alpha2=1.276, seed=0,
+        strict=False,
     )
     sigmas["jaccard dense"] = rep.sigma_per_component[0]
     sigmas["jaccard sparse"] = rep.sigma_per_component[1]

@@ -7,6 +7,8 @@ import pytest
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import rank_queries
+from nadp.mechanisms import Perturber
+from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
 
@@ -17,6 +19,21 @@ def emb_file(tmp_path_factory):
     emb = clustered_embeddings(200, 8, n_clusters=12, seed=7)
     save_embeddings(emb, path, precision=8)
     return path
+
+
+# the `parameters` keys every perturb manifest carries; replay depends on them
+PERTURB_PARAMETERS = {
+    "allow_unproven_epsilon", "alpha1", "alpha2", "delta", "embeddings",
+    "epsilon", "epsilons", "eta0", "k", "lambda_", "limit", "m", "m_density",
+    "m_eval", "mechanism", "mechanisms", "oddman", "output", "perturbed",
+    "precision", "repeats", "report", "seed", "seeds", "sts", "tau",
+    "vocab_file", "words", "wordsim",
+}
+
+# non-default knobs of the baselines, as CLI flags and as Perturber kwargs
+KNOB_FLAGS = ("--lambda", 0.3, "--eta0", 0.9, "--alpha1", 2.5, "--alpha2", 0.7,
+              "--m-density", 4)
+KNOBS = {"lambda_": 0.3, "eta0": 0.9, "alpha1": 2.5, "alpha2": 0.7, "m_density": 4}
 
 
 def _run(*argv) -> int:
@@ -97,6 +114,58 @@ def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):
     assert (first / "perturb_report.json").read_bytes() == (
         second / "perturb_report.json"
     ).read_bytes()
+
+
+def test_perturb_manifest_schema_is_pinned(emb_file, tmp_path):
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "jaccard",
+                "--epsilon", 0.8, "--seed", 5, "--m", 2, "--tau", 0.1,
+                *KNOB_FLAGS, "--out-dir", first) == 0
+    manifest = json.loads((first / "perturb_manifest.json").read_text())
+    assert set(manifest["parameters"]) == PERTURB_PARAMETERS
+    assert _run("perturb", "--config", first / "perturb_manifest.json",
+                "--out-dir", second) == 0
+    for name in ("perturbed.txt", "perturb_report.json", "perturb_manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_cli_knobs_reach_the_mechanisms(emb_file, tmp_path):
+    emb = load_embeddings(emb_file)
+    wordsim = tmp_path / "pairs.tsv"
+    wordsim.write_text("".join(f"{emb.words[i]}\t{emb.words[i + 1]}\t{i % 7}\n"
+                               for i in range(0, 60, 2)), encoding="utf-8")
+    for mechanism in ("jaccard", "mahalanobis"):
+        assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
+                    "--epsilon", 0.8, "--seed", 11, *KNOB_FLAGS,
+                    "--out-dir", tmp_path / mechanism) == 0
+    report = json.loads((tmp_path / "jaccard" / "perturb_report.json").read_text())
+    assert (report["eta0"], report["alpha1"], report["alpha2"]) == (0.9, 2.5, 0.7)
+    assert report["m_density"] == 4
+    report = json.loads(
+        (tmp_path / "mahalanobis" / "perturb_report.json").read_text()
+    )
+    assert report["lambda"] == 0.3
+
+    mechanisms, epsilons, seeds = ["jaccard", "mahalanobis"], [0.8], [1, 2]
+    assert _run("eval-utility", "--embeddings", emb_file, "--wordsim", wordsim,
+                "--mechanisms", ",".join(mechanisms), "--epsilons", 0.8,
+                "--seeds", "1,2", "--m", 2, "--tau", 0.1, *KNOB_FLAGS,
+                "--out-dir", tmp_path) == 0
+    rows = json.loads((tmp_path / "utility.json").read_text())["rows"]
+    datasets = UtilityDatasets(word_similarity=load_similarity_dataset(wordsim))
+
+    def suite_values(**knobs):
+        perturber = Perturber(emb, delta=1.0 / emb.n, m=2, tau=0.1, **knobs)
+        suite = utility_suite(
+            emb, datasets, lambda kind, eps, seed: perturber.perturb(kind, eps, seed)[0],
+            mechanisms, epsilons, seeds,
+        )
+        return [list(r.values) for r in suite]
+
+    assert [r["values"] for r in rows] == suite_values(**KNOBS)
+    # the knobs change the noise, so the equality above is not vacuous
+    assert suite_values()[1:] != suite_values(**KNOBS)[1:]
 
 
 def test_perturb_draws_and_records_seed(emb_file, tmp_path):
@@ -189,6 +258,25 @@ def test_neighbours_far_displacement_clears_leak_flag(emb_file, tmp_path):
                 "--words", emb.words[0], "-k", 3, "--out-dir", tmp_path) == 0
     report = json.loads((tmp_path / "neighbours.json").read_text())
     assert report["rows"][0]["leak"] is False
+
+
+def test_neighbours_flags_a_leak_through_a_duplicate(tmp_path, capsys):
+    # w0..w7 share one vector and w5 keeps it: (distance, index) order ranks
+    # w0..w4 ahead of w5, so the leak shows only as a duplicate's name
+    rng = np.random.default_rng(3)
+    vectors = np.vstack([np.ones((8, 4)), rng.normal(size=(12, 4)) + 5.0])
+    words = tuple(f"w{i}" for i in range(len(vectors)))
+    noisy = vectors + rng.normal(scale=3.0, size=vectors.shape)
+    noisy[5] = vectors[5]
+    save_embeddings(EmbeddingSet(words, vectors), tmp_path / "clean.txt", precision=8)
+    save_embeddings(EmbeddingSet(words, noisy), tmp_path / "noisy.txt", precision=8)
+    assert _run("neighbours", "--embeddings", tmp_path / "clean.txt",
+                "--perturbed", tmp_path / "noisy.txt", "--words", "w5",
+                "-k", 5, "--out-dir", tmp_path) == 0
+    (row,) = json.loads((tmp_path / "neighbours.json").read_text())["rows"]
+    assert row["perturbed_neighbours"] == ["w0", "w1", "w2", "w3", "w4"]
+    assert row["leak"] is True
+    assert capsys.readouterr().out.splitlines()[-1].endswith("| LEAK")
 
 
 def test_neighbours_batch_matches_per_word_queries(tmp_path, capsys):

@@ -8,7 +8,9 @@ from nadp.components import build_partition
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import build_graph, knn
 from nadp.mechanisms import (
-    MechanismConfig,
+    DEFAULT_ALPHA1,
+    DEFAULT_ALPHA2,
+    DEFAULT_ETA0,
     Perturber,
     covariance_shape,
     gaussian_perturb,
@@ -224,9 +226,9 @@ def test_mahalanobis_perturb_api():
         mahalanobis_perturb(single, epsilon=1.0, lambda_=1.0, seed=4)
 
 
-def _jaccard_config(eps, delta, **kwargs):
-    return MechanismConfig(
-        kind="jaccard", params=PrivacyParams(eps, delta), seed=0, **kwargs
+def _jaccard(emb, params, ns, seed, strict=True, eta0=DEFAULT_ETA0):
+    return jaccard_mechanism_perturb(
+        emb, params, ns, eta0, DEFAULT_ALPHA1, DEFAULT_ALPHA2, seed, strict=strict
     )
 
 
@@ -234,10 +236,7 @@ def test_jaccard_all_identical_vectors_is_identity():
     # every density is 0 (all dense) and the sensitivity is 0, so no noise
     emb = EmbeddingSet(("a", "b", "c"), np.ones((3, 4)) * 2.5)
     ns = knn(emb, 2)
-    config = _jaccard_config(0.5, 0.1)
-    out, report = jaccard_mechanism_perturb(
-        emb, PrivacyParams(0.5, 0.1), ns, config, seed=1
-    )
+    out, report = _jaccard(emb, PrivacyParams(0.5, 0.1), ns, seed=1)
     assert np.array_equal(out.vectors, emb.vectors)
     assert report.zero_noise_words == 3
     assert report.extra["dense_words"] == 3
@@ -247,10 +246,7 @@ def test_jaccard_single_category_collapse():
     emb = random_embeddings(10, 4, seed=11)
     ns = knn(emb, 3)
     # eta0 below every density: everything lands in the sparse bin
-    config = _jaccard_config(0.5, 0.1, eta0=1e-9)
-    out, report = jaccard_mechanism_perturb(
-        emb, PrivacyParams(0.5, 0.1), ns, config, seed=2
-    )
+    out, report = _jaccard(emb, PrivacyParams(0.5, 0.1), ns, seed=2, eta0=1e-9)
     assert report.extra["dense_words"] == 0
     assert report.extra["sparse_words"] == 10
     Delta = report.global_sensitivity
@@ -269,10 +265,9 @@ def test_jaccard_two_cluster_category_variances():
     eta = ns.distances.mean(axis=1)
     eta0 = float((eta[:3].max() + eta[3:].min()) / 2)
     params = PrivacyParams(0.9, 0.1)
-    config = _jaccard_config(0.9, 0.1, eta0=eta0)
     dense_noise, sparse_noise = [], []
     for seed in range(1000):
-        out, report = jaccard_mechanism_perturb(emb, params, ns, config, seed=seed)
+        out, report = _jaccard(emb, params, ns, seed=seed, eta0=eta0)
         noise = out.vectors - emb.vectors
         dense_noise.append(noise[:3].ravel())
         sparse_noise.append(noise[3:].ravel())
@@ -289,25 +284,27 @@ def test_jaccard_two_cluster_category_variances():
 def test_jaccard_epsilon_range():
     emb = random_embeddings(6, 3, seed=14)
     ns = knn(emb, 2)
-    config = _jaccard_config(2.0, 0.1)
     with pytest.raises(ValueError, match="proven only"):
-        jaccard_mechanism_perturb(emb, PrivacyParams(2.0, 0.1), ns, config, seed=0)
-    _, report = jaccard_mechanism_perturb(
-        emb, PrivacyParams(2.0, 0.1), ns, config, seed=0, strict=False
-    )
+        _jaccard(emb, PrivacyParams(2.0, 0.1), ns, seed=0)
+    _, report = _jaccard(emb, PrivacyParams(2.0, 0.1), ns, seed=0, strict=False)
     assert not report.proven_dp
 
 
 def test_mechanism_config_validation():
-    params = PrivacyParams(1.0, 0.1)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind="bogus", params=params, seed=0)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind="nadp", params=params, seed=0, lambda_=1.5)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind="nadp", params=params, seed=0, eta0=0.0)
-    with pytest.raises(ValueError):
-        MechanismConfig(kind="nadp", params=params, seed=0, alpha1=-1.0)
+    # each knob is checked by the mechanism that reads it
+    emb = random_embeddings(6, 3, seed=14)
+    params = PrivacyParams(0.5, 0.1)
+    with pytest.raises(ValueError, match="unknown mechanism"):
+        Perturber(emb, delta=0.1).perturb("bogus", 0.5, seed=0)
+    with pytest.raises(ValueError, match="lambda"):
+        mahalanobis_perturb(emb, epsilon=1.0, lambda_=1.5, seed=0)
+    ns = knn(emb, 2)
+    with pytest.raises(ValueError, match="eta0"):
+        jaccard_mechanism_perturb(emb, params, ns, 0.0, 1.835, 1.276, seed=0)
+    with pytest.raises(ValueError, match="alpha"):
+        jaccard_mechanism_perturb(emb, params, ns, 6.0, -1.0, 1.276, seed=0)
+    with pytest.raises(ValueError, match="alpha"):
+        jaccard_mechanism_perturb(emb, params, ns, 6.0, 1.835, -1.0, seed=0)
 
 
 def test_word_substream_is_order_independent():
