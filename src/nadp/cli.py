@@ -242,6 +242,11 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
         f"perturb: mechanism={report.kind} epsilon={report.epsilon} "
         f"seed={report.seed} zero_noise_words={report.zero_noise_words}"
     )
+    if report.zero_noise_words == emb.n:
+        print(
+            "warning: every word has zero noise; the released file equals the input",
+            file=sys.stderr,
+        )
     return [out_name, report_name]
 
 

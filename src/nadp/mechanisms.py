@@ -364,6 +364,8 @@ class Perturber:
         m_density: int = DEFAULT_M_DENSITY,
         strict: bool = True,
     ) -> None:
+        if m_density < 1:
+            raise ValueError(f"m_density must be >= 1, got {m_density}")
         self.emb = emb
         self.delta = delta
         self.m = m

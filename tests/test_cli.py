@@ -100,6 +100,40 @@ def test_perturb_gaussian_epsilon_validation(emb_file, tmp_path, capsys):
     assert report["proven_dp"] is False
 
 
+ZERO_NOISE_WARNING = "warning: every word has zero noise"
+
+
+def test_perturb_warns_when_every_word_has_zero_noise(emb_file, tmp_path, capsys):
+    # the defaults m=2, tau=0.5 give an edgeless graph: nothing is perturbed
+    out = tmp_path / "defaults"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 5, "--seed", 1, "--precision", 8, "--out-dir", out) == 0
+    captured = capsys.readouterr()
+    assert "zero_noise_words=200" in captured.out
+    assert ZERO_NOISE_WARNING not in captured.out
+    assert captured.err == (
+        "warning: every word has zero noise; the released file equals the input\n"
+    )
+    # at the fixture's own precision the release is the input, byte for byte
+    assert (out / "perturbed.txt").read_bytes() == emb_file.read_bytes()
+    # a graph with edges perturbs some words and stays quiet
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 5, "--seed", 1, "--m", 2, "--tau", 0.1,
+                "--out-dir", tmp_path / "edges") == 0
+    captured = capsys.readouterr()
+    report = json.loads((tmp_path / "edges" / "perturb_report.json").read_text())
+    assert report["zero_noise_words"] < 200
+    assert captured.err == ""
+
+
+def test_m_density_below_one_is_rejected_for_every_mechanism(emb_file, tmp_path, capsys):
+    for mechanism in ("nadp", "jaccard"):
+        assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
+                    "--epsilon", 0.8, "--seed", 1, "--m-density", 0,
+                    "--out-dir", tmp_path) == 2
+        assert "m_density must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"

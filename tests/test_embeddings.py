@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nadp import embeddings
 from nadp.embeddings import (
     EmbeddingFormatError,
     EmbeddingSet,
@@ -152,3 +153,124 @@ def test_vectors_are_immutable(small_file):
     emb = load_embeddings(small_file)
     with pytest.raises(ValueError):
         emb.vectors[0, 0] = 9.9
+
+
+# rows with a negative zero, exact binary half-ties at several decimal
+# places, tiny negatives that round to "-0.0..." and a 309-digit integer part
+AWKWARD_ROWS = np.array([
+    [-0.0, 0.0078125, -1e-9, 1e300, 0.5],
+    [2.5, -0.125, 0.0625, -2.5e-7, 1.0000005],
+    [-1e300, 0.03125, -0.0, 1e-300, -0.5],
+])
+
+
+def _reference_save(emb: EmbeddingSet, precision: int) -> str:
+    # the per-coordinate formatting the one-format-per-row writer replaced
+    def coord(v: float) -> str:
+        return repr(float(v)) if precision >= 17 else f"{v:.{precision}f}"
+    return "".join(
+        f"{w} " + " ".join(coord(v) for v in row) + "\n"
+        for w, row in zip(emb.words, emb.vectors)
+    )
+
+
+@pytest.mark.parametrize("precision", [1, 3, 6, 16, 17])
+def test_save_matches_per_coordinate_reference(tmp_path, precision):
+    emb = EmbeddingSet(("neg", "ties", "huge"), AWKWARD_ROWS)
+    out = tmp_path / "saved.txt"
+    save_embeddings(emb, out, precision=precision)
+    assert out.read_bytes() == _reference_save(emb, precision).encode("utf-8")
+
+
+@pytest.fixture(params=[1, 2, 4096], ids=lambda c: f"chunk{c}")
+def chunk(request, monkeypatch):
+    # small chunks put parse boundaries inside the test files
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", request.param)
+    return request.param
+
+
+def test_load_is_bit_identical_to_float_reference(tmp_path, chunk):
+    rng = np.random.default_rng(3)
+    values = rng.normal(0.0, 1.0, (2000, 50)) * 10.0 ** rng.integers(-8, 8, (2000, 50))
+    words = [f"w{i}" for i in range(2000)]
+    lines = [f"{w} " + " ".join(repr(v) if (i + j) % 3 else f"{v:.6e}"
+                                for j, v in enumerate(row)) + "\n"
+             for i, (w, row) in enumerate(zip(words, values.tolist()))]
+    path = tmp_path / "random.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    expected = np.array([[float(p) for p in line.split()[1:]] for line in lines])
+    emb = load_embeddings(path)
+    assert emb.words == tuple(words)
+    assert np.array_equal(emb.vectors.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a bad float on line 2 comes before a duplicate on line 3
+        "a 1.0 2.0\nb 1.0 x\na 3.0 4.0\n",
+        # a non-finite value on line 2 before a field-count error on line 3
+        "a 1.0 2.0\nb inf 2.0\nc 1.0\n",
+        # a bad float on line 2 before a token-only line 3
+        "a 1.0 2.0\nb 1.0 x\nc\n",
+        # a bad float on line 2 before a parse error later in its chunk
+        "a 1.0 2.0\nb 1.0 x\nc y 2.0\n",
+        # a non-finite value on line 2 before a parse error on line 3
+        "a 1.0 2.0\nb nan 2.0\nc y 2.0\n",
+        # a duplicate token whose own coordinates do not parse
+        "a 1.0 2.0\na 1.0 x\n",
+    ],
+)
+def test_load_names_the_first_offending_line(tmp_path, chunk, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=r"bad\.txt:2: "):
+        load_embeddings(path)
+
+
+def test_load_validates_filtered_out_rows(tmp_path, chunk):
+    path = tmp_path / "bad.txt"
+    path.write_text("keep 1.0 2.0\ndrop 1.0 x\nalso 3.0 4.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=":2: could not convert"):
+        load_embeddings(path, word_filter={"keep", "also"})
+
+
+def test_load_stops_reading_at_limit(tmp_path, chunk):
+    path = tmp_path / "tail.txt"
+    path.write_text("a 1.0 2.0\nb 3.0 4.0\nbroken x\na 5.0\n", encoding="utf-8")
+    emb = load_embeddings(path, limit=2)
+    assert emb.words == ("a", "b")
+    assert np.array_equal(emb.vectors, [[1.0, 2.0], [3.0, 4.0]])
+    # a filtered-out row does not count towards the limit, so is read
+    with pytest.raises(EmbeddingFormatError, match=":3:"):
+        load_embeddings(path, limit=2, word_filter={"a", "broken"})
+
+
+def test_load_rejects_an_empty_coordinate(tmp_path, chunk):
+    # "word " has the two fields of d=1 but no number; loadtxt alone would
+    # skip the empty row
+    path = tmp_path / "empty.txt"
+    path.write_text("a 1.0\nword \nc 2.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=":2: could not convert string ''"):
+        load_embeddings(path)
+
+
+def test_load_rows_span_chunk_boundaries(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", 3)
+    rows = np.arange(20.0).reshape(10, 2) - 4.5
+    path = tmp_path / "ten.txt"
+    save_embeddings(EmbeddingSet(tuple(f"t{i}" for i in range(10)), rows), path)
+    emb = load_embeddings(path, word_filter={f"t{i}" for i in range(0, 10, 2)})
+    assert emb.words == ("t0", "t2", "t4", "t6", "t8")
+    assert np.array_equal(emb.vectors, rows[::2])
+    assert np.array_equal(load_embeddings(path, limit=7).vectors, rows[:7])
+
+
+@pytest.mark.parametrize("coordinate", ["1_0", "\u0661", "0x10"])
+def test_load_rejects_what_numpy_does_not_parse(tmp_path, coordinate):
+    # float() accepts "1_0" and Arabic-Indic digits; the loader's parser
+    # accepts neither
+    path = tmp_path / "odd.txt"
+    path.write_text(f"a 1.0 2.0\nb {coordinate} 2.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match=":2: could not convert"):
+        load_embeddings(path)

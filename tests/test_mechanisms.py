@@ -307,6 +307,15 @@ def test_mechanism_config_validation():
         jaccard_mechanism_perturb(emb, params, ns, 6.0, 1.835, -1.0, seed=0)
 
 
+def test_perturber_rejects_m_density_below_one():
+    # named at construction, whatever mechanism runs later
+    emb = random_embeddings(6, 3, seed=14)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="m_density must be >= 1"):
+            Perturber(emb, delta=0.1, m_density=bad)
+    Perturber(emb, delta=0.1, m_density=1)
+
+
 def test_word_substream_is_order_independent():
     # noise is keyed by (seed, word index) alone: the same word draws the
     # same noise no matter what else is in the set
