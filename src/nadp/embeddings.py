@@ -8,6 +8,7 @@ calibration downstream needs the headroom.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +77,11 @@ class EmbeddingSet:
 _PARSE_CHUNK = 512
 
 
+# numpy's parse error ends "at row R, column C."; a one-row re-parse always
+# reports row 0, so only the column is kept beside the file's line number
+_NUMPY_LOCATION = re.compile(r" at row \d+, (column \d+)\.$")
+
+
 def _parse_coords(coords: list[str]) -> np.ndarray:
     return np.loadtxt(coords, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
 
@@ -98,7 +104,8 @@ def _parse_rows(path: Path, linenos: list[int], coords: list[str], dim: int) -> 
             try:
                 row = _parse_coords([text]) if text else None
             except ValueError as exc:
-                raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+                msg = _NUMPY_LOCATION.sub(r" at \1", str(exc))
+                raise EmbeddingFormatError(f"{path}:{lineno}: {msg}") from None
             if row is None or row.shape != (1, dim):
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: could not convert string {text!r} to float64"

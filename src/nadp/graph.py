@@ -10,7 +10,9 @@ Gram-matrix distances, argpartition candidate selection per row, then an
 ordering of the candidates by (distance, index). A row whose tie group at
 the k-th distance straddles the candidate boundary falls back to a full
 stable sort, so results equal a full (distance, index) sort and are
-reproducible. `knn` is its self query.
+reproducible. `knn` is its self query. A block holds as many query rows as
+keep one (rows, n) 8-byte array within `_BLOCK_BYTES`, so a search's
+working memory does not grow with the vocabulary.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ DEFAULT_TAU = 0.5
 
 # extra argpartition candidates kept per row to absorb distance ties
 _TIE_SLACK = 16
+
+# byte budget of each (rows, n) working array of a query block: the float64
+# distances, the Gram product and the int64 argpartition indices
+_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +82,12 @@ class NeighbourGraph:
             adj[i].append(j)
             adj[j].append(i)
         return adj
+
+
+def _block_rows(n: int) -> int:
+    """Query rows per block: as many as keep one (rows, n) 8-byte array
+    within `_BLOCK_BYTES`, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
 
 
 def _block_sq_dists(
@@ -131,7 +143,7 @@ def rank_queries(
     queries: np.ndarray,
     k: int,
     exclude: np.ndarray | None = None,
-    block_size: int = 1024,
+    block_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k words of `emb` for each query vector, nearest first.
 
@@ -140,12 +152,20 @@ def rank_queries(
     are broken by ascending word index. Returns (indices, distances), each
     of shape (len(queries), k).
 
-    Distances are computed blockwise via the Gram matrix. Per row,
-    argpartition keeps the k + _TIE_SLACK nearest candidates, which are then
-    ordered by (distance, index); no full row is sorted. A row whose tie
-    group at the k-th distance straddles the candidate boundary falls back
-    to a full stable sort, so the output equals a full (distance, index)
-    sort, duplicate vectors included.
+    Distances are computed blockwise via the Gram matrix, `block_size`
+    query rows at a time. The default, `_block_rows(n)`, keeps each of a
+    block's (rows, n) working arrays within `_BLOCK_BYTES` (16 MiB: 209 rows
+    at n = 10,000, 20 at n = 100,000), and at most two are alive at once, so
+    the transient memory does not grow with n. The block size only decides
+    which rows share one BLAS call; BLAS may round a Gram entry differently
+    for another call shape, so a distance can move in its last bit (and a
+    near-tie reorder) between block sizes.
+
+    Per row, argpartition keeps the k + _TIE_SLACK nearest candidates, which
+    are then ordered by (distance, index); no full row is sorted. A row
+    whose tie group at the k-th distance straddles the candidate boundary
+    falls back to a full stable sort, so the output equals a full
+    (distance, index) sort, duplicate vectors included.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != emb.d:
@@ -160,6 +180,8 @@ def rank_queries(
     indices = np.empty((nq, k), dtype=np.int64)
     distances = np.empty((nq, k), dtype=np.float64)
     n_cand = min(limit, k + _TIE_SLACK)
+    if block_size is None:
+        block_size = _block_rows(n)
     for start in range(0, nq, block_size):
         stop = min(start + block_size, nq)
         excl = None if exclude is None else exclude[start:stop]
@@ -169,7 +191,7 @@ def rank_queries(
     return indices, distances
 
 
-def knn(emb: EmbeddingSet, m: int, block_size: int = 1024) -> NeighbourSets:
+def knn(emb: EmbeddingSet, m: int, block_size: int | None = None) -> NeighbourSets:
     """Exact top-m Euclidean neighbours of every word, self excluded: the
     self query of `rank_queries`, with each word excluded from its own row."""
     if m < 1:

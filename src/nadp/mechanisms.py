@@ -18,6 +18,7 @@ parallelism.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,34 @@ def word_substream(seed: int, word_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _word_substreams(seed: int) -> Callable[[int], np.random.Generator]:
+    """`word_substream(seed, i)` for many words from one bit generator.
+
+    Each call resets a shared Philox to the state a fresh one keyed by
+    (seed, i) starts in, and returns the shared Generator, so the draws are
+    the same; a word's generator is spent once the next word's is taken.
+    A fresh Philox gathers OS entropy for a seed it never uses, which costs
+    more than a 300-d word's normal draws."""
+    bg = np.random.Philox(key=0)
+    rng = np.random.Generator(bg)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def substream(word_index: int) -> np.random.Generator:
+        key[1] = word_index
+        bg.state = state
+        return rng
+
+    return substream
+
+
 def _require_proven_range(epsilon: float, strict: bool, kind: str) -> bool:
     if 0.0 < epsilon < 1.0:
         return True
@@ -97,12 +126,13 @@ def _perturb_gaussian_scales(
     """Add per-word isotropic Gaussian noise; sigma 0 leaves a word unchanged."""
     out = np.array(emb.vectors, dtype=np.float64)
     zero = 0
+    substream = _word_substreams(seed)
     for i in range(emb.n):
         s = float(sigma_of_word[i])
         if s == 0.0:
             zero += 1
             continue
-        out[i] += word_substream(seed, i).normal(0.0, s, emb.d)
+        out[i] += substream(i).normal(0.0, s, emb.d)
     return EmbeddingSet(emb.words, out), zero
 
 
@@ -186,8 +216,9 @@ def laplacian_perturb(
     out = np.array(emb.vectors, dtype=np.float64)
     zero = emb.n if scale == 0.0 else 0
     if scale > 0.0:
+        substream = _word_substreams(seed)
         for i in range(emb.n):
-            out[i] += word_substream(seed, i).laplace(0.0, scale, emb.d)
+            out[i] += substream(i).laplace(0.0, scale, emb.d)
     report = PerturbationReport(
         kind="laplacian",
         seed=seed,
@@ -260,8 +291,9 @@ def mahalanobis_perturb(
     shape = covariance_shape(emb, lambda_)
     shape_sqrt = _sqrt_psd(shape)
     out = np.array(emb.vectors, dtype=np.float64)
+    substream = _word_substreams(seed)
     for i in range(emb.n):
-        out[i] += mahalanobis_noise(word_substream(seed, i), shape_sqrt, epsilon)
+        out[i] += mahalanobis_noise(substream(i), shape_sqrt, epsilon)
     report = PerturbationReport(
         kind="mahalanobis",
         seed=seed,

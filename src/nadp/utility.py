@@ -205,14 +205,14 @@ def odd_man_out(emb: EmbeddingSet, tokens: tuple[str, ...]) -> tuple[str, bool]:
     if missing:
         raise KeyError(f"tokens not in vocabulary: {missing}")
     vecs = [emb.vector(t) for t in tokens]
+    n = len(vecs)
+    # each pair's cosine once; a drop's sims list keeps the (i, j) order
+    cos = {
+        (i, j): cosine(vecs[i], vecs[j]) for i in range(n) for j in range(i + 1, n)
+    }
     best_idx, best_score, tie = 0, -math.inf, False
-    for drop in range(len(tokens)):
-        rest = [v for i, v in enumerate(vecs) if i != drop]
-        sims = [
-            cosine(rest[i], rest[j])
-            for i in range(len(rest))
-            for j in range(i + 1, len(rest))
-        ]
+    for drop in range(n):
+        sims = [c for (i, j), c in cos.items() if drop not in (i, j)]
         score = float(np.mean(sims))
         if score > best_score:
             best_idx, best_score, tie = drop, score, False

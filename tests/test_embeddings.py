@@ -274,3 +274,19 @@ def test_load_rejects_what_numpy_does_not_parse(tmp_path, coordinate):
     path.write_text(f"a 1.0 2.0\nb {coordinate} 2.0\n", encoding="utf-8")
     with pytest.raises(EmbeddingFormatError, match=":2: could not convert"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("b 1.0 x", "could not convert string 'x' to float64 at column 2"),
+        ("b y 2.0", "could not convert string 'y' to float64 at column 1"),
+    ],
+)
+def test_parse_error_names_the_line_and_column(tmp_path, chunk, line, message):
+    # the line number is the file's; numpy's own row count is not repeated
+    path = tmp_path / "emb.txt"
+    path.write_text(f"a 1.0 2.0\n{line}\nc 3.0 4.0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError) as excinfo:
+        load_embeddings(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"

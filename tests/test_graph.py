@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nadp import graph
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import (
     _TIE_SLACK,
@@ -237,3 +238,48 @@ def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
         assert idx.tolist() == expected
         direct = np.linalg.norm(queries[:, None, :] - emb.vectors[idx], axis=2)
         assert np.array_equal(dist, direct)
+
+
+@pytest.mark.parametrize("n", [2, 1000, 10**4, 10**5, 10**7])
+def test_block_rows_fit_the_byte_budget(n):
+    rows = graph._block_rows(n)
+    assert rows >= 1
+    assert rows * n * 8 <= graph._BLOCK_BYTES or rows == 1
+    # and as many rows as the budget allows
+    assert (rows + 1) * n * 8 > graph._BLOCK_BYTES
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("with_exclude", [True, False])
+def test_search_is_bit_identical_at_any_block_size(monkeypatch, with_exclude):
+    emb = _heavy_tie_grid()
+    rng = np.random.default_rng(6)
+    queries = np.vstack([emb.vectors, rng.integers(0, 5, (20, 3))])
+    exclude = None
+    if with_exclude:
+        exclude = np.concatenate([np.arange(emb.n), rng.integers(0, emb.n, 20)])
+
+    def results(block_size=None):
+        out = []
+        for k in (1, 3, 10, 45):
+            out += _bits(*rank_queries(emb, queries, k, exclude, block_size))
+            ns = knn(emb, k, block_size=block_size)
+            out += _bits(ns.indices, ns.distances)
+        return out
+
+    default = results()
+    assert results(7) == default
+    assert results(1024) == default
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8)
+    assert graph._block_rows(emb.n) == 1
+    blocks = []
+    block_topk = graph._block_topk
+    monkeypatch.setattr(
+        graph, "_block_topk", lambda q, *a: blocks.append(len(q)) or block_topk(q, *a)
+    )
+    assert results() == default
+    # the default search ran in 1-row blocks
+    assert set(blocks) == {1}

@@ -12,6 +12,7 @@ from nadp.mechanisms import (
     DEFAULT_ALPHA2,
     DEFAULT_ETA0,
     Perturber,
+    _sqrt_psd,
     covariance_shape,
     gaussian_perturb,
     jaccard_mechanism_perturb,
@@ -19,6 +20,7 @@ from nadp.mechanisms import (
     mahalanobis_noise,
     mahalanobis_perturb,
     nadp_perturb,
+    neighbourhood_density,
     word_substream,
 )
 
@@ -331,6 +333,41 @@ def test_word_substreams_are_distinct():
     a = word_substream(7, 0).normal(size=4)
     b = word_substream(7, 1).normal(size=4)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [21, -5])
+@pytest.mark.parametrize(
+    "kind", ["nadp", "gaussian", "laplacian", "mahalanobis", "jaccard"]
+)
+def test_mechanisms_draw_each_word_from_its_substream(kind, seed):
+    # the loops share one bit generator across words; the release must equal
+    # a loop that builds word_substream(seed, i) afresh for every word
+    rng = np.random.default_rng(18)
+    centres = rng.normal(0.0, 5.0, (6, 4))
+    vecs = centres[rng.integers(0, 6, 40)] + rng.normal(0.0, 0.3, (40, 4))
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
+    perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, m_density=3, strict=False)
+    out, report = perturber.perturb(kind, 0.8, seed)
+    sigmas = report.sigma_per_component
+    if kind == "nadp":
+        sigma_of_word = np.asarray(sigmas)[perturber.partition.assignment]
+        assert 0 < report.zero_noise_words < emb.n
+    elif kind == "jaccard":
+        dense = neighbourhood_density(perturber.density_sets) < perturber.eta0
+        sigma_of_word = np.where(dense, sigmas[0], sigmas[1])
+    else:
+        sigma_of_word = np.full(emb.n, sigmas[0] if sigmas else 0.0)
+    shape_sqrt = _sqrt_psd(covariance_shape(emb, perturber.lambda_))
+    expected = np.array(emb.vectors)
+    for i in range(emb.n):
+        stream = word_substream(seed, i)
+        if kind == "laplacian":
+            expected[i] += stream.laplace(0.0, sigma_of_word[i], emb.d)
+        elif kind == "mahalanobis":
+            expected[i] += mahalanobis_noise(stream, shape_sqrt, 0.8)
+        elif sigma_of_word[i] > 0.0:
+            expected[i] += stream.normal(0.0, sigma_of_word[i], emb.d)
+    assert np.array_equal(out.vectors, expected)
 
 
 def test_shape_and_token_preservation_all_mechanisms():

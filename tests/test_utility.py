@@ -215,6 +215,59 @@ def test_odd_man_out_matches_bruteforce(seed):
     )
 
 
+def _odd_man_out_nested(emb, tokens):
+    # the pairwise loop recomputed for every dropped token
+    vecs = [emb.vector(t) for t in tokens]
+    best_idx, best_score, tie = 0, -math.inf, False
+    for drop in range(len(tokens)):
+        rest = [v for i, v in enumerate(vecs) if i != drop]
+        sims = [
+            cosine(rest[i], rest[j])
+            for i in range(len(rest))
+            for j in range(i + 1, len(rest))
+        ]
+        score = float(np.mean(sims))
+        if score > best_score:
+            best_idx, best_score, tie = drop, score, False
+        elif score == best_score:
+            tie = True
+    return tokens[best_idx], tie
+
+
+def test_odd_man_out_equals_the_nested_loop():
+    # random vectors, groups of exact duplicates, small-integer vectors whose
+    # cosines repeat and a zero vector: the tie flags depend on summing each
+    # drop's cosines in the same order
+    rng = np.random.default_rng(31)
+    vecs = np.vstack(
+        [
+            rng.normal(0.0, 1.0, (20, 4)),
+            np.repeat(rng.normal(0.0, 1.0, (3, 4)), 6, axis=0),
+            rng.integers(-1, 2, (6, 4)),
+            np.zeros((1, 4)),
+        ]
+    ).astype(float)
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(len(vecs))), vecs)
+    instances = []
+    for r in range(300):
+        # every other instance is drawn from the tie-prone vectors only
+        pool = np.arange(emb.n) if r % 2 else np.arange(20, emb.n)
+        size = int(rng.integers(5, 9))
+        tokens = tuple(emb.words[i] for i in rng.choice(pool, size, replace=False))
+        instances.append((tokens, tokens[int(rng.integers(size))]))
+    ties = 0
+    for tokens, _ in instances:
+        result = odd_man_out(emb, tokens)
+        assert result == _odd_man_out_nested(emb, tokens)
+        ties += result[1]
+    assert ties > 10
+    result = odd_man_eval(emb, OddManDataset("random", tuple(instances)))
+    correct = sum(
+        _odd_man_out_nested(emb, tokens)[0] == gold for tokens, gold in instances
+    )
+    assert (result.correct, result.evaluated) == (correct, len(instances))
+
+
 def test_odd_man_out_reorder_invariance():
     rng = np.random.default_rng(42)
     emb = EmbeddingSet(
