@@ -25,7 +25,7 @@ from .calibration import (
     classic_gaussian_sigma,
 )
 from .components import build_partition, partition_report
-from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
+from .embeddings import EmbeddingSet, check_precision, load_embeddings, save_embeddings
 from .graph import DEFAULT_M, DEFAULT_TAU, build_graph, graph_report, rank_queries
 from .mechanisms import (
     DEFAULT_ALPHA1,
@@ -225,6 +225,7 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
+    check_precision(params["precision"])  # before the load and the mechanism
     emb = _load_set(params)
     if params["mechanism"] is None:
         raise ValueError(f"--mechanism is required (one of {MECHANISM_KINDS})")

@@ -71,9 +71,11 @@ class EmbeddingSet:
         return self.vectors[self._index[word]]
 
 
-# rows parsed per numpy call when loading; bounds the coordinate text and
-# parsed rows held at once. At 300-d, 4096 rows parsed no faster than 512
-# and raised the peak RSS of a later kNN search by ~14 MB more.
+# rows parsed per numpy call when loading, and formatted per set of
+# whole-array passes when saving; bounds the coordinate text and rows held
+# at once. At 300-d, 4096 rows parsed no faster than 512 and raised the peak
+# RSS of a later kNN search by ~14 MB more. Saving a 512 x 300 chunk at
+# precision 6 holds at most ~9 MB of working arrays and text.
 _PARSE_CHUNK = 512
 
 
@@ -206,25 +208,139 @@ def load_embeddings(
     return EmbeddingSet(tuple(words), np.vstack(blocks))
 
 
+def check_precision(precision: int) -> None:
+    """Raise ValueError unless `precision` is a valid decimal-place count."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+
+
+# Veltkamp's splitter for float64: x*(2**27 + 1) splits x into two halves of
+# at most 26 significant bits each, whose pairwise products are exact
+_SPLITTER = 2.0**27 + 1.0
+# below this every half-integer is a float64, so rint sees the exact halves
+_HALF_EXACT = 2.0**52
+
+
+def _split(x):
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _scaled_integers(a: np.ndarray, precision: int) -> np.ndarray | None:
+    """Round each exact ``a * 10**precision`` to an integer, ties to even.
+
+    `a` is a 1-d array of non-negative floats. The result is float64 holding
+    integers, or None when some product reaches 2**52, where the float
+    product no longer decides the rounding.
+
+    The float product P = fl(a * 10**p) can differ from the exact one, but
+    rounding is monotone and every half below 2**52 is a float, so P is a
+    half whenever the exact product is, and rint(P) is right wherever P is
+    not a half. Where it is, Dekker's exact product error (TwoProduct) says
+    on which side of the half the exact product lies; a zero error is a
+    true tie and keeps rint's half-even.
+    """
+    scale = 10.0**precision
+    with np.errstate(over="ignore"):
+        prod = a * scale
+    if not prod.max(initial=0.0) < _HALF_EXACT:
+        return None
+    n = np.rint(prod)
+    half = np.flatnonzero(np.abs(prod - n) == 0.5)
+    if half.size:
+        p = prod[half]
+        a_hi, a_lo = _split(a[half])
+        s_hi, s_lo = _split(scale)
+        err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        n[half] = np.where(err > 0, p + 0.5, np.where(err < 0, p - 0.5, n[half]))
+    return n
+
+
+def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the ASCII digits of non-negative integers into `out`'s columns.
+
+    `out` is a (len(values), width) uint8 view wide enough for every value;
+    shorter values are zero-padded on the left.
+    """
+    if values.max(initial=0) < 2**31:
+        values = values.astype(np.int32)  # divides ~4x faster than int64
+    for col in range(out.shape[1] - 1, -1, -1):
+        quotient = values // 10  # divmod is several times slower than //
+        digit = values - quotient * 10
+        digit += ord("0")  # on the 1-d digits: a strided 2-d add is slower
+        out[:, col] = digit
+        values = quotient
+
+
+def _fixed_point_rows(rows: np.ndarray, precision: int) -> list[str] | None:
+    """Each row as ``f"{v:.{precision}f}"`` of its coordinates, space-joined.
+
+    Built with whole-array operations: one fixed-width field per coordinate
+    (sign, integer digits, point, fraction digits, separator) in a byte
+    matrix, from which one boolean mask drops the unused sign bytes and
+    leading zeros. Returns None when some |v| * 10**precision reaches 2**52.
+    """
+    dim = rows.shape[1]
+    values = rows.ravel()
+    scaled = _scaled_integers(np.abs(values), precision)
+    if scaled is None:
+        return None
+    frac = scaled.astype(np.int64)
+    del scaled
+    whole = frac // 10**precision
+    frac -= whole * 10**precision
+    int_width = len(str(int(whole.max(initial=0))))
+    fields = np.empty((values.size, int_width + precision + 3), dtype=np.uint8)
+    fields[:, 0] = ord("-")
+    _put_digits(whole, fields[:, 1 : int_width + 1])
+    fields[:, int_width + 1] = ord(".")
+    _put_digits(frac, fields[:, int_width + 2 : -1])
+    del whole, frac  # the mask and the text copies below hold ~6 MB more
+    fields[:, -1] = ord(" ")
+    fields[dim - 1 :: dim, -1] = ord("\n")
+    keep = np.ones(fields.shape, dtype=bool)
+    # -0.0 and negatives that round to zero print a sign, as Python does
+    keep[:, 0] = np.signbit(values)
+    # drop leading zeros of the integer part, keeping its last digit
+    np.logical_or.accumulate(fields[:, 1:int_width] != ord("0"), axis=1,
+                             out=keep[:, 1:int_width])
+    return fields[keep].tobytes().decode("ascii").splitlines()
+
+
+def _percent_rows(rows: np.ndarray, precision: int):
+    # one %-format per row; the fallback for magnitudes >= 2**52 / 10**precision
+    fmt = " ".join([f"%.{precision}f"] * rows.shape[1])
+    return (fmt % tuple(row.tolist()) for row in rows)
+
+
 def save_embeddings(emb: EmbeddingSet, path: str | Path, precision: int = 6) -> None:
     """Write `emb` in the text format read by :func:`load_embeddings`.
 
     `precision` is the number of decimal places; the round trip then agrees
-    to within 10**(-precision+1) per coordinate. Values of 17 or more write
-    exact round-trip decimals (shortest ``repr``) instead.
+    to within 10**(-precision+1) per coordinate. Each coordinate is written
+    byte for byte as ``f"{v:.{precision}f}"`` would write it. Values of 17
+    or more write exact round-trip decimals (shortest ``repr``) instead.
+
+    Rows are formatted `_PARSE_CHUNK` at a time with whole-array numpy
+    operations (see :func:`_fixed_point_rows`); a chunk holding a magnitude
+    of 2**52 / 10**precision or more is formatted one row at a time by
+    Python's own ``%``-format instead.
     """
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    check_precision(precision)
     path = Path(path)
-    # one %-format per row; .tolist() per row keeps the Python floats of only
-    # one row alive at a time
-    if precision >= 17:
-        texts = (" ".join(map(repr, row.tolist())) for row in emb.vectors)
-    else:
-        fmt = " ".join([f"%.{precision}f"] * emb.d)
-        texts = (fmt % tuple(row.tolist()) for row in emb.vectors)
     with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(f"{word} {text}\n" for word, text in zip(emb.words, texts))
+        for start in range(0, emb.n, _PARSE_CHUNK):
+            rows = emb.vectors[start : start + _PARSE_CHUNK]
+            if precision >= 17:
+                # .tolist() per row keeps the Python floats of one row alive
+                texts = (" ".join(map(repr, row.tolist())) for row in rows)
+            else:
+                texts = _fixed_point_rows(rows, precision)
+                if texts is None:
+                    texts = _percent_rows(rows, precision)
+            words = emb.words[start : start + _PARSE_CHUNK]
+            fh.writelines(f"{word} {text}\n" for word, text in zip(words, texts))
 
 
 def subset(emb: EmbeddingSet, tokens: list[str]) -> tuple[EmbeddingSet, list[str]]:

@@ -43,6 +43,16 @@ class OddManDataset:
     instances: tuple[tuple[tuple[str, ...], str], ...]  # (tokens, gold odd one)
 
 
+def _parse_rating(path, lineno: int, text: str) -> float:
+    try:
+        rating = float(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not math.isfinite(rating):
+        raise ValueError(f"{path}:{lineno}: non-finite rating")
+    return rating
+
+
 def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
     """Tab-separated lines: token, token, human rating."""
     pairs = []
@@ -54,9 +64,7 @@ def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rating = float(parts[2])
-            if not math.isfinite(rating):
-                raise ValueError(f"{path}:{lineno}: non-finite rating")
+            rating = _parse_rating(path, lineno, parts[2])
             if not parts[0] or not parts[1]:
                 raise ValueError(f"{path}:{lineno}: empty token")
             pairs.append((parts[0], parts[1], rating))
@@ -82,7 +90,7 @@ def load_sentence_pairs(path, name: str | None = None) -> SentencePairDataset:
             s2 = tuple(parts[1].lower().split())
             if not s1 or not s2:
                 raise ValueError(f"{path}:{lineno}: empty sentence")
-            pairs.append((s1, s2, float(parts[2])))
+            pairs.append((s1, s2, _parse_rating(path, lineno, parts[2])))
     return SentencePairDataset(name=name or str(path), pairs=tuple(pairs))
 
 

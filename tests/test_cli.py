@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from nadp import cli
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import rank_queries
@@ -132,6 +133,20 @@ def test_m_density_below_one_is_rejected_for_every_mechanism(emb_file, tmp_path,
                     "--epsilon", 0.8, "--seed", 1, "--m-density", 0,
                     "--out-dir", tmp_path) == 2
         assert "m_density must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the precision was checked")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    monkeypatch.setattr(Perturber, "perturb", must_not_run)
+    out = tmp_path / "out"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 1.0, "--seed", 1, "--precision", 0,
+                "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: precision must be >= 1, got 0\n"
+    assert list(out.iterdir()) == []
 
 
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):

@@ -290,3 +290,74 @@ def test_parse_error_names_the_line_and_column(tmp_path, chunk, line, message):
     with pytest.raises(EmbeddingFormatError) as excinfo:
         load_embeddings(path)
     assert str(excinfo.value) == f"{path}:2: {message}"
+
+
+def _in_range_values(precision: int) -> np.ndarray:
+    """Values a fixed-point formatter can get wrong, all below 2**52 / 10**p."""
+    rng = np.random.default_rng(precision)
+    halves = (rng.integers(0, 10 ** min(precision, 6), 300) + 0.5) / 10.0**precision
+    v = np.concatenate([
+        # exact binary halves: true ties, which round half to even
+        [0.0078125, -5 / 1024, 2.5, 0.5, 0.125, -0.375, 3 / 2**20],
+        (2 * rng.integers(0, 2**12, 300) + 1) / 2.0 ** rng.integers(1, 30, 300),
+        # decimal halves, inexact in binary, and their float neighbours
+        halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0),
+        # rounding that carries into the integer part
+        [9.9999995, 999999.5, 0.9999999999999999, 99.95, 0.05, 9.5],
+        # signed zeros, tiny negatives and subnormals
+        [-0.0, 0.0, -1e-9, 1e-9, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300],
+        *(rng.normal(0.0, scale, 100) for scale in (1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e5)),
+    ])
+    v = np.concatenate([v, -v])
+    return v[np.abs(v) * 10.0**precision < 2.0**52]
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    # the %-format row path is only for magnitudes >= 2**52 / 10**precision
+    def refuse(rows, precision):
+        raise AssertionError("in-range rows reached the %-format fallback")
+    monkeypatch.setattr(embeddings, "_percent_rows", refuse)
+
+
+@pytest.mark.parametrize("precision", range(1, 17))
+def test_fixed_point_save_matches_per_coordinate_format(tmp_path, no_fallback, precision):
+    values = _in_range_values(precision)
+    values = np.concatenate([values, np.zeros(-values.size % 7)]).reshape(-1, 7)
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(len(values))), values)
+    out = tmp_path / "saved.txt"
+    save_embeddings(emb, out, precision=precision)
+    assert out.read_bytes() == _reference_save(emb, precision).encode("utf-8")
+
+
+def test_out_of_range_value_sends_only_its_chunk_to_the_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", 2)
+    calls = []
+    percent_rows = embeddings._percent_rows
+
+    def recording(rows, precision):
+        calls.append(rows.copy())
+        return percent_rows(rows, precision)
+
+    monkeypatch.setattr(embeddings, "_percent_rows", recording)
+    rows = np.random.default_rng(5).normal(0.0, 3.0, (6, 3))
+    rows[3, 1] = 2.0**52 / 1e6  # the smallest magnitude out of range at p=6
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(6)), rows)
+    out = tmp_path / "saved.txt"
+    save_embeddings(emb, out, precision=6)
+    assert out.read_bytes() == _reference_save(emb, 6).encode("utf-8")
+    assert len(calls) == 1 and np.array_equal(calls[0], rows[2:4])
+
+
+@pytest.mark.parametrize("precision", [3, 6])
+def test_save_across_chunk_boundaries_with_non_ascii_tokens(
+    tmp_path, chunk, no_fallback, precision
+):
+    words = ("café", "naïve", "日本", "Ελλάδα", "ß", "w5", "🙂", "x7", "end")
+    rows = np.random.default_rng(9).normal(0.0, 10.0, (len(words), 4))
+    rows[4] = [-0.0, -1e-9, 0.0078125, 999.9995]
+    emb = EmbeddingSet(words, rows)
+    out = tmp_path / "saved.txt"
+    save_embeddings(emb, out, precision=precision)
+    assert out.read_bytes() == _reference_save(emb, precision).encode("utf-8")
+    assert load_embeddings(out).words == words

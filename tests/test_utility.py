@@ -371,3 +371,23 @@ def test_dataset_loaders(tmp_path):
     bad.write_text("a b c d e\tz\n", encoding="utf-8")
     with pytest.raises(ValueError, match="gold"):
         load_odd_man_dataset(bad)
+
+
+@pytest.mark.parametrize(
+    "loader, fields",
+    [(load_similarity_dataset, "cat\tdog"), (load_sentence_pairs, "a b\tc d")],
+)
+@pytest.mark.parametrize(
+    "rating, message",
+    [
+        ("nan", "non-finite rating"),
+        ("-inf", "non-finite rating"),
+        ("x", "could not convert string to float: 'x'"),
+    ],
+)
+def test_loaders_name_the_line_of_a_bad_rating(tmp_path, loader, fields, rating, message):
+    path = tmp_path / "data.tsv"
+    path.write_text(f"{fields}\t1.5\n{fields}\t{rating}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        loader(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"
