@@ -188,9 +188,9 @@ def cmd_components(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
-    emb = _load_set(params)
     if params["epsilon"] is None:
         raise ValueError("--epsilon is required")
+    emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
     graph = build_graph(emb, params["m"], params["tau"])
     partition = build_partition(graph, emb)
@@ -225,12 +225,13 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
-    check_precision(params["precision"])  # before the load and the mechanism
-    emb = _load_set(params)
+    # every argument check comes before the load and the mechanism
+    check_precision(params["precision"])
     if params["mechanism"] is None:
         raise ValueError(f"--mechanism is required (one of {MECHANISM_KINDS})")
     if params["epsilon"] is None:
         raise ValueError("--epsilon is required")
+    emb = _load_set(params)
     seed = _resolve_seed(params)
     perturbed, report = _perturber(params, emb).perturb(
         params["mechanism"], params["epsilon"], seed

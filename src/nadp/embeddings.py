@@ -78,6 +78,9 @@ class EmbeddingSet:
 # precision 6 holds at most ~9 MB of working arrays and text.
 _PARSE_CHUNK = 512
 
+# bytes read per call when counting a file's lines before loading it
+_COUNT_BYTES = 2**20
+
 
 # numpy's parse error ends "at row R, column C."; a one-row re-parse always
 # reports row 0, so only the column is kept beside the file's line number
@@ -125,6 +128,25 @@ def _parse_rows(path: Path, linenos: list[int], coords: list[str], dim: int) -> 
     return rows
 
 
+def _row_bound(path: Path, limit: int | None) -> int:
+    """Rows that loading `path` can keep, counted over its raw bytes at C
+    speed: one per '\\n', plus a last line without one, capped at `limit`.
+    UTF-8 never puts that byte inside a character. Anything but a regular
+    file is read once only, so it counts 0."""
+    if not path.is_file():
+        return 0
+    ends, last = 0, b""
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(_COUNT_BYTES), b""):
+            ends += chunk.count(b"\n")
+            if limit is not None and ends >= limit:
+                return limit
+            last = chunk
+    if last and not last.endswith(b"\n"):
+        ends += 1
+    return ends if limit is None else min(ends, limit)
+
+
 def load_embeddings(
     path: str | Path,
     limit: int | None = None,
@@ -136,10 +158,15 @@ def load_embeddings(
     a consistent dimensionality. When `word_filter` is given, only listed
     tokens are kept (they still count towards `limit` only if kept), but
     every row read is validated. File order is preserved, and no line after
-    the `limit`-th kept row is read.
+    the `limit`-th kept row is parsed.
 
     Coordinates are parsed by numpy's ``loadtxt`` in chunks of
-    `_PARSE_CHUNK` rows, so the file is streamed, never read whole.
+    `_PARSE_CHUNK` rows, so the file is streamed, never read whole. A first
+    pass counts its lines, and each chunk's rows go straight into one matrix
+    of that many rows, so loading holds the matrix and one chunk rather than
+    the matrix twice, and leaves no matrix-sized run of freed chunks behind.
+    Rows beyond the count (a stream, or lines ended by '\\r' alone) grow the
+    matrix by doubling; fewer rows than counted cost one copy at the end.
 
     Raises EmbeddingFormatError on malformed lines, duplicate tokens, or an
     empty result. The error names the first offending line in file order;
@@ -149,8 +176,12 @@ def load_embeddings(
     if limit is not None and limit <= 0:
         raise ValueError(f"limit must be positive, got {limit}")
     path = Path(path)
+    bound = _row_bound(path, limit)
+    if word_filter is not None:
+        bound = min(bound, len(word_filter))
     words: list[str] = []
-    blocks: list[np.ndarray] = []
+    vectors: np.ndarray | None = None
+    filled = 0
     seen: set[str] = set()
     dim: int | None = None
     # rows read but not yet parsed: line number, coordinate text, kept
@@ -159,9 +190,19 @@ def load_embeddings(
     kept: list[bool] = []
 
     def flush() -> None:
+        nonlocal vectors, filled
         if coords:
             rows = _parse_rows(path, linenos, coords, dim)
-            blocks.append(rows if all(kept) else rows[np.asarray(kept)])
+            if not all(kept):
+                rows = rows[np.asarray(kept)]
+            need = filled + len(rows)
+            if vectors is None or need > len(vectors):
+                grown = np.empty((max(bound, 2 * filled, need), dim))
+                if filled:
+                    grown[:filled] = vectors[:filled]
+                vectors = grown
+            vectors[filled:need] = rows
+            filled = need
             linenos.clear()
             coords.clear()
             kept.clear()
@@ -205,7 +246,9 @@ def load_embeddings(
     flush()
     if not words:
         raise EmbeddingFormatError(f"{path}: no embeddings loaded")
-    return EmbeddingSet(tuple(words), np.vstack(blocks))
+    if filled < len(vectors):
+        vectors = vectors[:filled].copy()
+    return EmbeddingSet(tuple(words), vectors)
 
 
 def check_precision(precision: int) -> None:

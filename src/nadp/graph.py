@@ -6,13 +6,17 @@ the threshold tau. The graph over this symmetric relation is what the
 component factorisation and the noise calibration operate on.
 
 All searches go through one exact top-k primitive, `rank_queries`: blocked
-Gram-matrix distances, argpartition candidate selection per row, then an
-ordering of the candidates by (distance, index). A row whose tie group at
-the k-th distance straddles the candidate boundary falls back to a full
-stable sort, so results equal a full (distance, index) sort and are
-reproducible. `knn` is its self query. A block holds as many query rows as
-keep one (rows, n) 8-byte array within `_BLOCK_BYTES`, so a search's
-working memory does not grow with the vocabulary.
+Gram-matrix distances, selected by one read pass over each block's Gram
+product. Each column's key |x|^2/2 - q.x is reduced to one minimum per group
+of `_GROUP` columns; only the columns of each row's best groups get exact
+distances, which are ordered by (distance, index). A row is certified when
+its k-th distance is provably below every column left out and every gathered
+column past its candidates; any other row (a tie spilling past the
+candidates, say) is computed from its full row. So results equal a full
+(distance, index) sort and are reproducible. `knn` is its self query. A
+block holds as many query rows as keep its (rows, n) 8-byte Gram product
+within `_BLOCK_BYTES`, its one full-width array, so a search's working
+memory does not grow with the vocabulary.
 """
 
 from __future__ import annotations
@@ -29,9 +33,17 @@ DEFAULT_TAU = 0.5
 # extra argpartition candidates kept per row to absorb distance ties
 _TIE_SLACK = 16
 
-# byte budget of each (rows, n) working array of a query block: the float64
-# distances, the Gram product and the int64 argpartition indices
+# byte budget of a query block's (rows, n) float64 Gram product, its one
+# full-width working array
 _BLOCK_BYTES = 16 * 2**20
+
+# columns per selection group: a block keeps one key minimum per group and
+# computes exact distances only for the columns of its best groups
+_GROUP = 16
+
+# byte budget of the selection-key scratch: a few rows of keys, so a
+# chunk's key pass and its group reduction stay in cache
+_KEY_BYTES = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,20 +102,22 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def _block_sq_dists(
-    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray
-) -> np.ndarray:
-    """Squared Euclidean distances of a query block to all rows of x,
-    clamped at 0 against floating-point noise.
+def _sq_dists(gram: np.ndarray, sq_q: np.ndarray, sq_x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from Gram entries, (|q|^2 + |x|^2) - 2 q.x
+    clamped at 0 against floating-point noise, written over `gram` and
+    returned. The one distance formula of every search: shapes broadcast,
+    so it serves candidate blocks and single rows alike."""
+    gram *= -2.0
+    gram += sq_q + sq_x
+    return np.maximum(gram, 0.0, out=gram)
 
-    Evaluated as (|q|^2 + |x|^2) - 2 q.x in place, so a block holds at most
-    two (q, n) arrays at a time."""
-    d2 = np.einsum("ij,ij->i", queries, queries)[:, None] + sq_x[None, :]
-    gram = queries @ x.T
-    gram *= 2.0
-    d2 -= gram
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+
+def _row_topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of one full row of squared distances in (distance, index)
+    order: every column within the k-th distance, then a sort of those."""
+    within = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    top = within[np.lexsort((within, d2[within]))[:k]]
+    return top, d2[top]
 
 
 def _block_topk(
@@ -115,26 +129,72 @@ def _block_topk(
     n_cand: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k indices and squared distances of one query block in (distance,
-    index) order. Its (q, n) arrays are freed on return, so no two blocks'
-    distance matrices are alive at once."""
-    d2 = _block_sq_dists(queries, x, sq_x)
+    index) order.
+
+    One read pass over the block's Gram product selects the columns worth a
+    distance: column j's key |x_j|^2/2 - q.x_j, half of d^2 - |q|^2, is
+    reduced to a minimum per group of `_GROUP` columns, and the columns of
+    the n_cand groups with the smallest minima (plus the n mod `_GROUP` tail
+    columns) get exact distances. A row whose k-th distance is not provably
+    below every other column's falls back to its full row. When n //
+    `_GROUP` <= n_cand every column is gathered."""
+    rows, n = len(queries), x.shape[0]
+    sq_q = np.einsum("ij,ij->i", queries, queries)
+    gram = queries @ x.T
     if exclude is not None:
-        d2[np.arange(len(d2)), exclude] = np.inf
+        gram[np.arange(rows), exclude] = -np.inf  # a distance of +inf
+    width = n // _GROUP
+    dense = width <= n_cand  # every column is a candidate
+    if dense:
+        thr = np.full(rows, np.inf)
+        cols = np.broadcast_to(np.arange(n), (rows, n))
+        d2 = _sq_dists(gram, sq_q[:, None], sq_x)  # over the Gram product
+    else:
+        # group g holds columns g, g + width, ..., g + 15 width: its minimum
+        # reduces _GROUP contiguous slices of a few rows' keys at a time
+        span = _GROUP * width
+        half_sq = 0.5 * sq_x[:span]
+        step = max(1, _KEY_BYTES // (8 * span))
+        key = np.empty((min(step, rows), span))
+        mins = np.empty((rows, width))
+        for lo in range(0, rows, step):
+            part = key[: min(step, rows - lo)]
+            hi = lo + len(part)
+            np.subtract(half_sq, gram[lo:hi, :span], out=part)
+            np.minimum.reduce(part.reshape(-1, _GROUP, width), axis=1, out=mins[lo:hi])
+        groups = np.argpartition(mins, n_cand - 1, axis=1)[:, :n_cand]
+        thr = 2.0 * np.take_along_axis(mins, groups, axis=1).max(axis=1)
+        cols = (groups[:, :, None] + width * np.arange(_GROUP)).reshape(rows, -1)
+        tail = np.arange(span, n)
+        cols = np.hstack([cols, np.broadcast_to(tail, (rows, len(tail)))])
+        gathered = np.take_along_axis(gram, cols, axis=1)
+        d2 = _sq_dists(gathered, sq_q[:, None], sq_x[cols])
     cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
     cand_d = np.take_along_axis(d2, cand, axis=1)
-    order = np.lexsort((cand, cand_d), axis=1)[:, :k]
-    sel = np.take_along_axis(cand, order, axis=1)
+    cand_i = np.take_along_axis(cols, cand, axis=1)
+    order = np.lexsort((cand_i, cand_d), axis=1)[:, :k]
+    sel = np.take_along_axis(cand_i, order, axis=1)
     sel_d = np.take_along_axis(cand_d, order, axis=1)
-    # a tie at the k-th distance may extend past the candidates; all
-    # non-candidates are >= the candidate maximum, so only a row whose k-th
-    # distance reaches that maximum is counted against its full row
-    boundary = sel_d[:, k - 1]
-    for r in np.nonzero(boundary >= cand_d.max(axis=1))[0]:
-        b = boundary[r]
-        if np.count_nonzero(d2[r] <= b) > np.count_nonzero(cand_d[r] <= b):
-            full = np.lexsort((np.arange(d2.shape[1]), d2[r]))[:k]
-            sel[r] = full
-            sel_d[r] = d2[r, full]
+    # Lower bound on the distance of a column j left out. Let g_j be q.x_j
+    # as BLAS computed it, u = eps/2 the unit roundoff and s_j = |x_j|^2 -
+    # 2 g_j exactly. Its group was not gathered, so fl(|x_j|^2/2 - g_j) >=
+    # thr/2, which gives s_j >= thr - u|s_j|. Its distance
+    # fl(fl(|q|^2 + |x_j|^2) - 2 g_j) rounds twice, by at most
+    # u(|q|^2 + |x_j|^2) and u|fl(|q|^2 + |x_j|^2) - 2 g_j|; the clamp only
+    # raises it. B = (|q| + max|x|)^2 bounds all three magnitudes, up to a
+    # factor 1 + O(d u) for the BLAS error in g_j, so d_j >= |q|^2 + thr -
+    # 3uB. Evaluating (thr + |q|^2) - err rounds twice more, by at most uB
+    # each: 5uB in all, which 4 eps B = 8uB covers. The smallest normal
+    # number covers the absolute error of results below it.
+    big = np.sqrt(sq_q) + np.sqrt(sq_x.max())
+    err = 4.0 * np.finfo(np.float64).eps * big * big + np.finfo(np.float64).tiny
+    bound = (thr + sq_q) - err
+    # gathered non-candidates are >= the candidate maximum; a row whose k-th
+    # distance reaches either limit may tie or lose a column left out
+    limit = np.minimum(cand_d.max(axis=1), bound)
+    for r in np.nonzero(sel_d[:, k - 1] >= limit)[0]:
+        full = d2[r] if dense else _sq_dists(gram[r], sq_q[r], sq_x)
+        sel[r], sel_d[r] = _row_topk(full, k)
     return sel, sel_d
 
 
@@ -153,19 +213,25 @@ def rank_queries(
     of shape (len(queries), k).
 
     Distances are computed blockwise via the Gram matrix, `block_size`
-    query rows at a time. The default, `_block_rows(n)`, keeps each of a
-    block's (rows, n) working arrays within `_BLOCK_BYTES` (16 MiB: 209 rows
-    at n = 10,000, 20 at n = 100,000), and at most two are alive at once, so
-    the transient memory does not grow with n. The block size only decides
-    which rows share one BLAS call; BLAS may round a Gram entry differently
-    for another call shape, so a distance can move in its last bit (and a
-    near-tie reorder) between block sizes.
+    query rows at a time. The default, `_block_rows(n)`, keeps a block's
+    (rows, n) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows at
+    n = 10,000, 20 at n = 100,000), and it is the block's one full-width
+    array, so the transient memory does not grow with n. (When k +
+    _TIE_SLACK >= n / _GROUP every column is a candidate: the distances
+    overwrite the Gram product, and ranking them takes a second (rows, n)
+    array.) The block size only decides which rows share one BLAS call;
+    BLAS may round a Gram entry differently for another call shape, so a
+    distance can move in its last bit (and a near-tie reorder) between
+    block sizes.
 
-    Per row, argpartition keeps the k + _TIE_SLACK nearest candidates, which
-    are then ordered by (distance, index); no full row is sorted. A row
-    whose tie group at the k-th distance straddles the candidate boundary
-    falls back to a full stable sort, so the output equals a full
-    (distance, index) sort, duplicate vectors included.
+    Per row, the k + _TIE_SLACK groups of `_GROUP` columns with the smallest
+    key minima are gathered, their columns get exact distances, and the
+    k + _TIE_SLACK nearest of those are ordered by (distance, index); no
+    full row is sorted or even given distances. A row is kept when its k-th
+    distance lies below a rounding-safe lower bound on every column left
+    out and below its candidates' maximum; any other row is recomputed from
+    its full row, so the output equals a full (distance, index) sort,
+    duplicate vectors included.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != emb.d:

@@ -8,7 +8,7 @@ from nadp import cli
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import rank_queries
-from nadp.mechanisms import Perturber
+from nadp.mechanisms import MECHANISM_KINDS, Perturber
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
@@ -146,6 +146,29 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
                 "--epsilon", 1.0, "--seed", 1, "--precision", 0,
                 "--out-dir", out) == 2
     assert capsys.readouterr().err == "error: precision must be >= 1, got 0\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("perturb", ("--epsilon", 1.0),
+         f"--mechanism is required (one of {MECHANISM_KINDS})"),
+        ("perturb", ("--mechanism", "nadp"), "--epsilon is required"),
+        ("calibrate", (), "--epsilon is required"),
+    ],
+    ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon"],
+)
+def test_missing_argument_fails_before_any_work(
+    emb_file, tmp_path, capsys, monkeypatch, command, flags, message
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    out = tmp_path / "out"
+    assert _run(command, "--embeddings", emb_file, *flags, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,84 @@ def test_load_rows_span_chunk_boundaries(tmp_path, monkeypatch):
     assert emb.words == ("t0", "t2", "t4", "t6", "t8")
     assert np.array_equal(emb.vectors, rows[::2])
     assert np.array_equal(load_embeddings(path, limit=7).vectors, rows[:7])
+
+
+@pytest.mark.parametrize(
+    "data, limit, rows",
+    [
+        (b"", None, 0),
+        (b"a 1\n", None, 1),
+        (b"a 1\nb 2", None, 2),
+        (b"a 1\n\nb 2\n", None, 3),  # a blank line counts; it keeps no row
+        (b"a 1\r\nb 2\r\n", None, 2),
+        (b"a 1\rb 2\r", None, 1),  # '\r' alone: counted short, then grown
+        (b"a 1\nb 2\nc 3\n", 2, 2),
+        (b"a 1\nb 2\nc 3\n", 9, 3),
+    ],
+)
+def test_row_bound_counts_line_feeds(tmp_path, monkeypatch, data, limit, rows):
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", 3)  # lines span reads
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    assert embeddings._row_bound(path, limit) == rows
+
+
+def test_row_bound_reads_only_regular_files(tmp_path):
+    # a pipe would be drained by the count; a directory stands in for one
+    assert embeddings._row_bound(tmp_path, None) == 0
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_any_line_ending(tmp_path, chunk, newline):
+    rows = np.arange(14.0).reshape(7, 2) / 8
+    text = "".join(f"t{i} {a!r} {b!r}{newline}" for i, (a, b) in enumerate(rows.tolist()))
+    path = tmp_path / "ends.txt"
+    path.write_bytes(text.encode("utf-8"))
+    emb = load_embeddings(path)
+    assert emb.words == tuple(f"t{i}" for i in range(7))
+    assert np.array_equal(emb.vectors, rows)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3, 6])
+def test_load_grows_past_a_short_count(tmp_path, chunk, monkeypatch, bound):
+    # a stream or a file that grew after its count: rows past the bound
+    # double the matrix, and the result is cut to the rows kept
+    rows = np.random.default_rng(4).normal(0.0, 1.0, (9, 3))
+    path = tmp_path / "grow.txt"
+    save_embeddings(EmbeddingSet(tuple(f"w{i}" for i in range(9)), rows), path)
+    counted = load_embeddings(path)
+    monkeypatch.setattr(embeddings, "_row_bound", lambda path, limit: bound)
+    emb = load_embeddings(path)
+    assert emb.words == counted.words
+    assert np.array_equal(emb.vectors, counted.vectors)
+    assert emb.vectors.base is None
+
+
+def test_load_cuts_an_over_count_to_the_rows_kept(tmp_path, chunk):
+    path = tmp_path / "blank.txt"
+    path.write_text("a 1.0 2.0\n\nb 3.0 4.0\n\n\nc 5.0 6.0\n", encoding="utf-8")
+    emb = load_embeddings(path)
+    assert np.array_equal(emb.vectors, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert emb.vectors.base is None  # not a view of the over-sized matrix
+    emb = load_embeddings(path, word_filter={"c", "absent", "also absent"})
+    assert emb.words == ("c",) and np.array_equal(emb.vectors, [[5.0, 6.0]])
+
+
+def test_load_holds_the_matrix_once(tmp_path, monkeypatch):
+    # the rows go straight into one counted matrix: the traced peak is the
+    # matrix plus a chunk, where stacking parsed chunks held it twice
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", 16)
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", 4096)
+    rows = np.random.default_rng(6).normal(0.0, 1.0, (1500, 300))
+    path = tmp_path / "big.txt"
+    save_embeddings(EmbeddingSet(tuple(f"w{i}" for i in range(1500)), rows), path)
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * emb.vectors.nbytes
 
 
 @pytest.mark.parametrize("coordinate", ["1_0", "\u0661", "0x10"])

@@ -13,7 +13,7 @@ from nadp.graph import (
 )
 
 from oracles import graph_edges_bruteforce, knn_bruteforce, rank_bruteforce
-from synth import random_embeddings, two_far_clusters
+from synth import clustered_embeddings, random_embeddings, two_far_clusters
 
 
 def _set(vectors) -> EmbeddingSet:
@@ -283,3 +283,142 @@ def test_search_is_bit_identical_at_any_block_size(monkeypatch, with_exclude):
     assert results() == default
     # the default search ran in 1-row blocks
     assert set(blocks) == {1}
+
+
+# The tests below reach the grouped selection of `_block_topk`: n // _GROUP
+# must exceed k + _TIE_SLACK there, which no fixture above does.
+
+
+def _tie_grid_2400() -> EmbeddingSet:
+    # integer grid, so Gram and direct distances agree exactly; 80 rows
+    # share one vector, spread over 80 different groups of _GROUP columns
+    rng = np.random.default_rng(41)
+    pts = rng.integers(0, 8, (2400, 3)).astype(float)
+    pts[np.arange(80) * 29] = [3.0, 3.0, 3.0]
+    return EmbeddingSet(tuple(f"w{i}" for i in range(len(pts))), pts)
+
+
+def _grouped(emb: EmbeddingSet, k: int) -> bool:
+    return emb.n // graph._GROUP > k + _TIE_SLACK
+
+
+def _count_fallbacks(monkeypatch) -> list[int]:
+    rows = []
+    row_topk = graph._row_topk
+    monkeypatch.setattr(
+        graph, "_row_topk", lambda d2, k: rows.append(k) or row_topk(d2, k)
+    )
+    return rows
+
+
+@pytest.mark.parametrize("with_exclude", [True, False])
+def test_grouped_search_matches_bruteforce_on_a_tie_grid(with_exclude):
+    emb = _tie_grid_2400()
+    rng = np.random.default_rng(42)
+    # half the queries sit on the duplicate group, half on grid points in
+    # and beyond the set's range
+    queries = np.vstack([np.full((6, 3), 3.0), rng.integers(0, 10, (6, 3))])
+    exclude = None
+    if with_exclude:
+        exclude = np.concatenate([np.arange(6) * 29 * 13, rng.integers(0, emb.n, 6)])
+    expected = rank_bruteforce(emb.vectors, queries, 45, exclude)
+    for k in (1, 3, 10, 45):
+        assert _grouped(emb, k) and 80 > k + _TIE_SLACK
+        idx, dist = rank_queries(emb, queries, k, exclude)
+        assert idx.tolist() == [row[:k] for row in expected]
+        direct = np.linalg.norm(queries[:, None, :] - emb.vectors[idx], axis=2)
+        assert np.array_equal(dist, direct)
+
+
+def test_grouped_knn_matches_bruteforce_on_a_tie_grid():
+    emb = _tie_grid_2400()
+    rows = np.concatenate([np.arange(8) * 29, [1, 2, 500, 2399]])
+    expected = rank_bruteforce(emb.vectors, emb.vectors[rows], 45, rows)
+    for k in (1, 3, 10, 45):
+        ns = knn(emb, k)
+        assert ns.indices[rows].tolist() == [row[:k] for row in expected]
+
+
+@pytest.mark.parametrize("tail", [0, 1, 15])
+def test_grouped_search_covers_the_tail_columns(tail):
+    # columns past _GROUP * (n // _GROUP) belong to no group; queries just
+    # off the last rows must still find them
+    n = graph._GROUP * 40 + tail
+    emb = random_embeddings(n, 4, seed=43 + tail)
+    rng = np.random.default_rng(44)
+    last = np.arange(n - 16, n)
+    queries = emb.vectors[last] + rng.normal(0.0, 1e-3, (16, 4))
+    k = 3
+    assert _grouped(emb, k)
+    idx, _ = rank_queries(emb, queries, k)
+    assert idx.tolist() == rank_bruteforce(emb.vectors, queries, k, None)
+    assert idx[:, 0].tolist() == last.tolist()
+    ns = knn(emb, k)
+    assert ns.indices[last].tolist() == rank_bruteforce(
+        emb.vectors, emb.vectors[last], k, last
+    )
+
+
+def test_uncertified_row_falls_back_to_its_full_row(monkeypatch):
+    # a query on the 80-member duplicate group ties at its k-th distance
+    # with more columns than it has candidates
+    emb = _tie_grid_2400()
+    queries = np.array([[3.0, 3.0, 3.0], [0.5, 7.5, 0.5]])
+    fallbacks = _count_fallbacks(monkeypatch)
+    idx, dist = rank_queries(emb, queries, 10)
+    assert len(fallbacks) >= 1
+    assert idx.tolist() == rank_bruteforce(emb.vectors, queries, 10, None)
+    assert idx[0].tolist() == (np.arange(10) * 29).tolist()
+    assert np.array_equal(dist[0], np.zeros(10))
+
+
+def test_generic_rows_are_certified(monkeypatch):
+    # without exact ties every row is certified from its gathered columns
+    emb = random_embeddings(2000, 8, seed=45)
+    fallbacks = _count_fallbacks(monkeypatch)
+    for k in (1, 10):
+        assert _grouped(emb, k)
+        knn(emb, k)
+        rank_queries(emb, emb.vectors[:50] + 0.1, k)
+    assert fallbacks == []
+
+
+def _offset_grid(n: int, seed: int) -> np.ndarray:
+    # far from the origin, |q|^2 + |x|^2 rounds to a few units, so Gram
+    # distances tie and invert by rounding: the certification's error term
+    # is what keeps such rows exact
+    rng = np.random.default_rng(seed)
+    return 2.0**29 + rng.integers(-40, 40, (n, 2)).astype(float)
+
+
+def _search_sets() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(46)
+    normal = rng.normal(0.0, 1.0, (700, 6))
+    clustered = clustered_embeddings(900, 10, 20, seed=47).vectors
+    offset = _offset_grid(650, seed=9)
+    return {
+        "normal": (normal, rng.normal(0.0, 1.0, (40, 6))),
+        "clustered": (clustered, clustered[:40] + rng.normal(0.0, 0.05, (40, 10))),
+        "offset": (offset, _offset_grid(30, seed=10)),
+    }
+
+
+@pytest.mark.parametrize("name", ["normal", "clustered", "offset"])
+def test_grouped_search_is_bit_identical_to_all_columns(monkeypatch, name):
+    vectors, queries = _search_sets()[name]
+    emb = _set(vectors)
+    exclude = np.arange(len(queries)) * 7
+
+    def results():
+        out = []
+        for k in (1, 3, 10):
+            ns = knn(emb, k)
+            out += _bits(ns.indices, ns.distances)
+            out += _bits(*rank_queries(emb, queries, k))
+            out += _bits(*rank_queries(emb, queries, k, exclude))
+        return out
+
+    assert _grouped(emb, 10)
+    grouped = results()
+    monkeypatch.setattr(graph, "_GROUP", emb.n)  # every column gathered
+    assert results() == grouped
