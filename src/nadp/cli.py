@@ -14,6 +14,7 @@ import hashlib
 import json
 import secrets
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,14 @@ from .calibration import (
 )
 from .components import build_partition, partition_report
 from .embeddings import EmbeddingSet, check_precision, load_embeddings, save_embeddings
-from .graph import DEFAULT_M, DEFAULT_TAU, build_graph, graph_report, rank_queries
+from .graph import (
+    DEFAULT_M,
+    DEFAULT_TAU,
+    NeighbourGraph,
+    build_graph,
+    graph_report,
+    rank_queries,
+)
 from .mechanisms import (
     DEFAULT_ALPHA1,
     DEFAULT_ALPHA2,
@@ -46,37 +54,45 @@ from .utility import (
     utility_suite,
 )
 
-_DEFAULTS = {
-    "limit": None,
-    "vocab_file": None,
-    "m": DEFAULT_M,
-    "tau": DEFAULT_TAU,
-    "m_eval": DEFAULT_EVAL_M,
-    "m_density": DEFAULT_M_DENSITY,
-    "epsilon": None,
-    "epsilons": None,
-    "delta": None,
-    "seed": None,
-    "seeds": None,
-    "repeats": 5,
-    "lambda_": DEFAULT_LAMBDA,
-    "eta0": DEFAULT_ETA0,
-    "alpha1": DEFAULT_ALPHA1,
-    "alpha2": DEFAULT_ALPHA2,
-    "allow_unproven_epsilon": False,
-    "precision": 6,
-    "k": 3,
-    "mechanism": None,
-    "mechanisms": None,
-    "embeddings": None,
-    "perturbed": None,
-    "wordsim": None,
-    "sts": None,
-    "oddman": None,
-    "words": None,
-    "output": "perturbed.txt",
-    "report": None,
+# One row per manifest parameter: key -> (flag, type, default, help). The
+# type is an argparse type, a tuple of choices, or `bool` for a switch. Every
+# flag parses to None when absent, so `_resolve_params` can tell a flag given
+# on the command line from a default; `build_parser` quotes each non-None
+# default in its flag's help.
+_PARAMS = {
+    "embeddings": ("--embeddings", str, None, "embedding text file"),
+    "limit": ("--limit", int, None, "keep only the first N words"),
+    "vocab_file": ("--vocab-file", str, None, "token allowlist file"),
+    "m": ("--m", int, DEFAULT_M, "neighbourhood size"),
+    "tau": ("--tau", float, DEFAULT_TAU, "Jaccard threshold"),
+    "epsilon": ("--epsilon", float, None, "privacy level epsilon"),
+    "delta": ("--delta", float, None, "1/n of the vocabulary when absent"),
+    "lambda_": ("--lambda", float, DEFAULT_LAMBDA, "covariance blend"),
+    "eta0": ("--eta0", float, DEFAULT_ETA0, "density split threshold"),
+    "alpha1": ("--alpha1", float, DEFAULT_ALPHA1, "dense-category scale constant"),
+    "alpha2": ("--alpha2", float, DEFAULT_ALPHA2, "sparse-category scale constant"),
+    "m_density": ("--m-density", int, DEFAULT_M_DENSITY, "density neighbourhood size"),
+    "allow_unproven_epsilon": ("--allow-unproven-epsilon", bool, False,
+                               "run gaussian and jaccard for epsilon outside (0, 1)"),
+    "mechanism": ("--mechanism", MECHANISM_KINDS, None, "mechanism to apply"),
+    "seed": ("--seed", int, None,
+             "drawn and recorded when absent; base seed for eval-utility's --repeats"),
+    "output": ("--output", str, "perturbed.txt", "perturbed embedding file name"),
+    "report": ("--report", str, None, "report file name"),
+    "precision": ("--precision", int, 6, "decimal places written"),
+    "perturbed": ("--perturbed", str, None, "perturbed embedding text file"),
+    "m_eval": ("--m-eval", int, DEFAULT_EVAL_M, "evaluation m"),
+    "wordsim": ("--wordsim", str, None, "word-pair similarity TSV"),
+    "sts": ("--sts", str, None, "sentence-pair TSV"),
+    "oddman": ("--oddman", str, None, "odd-man-out TSV"),
+    "mechanisms": ("--mechanisms", str, None, "comma-separated mechanism list"),
+    "epsilons": ("--epsilons", str, None, "comma-separated epsilon grid"),
+    "seeds": ("--seeds", str, None, "comma-separated seed list"),
+    "repeats": ("--repeats", int, 5, "seeds drawn when --seeds absent"),
+    "words": ("--words", str, None, "comma-separated query words"),
+    "k": ("-k", int, 3, "neighbours listed per word"),
 }
+_DEFAULTS = {key: default for key, (_, _, default, _) in _PARAMS.items()}
 
 
 def _sha256(path: str | Path) -> str:
@@ -108,18 +124,22 @@ def _resolve_params(args: argparse.Namespace) -> dict:
                 f"{manifest.get('command')!r}, not {args.command!r}"
             )
         params.update(manifest["parameters"])
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out_dir", "func"):
-            continue
+    for key in _PARAMS:
+        value = getattr(args, key, None)
         if value is not None:
             params[key] = value
     return params
 
 
+def _require(params: dict, *keys: str) -> None:
+    for key in keys:
+        if params[key] is None:
+            raise ValueError(f"--{key.replace('_', '-')} is required")
+
+
 def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
-    path = params.get(key)
-    if path is None:
-        raise ValueError(f"--{key.replace('_', '-')} is required")
+    _require(params, key)
+    path = params[key]
     word_filter = None
     if key == "embeddings" and params.get("vocab_file"):
         with open(params["vocab_file"], "r", encoding="utf-8") as fh:
@@ -151,23 +171,34 @@ def _input_hashes(params: dict) -> dict[str, str]:
 
 
 def _perturber(params: dict, emb: EmbeddingSet) -> Perturber:
-    return Perturber(
-        emb,
-        delta=_resolve_delta(params, emb.n),
-        m=params["m"],
-        tau=params["tau"],
-        lambda_=params["lambda_"],
-        eta0=params["eta0"],
-        alpha1=params["alpha1"],
-        alpha2=params["alpha2"],
-        m_density=params["m_density"],
-        strict=not params["allow_unproven_epsilon"],
-    )
+    _resolve_delta(params, emb.n)
+    # every Perturber field named like a parameter (delta, m, tau and the
+    # baselines' knobs) takes that parameter's value
+    knobs = {f.name: params[f.name] for f in fields(Perturber) if f.name in _PARAMS}
+    return Perturber(emb, strict=not params["allow_unproven_epsilon"], **knobs)
+
+
+def _build_graph(params: dict, emb: EmbeddingSet) -> NeighbourGraph:
+    """The (m, tau) graph, with a stderr warning when tau provably leaves it
+    without edges: every word has k = min(m, n - 1) neighbours, and an edge
+    joins i to some j in i's set, which j's own set never holds, so the two
+    sets share at most k - 1 words and their Jaccard similarity is at most
+    (k - 1) / (k + 1)."""
+    graph = build_graph(emb, params["m"], params["tau"])
+    k = min(graph.m, graph.n - 1)
+    bound = (k - 1) / (k + 1)
+    if graph.tau > bound:
+        print(
+            f"warning: tau={graph.tau} exceeds (k-1)/(k+1)={bound:.6g} for "
+            f"k=min(m, n-1)={k}; the graph has no edges",
+            file=sys.stderr,
+        )
+    return graph
 
 
 def cmd_graph(params: dict, out_dir: Path) -> list[str]:
     emb = _load_set(params)
-    graph = build_graph(emb, params["m"], params["tau"])
+    graph = _build_graph(params, emb)
     _write_json(out_dir / "graph.json", graph_report(graph, emb))
     print(f"graph: n={graph.n} edges={len(graph.edges)} m={graph.m} tau={graph.tau}")
     return ["graph.json"]
@@ -175,7 +206,7 @@ def cmd_graph(params: dict, out_dir: Path) -> list[str]:
 
 def cmd_components(params: dict, out_dir: Path) -> list[str]:
     emb = _load_set(params)
-    graph = build_graph(emb, params["m"], params["tau"])
+    graph = _build_graph(params, emb)
     partition = build_partition(graph, emb)
     report = partition_report(partition, graph, emb)
     _write_json(out_dir / "components.json", report)
@@ -188,8 +219,7 @@ def cmd_components(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
-    if params["epsilon"] is None:
-        raise ValueError("--epsilon is required")
+    _require(params, "epsilon")
     emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
     graph = build_graph(emb, params["m"], params["tau"])
@@ -229,8 +259,7 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
     check_precision(params["precision"])
     if params["mechanism"] is None:
         raise ValueError(f"--mechanism is required (one of {MECHANISM_KINDS})")
-    if params["epsilon"] is None:
-        raise ValueError("--epsilon is required")
+    _require(params, "epsilon")
     emb = _load_set(params)
     seed = _resolve_seed(params)
     perturbed, report = _perturber(params, emb).perturb(
@@ -253,6 +282,7 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_eval_privacy(params: dict, out_dir: Path) -> list[str]:
+    _require(params, "embeddings", "perturbed")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     report = privacy_report(original, perturbed, m=params["m_eval"])
@@ -280,6 +310,16 @@ def _parse_list(value, cast):
 
 
 def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
+    # every argument check comes before the loads and the baseline scores
+    if not (params["wordsim"] or params["sts"] or params["oddman"]):
+        raise ValueError("at least one of --wordsim/--sts/--oddman is required")
+    mechanisms = _parse_list(params["mechanisms"], str) or ["nadp"]
+    epsilons = _parse_list(params["epsilons"], float)
+    if not epsilons:
+        raise ValueError("--epsilons is required (comma-separated list)")
+    for kind in mechanisms:
+        if kind not in MECHANISM_KINDS:
+            raise ValueError(f"unknown mechanism {kind!r}")
     emb = _load_set(params)
     datasets = UtilityDatasets(
         word_similarity=(
@@ -288,16 +328,6 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         sts=load_sentence_pairs(params["sts"]) if params["sts"] else None,
         odd_man=load_odd_man_dataset(params["oddman"]) if params["oddman"] else None,
     )
-    if (
-        datasets.word_similarity is None
-        and datasets.sts is None
-        and datasets.odd_man is None
-    ):
-        raise ValueError("at least one of --wordsim/--sts/--oddman is required")
-    mechanisms = _parse_list(params["mechanisms"], str) or ["nadp"]
-    epsilons = _parse_list(params["epsilons"], float)
-    if not epsilons:
-        raise ValueError("--epsilons is required (comma-separated list)")
     seeds = _parse_list(params["seeds"], int)
     if seeds is None:
         base = _resolve_seed(params)
@@ -338,13 +368,14 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
+    _require(params, "embeddings", "perturbed")
+    words = _parse_list(params["words"], str)
+    if not words:
+        raise ValueError("--words is required (comma-separated list)")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     if original.words != perturbed.words:
         raise ValueError("original and perturbed vocabularies do not match")
-    words = _parse_list(params["words"], str)
-    if not words:
-        raise ValueError("--words is required (comma-separated list)")
     k = params["k"]
     found = []
     for word in words:
@@ -386,45 +417,28 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     return ["neighbours.json"]
 
 
+_COMMON = ("embeddings", "limit", "vocab_file")
+_GRAPH = (*_COMMON, "m", "tau")
+_MECHANISM = (*_GRAPH, "delta", "lambda_", "eta0", "alpha1", "alpha2", "m_density",
+              "allow_unproven_epsilon")
+
+# command -> (function, help, the parameter keys it takes as flags)
 _COMMANDS = {
-    "graph": cmd_graph,
-    "components": cmd_components,
-    "calibrate": cmd_calibrate,
-    "perturb": cmd_perturb,
-    "eval-privacy": cmd_eval_privacy,
-    "eval-utility": cmd_eval_utility,
-    "neighbours": cmd_neighbours,
+    "graph": (cmd_graph, "build the nearest-neighbour graph", _GRAPH),
+    "components": (cmd_components, "factorise the graph into neighbourhoods", _GRAPH),
+    "calibrate": (cmd_calibrate, "solve the minimal noise multiplier",
+                  (*_GRAPH, "epsilon", "delta")),
+    "perturb": (cmd_perturb, "apply a DP mechanism to the embeddings",
+                (*_MECHANISM, "mechanism", "epsilon", "seed", "output", "report",
+                 "precision")),
+    "eval-privacy": (cmd_eval_privacy, "neighbour-overlap privacy report",
+                     (*_COMMON, "perturbed", "m_eval")),
+    "eval-utility": (cmd_eval_utility, "utility sweep over mechanisms",
+                     (*_MECHANISM, "wordsim", "sts", "oddman", "mechanisms",
+                      "epsilons", "seeds", "repeats", "seed")),
+    "neighbours": (cmd_neighbours, "inspect clean vs perturbed neighbours",
+                   (*_COMMON, "perturbed", "words", "k")),
 }
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="manifest file to replay parameters from")
-    p.add_argument("--out-dir", default=".", help="directory for artifacts")
-    p.add_argument("--embeddings", help="embedding text file")
-    p.add_argument("--limit", type=int, help="keep only the first N words")
-    p.add_argument("--vocab-file", dest="vocab_file", help="token allowlist file")
-
-
-def _add_graph_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, help="neighbourhood size (default 2)")
-    p.add_argument("--tau", type=float, help="Jaccard threshold (default 0.5)")
-
-
-def _add_mechanism_params(p: argparse.ArgumentParser) -> None:
-    _add_graph_params(p)
-    p.add_argument("--delta", type=float, help="default: 1/n of the vocabulary")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="covariance blend")
-    p.add_argument("--eta0", type=float, help="density split threshold")
-    p.add_argument("--alpha1", type=float, help="dense-category scale constant")
-    p.add_argument("--alpha2", type=float, help="sparse-category scale constant")
-    p.add_argument("--m-density", dest="m_density", type=int)
-    p.add_argument(
-        "--allow-unproven-epsilon",
-        action="store_const",
-        const=True,
-        default=None,
-        help="run closed-form mechanisms outside their proven epsilon range",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,54 +448,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("graph", help="build the nearest-neighbour graph")
-    _add_common(p)
-    _add_graph_params(p)
-
-    p = sub.add_parser("components", help="factorise the graph into neighbourhoods")
-    _add_common(p)
-    _add_graph_params(p)
-
-    p = sub.add_parser("calibrate", help="solve the minimal noise multiplier")
-    _add_common(p)
-    _add_graph_params(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float, help="default: 1/n of the vocabulary")
-
-    p = sub.add_parser("perturb", help="apply a DP mechanism to the embeddings")
-    _add_common(p)
-    _add_mechanism_params(p)
-    p.add_argument("--mechanism", choices=MECHANISM_KINDS)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int, help="drawn and recorded when absent")
-    p.add_argument("--output", help="perturbed embedding file name")
-    p.add_argument("--report", help="report file name")
-    p.add_argument("--precision", type=int, help="decimal places written")
-
-    p = sub.add_parser("eval-privacy", help="neighbour-overlap privacy report")
-    _add_common(p)
-    p.add_argument("--perturbed", help="perturbed embedding text file")
-    p.add_argument("--m-eval", dest="m_eval", type=int, help="evaluation m (default 10)")
-
-    p = sub.add_parser("eval-utility", help="utility sweep over mechanisms")
-    _add_common(p)
-    _add_mechanism_params(p)
-    p.add_argument("--wordsim", help="word-pair similarity TSV")
-    p.add_argument("--sts", help="sentence-pair TSV")
-    p.add_argument("--oddman", help="odd-man-out TSV")
-    p.add_argument("--mechanisms", help="comma-separated mechanism list")
-    p.add_argument("--epsilons", help="comma-separated epsilon grid")
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--repeats", type=int, help="seeds drawn when --seeds absent")
-    p.add_argument("--seed", type=int, help="base seed for --repeats")
-
-    p = sub.add_parser("neighbours", help="inspect clean vs perturbed neighbours")
-    _add_common(p)
-    p.add_argument("--perturbed", help="perturbed embedding text file")
-    p.add_argument("--words", help="comma-separated query words")
-    p.add_argument("-k", type=int, help="neighbours listed per word (default 3)")
-
+    for name, (_, summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="manifest file to replay parameters from")
+        p.add_argument("--out-dir", default=".", help="directory for artifacts")
+        for key in keys:
+            flag, kind, default, text = _PARAMS[key]
+            if default is not None:
+                text = f"{text} (default {default})"
+            if kind is bool:
+                how = {"action": "store_const", "const": True}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            p.add_argument(flag, dest=key, help=text, **how)
     return parser
 
 
@@ -492,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](params, out_dir)
+        outputs = _COMMANDS[args.command][0](params, out_dir)
         manifest = {
             "command": args.command,
             "version": __version__,

@@ -114,8 +114,9 @@ def _require_proven_range(epsilon: float, strict: bool, kind: str) -> bool:
     if strict:
         raise ValueError(
             f"the {kind} mechanism's closed-form calibration is proven only "
-            f"for epsilon in (0, 1), got {epsilon}; pass strict=False to run "
-            "the formula outside that range anyway"
+            f"for epsilon in (0, 1), got {epsilon}; pass strict=False "
+            "(--allow-unproven-epsilon on the command line) to run the formula "
+            "outside that range anyway"
         )
     return False
 
@@ -375,6 +376,7 @@ def jaccard_mechanism_perturb(
     return perturbed, report
 
 
+@dataclass(eq=False, repr=False)
 class Perturber:
     """Shared-state dispatcher over the five mechanisms for one clean set.
 
@@ -383,33 +385,22 @@ class Perturber:
     (mechanism, epsilon, seed) calls, which is what benchmark sweeps need.
     """
 
-    def __init__(
-        self,
-        emb: EmbeddingSet,
-        delta: float,
-        m: int = DEFAULT_M,
-        tau: float = DEFAULT_TAU,
-        lambda_: float = DEFAULT_LAMBDA,
-        eta0: float = DEFAULT_ETA0,
-        alpha1: float = DEFAULT_ALPHA1,
-        alpha2: float = DEFAULT_ALPHA2,
-        m_density: int = DEFAULT_M_DENSITY,
-        strict: bool = True,
-    ) -> None:
-        if m_density < 1:
-            raise ValueError(f"m_density must be >= 1, got {m_density}")
-        self.emb = emb
-        self.delta = delta
-        self.m = m
-        self.tau = tau
-        self.lambda_ = lambda_
-        self.eta0 = eta0
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
-        self.m_density = m_density
-        self.strict = strict
-        self._partition: ComponentPartition | None = None
-        self._neighbour_sets: NeighbourSets | None = None
+    emb: EmbeddingSet
+    delta: float
+    m: int = DEFAULT_M
+    tau: float = DEFAULT_TAU
+    lambda_: float = DEFAULT_LAMBDA
+    eta0: float = DEFAULT_ETA0
+    alpha1: float = DEFAULT_ALPHA1
+    alpha2: float = DEFAULT_ALPHA2
+    m_density: int = DEFAULT_M_DENSITY
+    strict: bool = True
+    _partition: ComponentPartition | None = field(default=None, init=False)
+    _neighbour_sets: NeighbourSets | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        if self.m_density < 1:
+            raise ValueError(f"m_density must be >= 1, got {self.m_density}")
 
     @property
     def _knn(self) -> NeighbourSets:

@@ -17,6 +17,7 @@ coverage stays explicit and comparable across mechanisms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,21 +54,30 @@ def _parse_rating(path, lineno: int, text: str) -> float:
     return rating
 
 
-def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
-    """Tab-separated lines: token, token, human rating."""
-    pairs = []
+def _tab_rows(path, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a tab-separated file;
+    a line with another field count is an error naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rating = _parse_rating(path, lineno, parts[2])
-            if not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: empty token")
-            pairs.append((parts[0], parts[1], rating))
+            if len(parts) != fields:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {fields} tab-separated fields"
+                )
+            yield lineno, parts
+
+
+def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
+    """Tab-separated lines: token, token, human rating."""
+    pairs = []
+    for lineno, parts in _tab_rows(path, 3):
+        rating = _parse_rating(path, lineno, parts[2])
+        if not parts[0] or not parts[1]:
+            raise ValueError(f"{path}:{lineno}: empty token")
+        pairs.append((parts[0], parts[1], rating))
     return SimilarityDataset(name=name or str(path), pairs=tuple(pairs))
 
 
@@ -78,40 +88,25 @@ def load_sentence_pairs(path, name: str | None = None) -> SentencePairDataset:
     conventions of lowercased pretrained embeddings.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            s1 = tuple(parts[0].lower().split())
-            s2 = tuple(parts[1].lower().split())
-            if not s1 or not s2:
-                raise ValueError(f"{path}:{lineno}: empty sentence")
-            pairs.append((s1, s2, _parse_rating(path, lineno, parts[2])))
+    for lineno, parts in _tab_rows(path, 3):
+        s1 = tuple(parts[0].lower().split())
+        s2 = tuple(parts[1].lower().split())
+        if not s1 or not s2:
+            raise ValueError(f"{path}:{lineno}: empty sentence")
+        pairs.append((s1, s2, _parse_rating(path, lineno, parts[2])))
     return SentencePairDataset(name=name or str(path), pairs=tuple(pairs))
 
 
 def load_odd_man_dataset(path, name: str | None = None) -> OddManDataset:
     """Tab-separated lines: space-separated token set, gold odd token."""
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            tokens = tuple(parts[0].split())
-            gold = parts[1]
-            if len(tokens) < 5:
-                raise ValueError(f"{path}:{lineno}: need at least 5 tokens")
-            if gold not in tokens:
-                raise ValueError(f"{path}:{lineno}: gold token not in the set")
-            instances.append((tokens, gold))
+    for lineno, (token_set, gold) in _tab_rows(path, 2):
+        tokens = tuple(token_set.split())
+        if len(tokens) < 5:
+            raise ValueError(f"{path}:{lineno}: need at least 5 tokens")
+        if gold not in tokens:
+            raise ValueError(f"{path}:{lineno}: gold token not in the set")
+        instances.append((tokens, gold))
     return OddManDataset(name=name or str(path), instances=tuple(instances))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 
@@ -7,8 +8,17 @@ import pytest
 from nadp import cli
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
-from nadp.graph import rank_queries
-from nadp.mechanisms import MECHANISM_KINDS, Perturber
+from nadp.graph import DEFAULT_M, DEFAULT_TAU, rank_queries
+from nadp.mechanisms import (
+    DEFAULT_ALPHA1,
+    DEFAULT_ALPHA2,
+    DEFAULT_ETA0,
+    DEFAULT_LAMBDA,
+    DEFAULT_M_DENSITY,
+    MECHANISM_KINDS,
+    Perturber,
+)
+from nadp.privacy import DEFAULT_EVAL_M
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
@@ -101,6 +111,15 @@ def test_perturb_gaussian_epsilon_validation(emb_file, tmp_path, capsys):
     assert report["proven_dp"] is False
 
 
+@pytest.mark.parametrize("mechanism", ["gaussian", "jaccard"])
+def test_proven_range_error_names_the_cli_flag(emb_file, tmp_path, capsys, mechanism):
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
+                "--epsilon", 5, "--seed", 1, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "proven only" in err and "(0, 1)" in err
+    assert "--allow-unproven-epsilon" in err
+
+
 ZERO_NOISE_WARNING = "warning: every word has zero noise"
 
 
@@ -156,8 +175,20 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
          f"--mechanism is required (one of {MECHANISM_KINDS})"),
         ("perturb", ("--mechanism", "nadp"), "--epsilon is required"),
         ("calibrate", (), "--epsilon is required"),
+        ("eval-utility", ("--wordsim", "pairs.tsv"),
+         "--epsilons is required (comma-separated list)"),
+        ("eval-utility", ("--epsilons", 1),
+         "at least one of --wordsim/--sts/--oddman is required"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1,
+                          "--mechanisms", "nadp,bogus"), "unknown mechanism 'bogus'"),
+        ("eval-privacy", (), "--perturbed is required"),
+        ("neighbours", ("--words", "w0"), "--perturbed is required"),
+        ("neighbours", ("--perturbed", "noisy.txt"),
+         "--words is required (comma-separated list)"),
     ],
-    ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon"],
+    ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
+         "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
+         "eval-privacy-perturbed", "neighbours-perturbed", "neighbours-words"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message
@@ -376,6 +407,59 @@ def test_neighbours_batch_matches_per_word_queries(tmp_path, capsys):
         assert row["clean_neighbours"] == [original.words[j] for j in clean[0]]
         assert row["perturbed_neighbours"] == [original.words[j] for j in pert[0]]
         assert row["leak"] == (row["word"] in row["perturbed_neighbours"])
+
+
+@pytest.mark.parametrize("command", ["graph", "components"])
+@pytest.mark.parametrize(
+    "flags, warning",
+    [
+        # m=2: linked words' neighbour sets share at most 1 of 3 words
+        (("--m", 2, "--tau", 0.5),
+         "warning: tau=0.5 exceeds (k-1)/(k+1)=0.333333 for k=min(m, n-1)=2; "
+         "the graph has no edges\n"),
+        (("--m", 2, "--tau", 1 / 3), ""),
+        # 3 words leave each at most n-1 = 2 neighbours, whatever m is
+        (("--m", 5, "--limit", 3, "--tau", 0.4),
+         "warning: tau=0.4 exceeds (k-1)/(k+1)=0.333333 for k=min(m, n-1)=2; "
+         "the graph has no edges\n"),
+        (("--m", 5, "--limit", 3, "--tau", 1 / 3), ""),
+    ],
+    ids=["m2-above", "m2-at-bound", "n3-above", "n3-at-bound"],
+)
+def test_edgeless_tau_is_flagged(emb_file, tmp_path, capsys, command, flags, warning):
+    assert _run(command, "--embeddings", emb_file, *flags, "--out-dir", tmp_path) == 0
+    assert capsys.readouterr().err == warning
+    assert _run("graph", "--embeddings", emb_file, *flags, "--out-dir", tmp_path) == 0
+    edges = json.loads((tmp_path / "graph.json").read_text())["edge_count"]
+    # the warning is exact: silent at the bound, where edges still exist
+    assert (edges == 0) == bool(warning)
+
+
+def _parser_flags() -> dict[str, dict[str, argparse.Action]]:
+    """command -> {dest: action} of the flags its subparser takes."""
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.dest: a for a in sub._actions if a.dest != "help"}
+            for name, sub in commands.choices.items()}
+
+
+def test_parameter_table_and_parser_agree():
+    flags = _parser_flags()
+    assert set(flags) == {"graph", "components", "calibrate", "perturb",
+                          "eval-privacy", "eval-utility", "neighbours"}
+    dests = {dest for actions in flags.values() for dest in actions}
+    assert dests - {"config", "out_dir"} == set(cli._DEFAULTS)
+    # an absent flag parses to None, so the manifest or the default applies
+    for actions in flags.values():
+        assert all(a.default is None for d, a in actions.items() if d != "out_dir")
+    options = {o: a for actions in flags.values() for a in actions.values()
+               for o in a.option_strings}
+    for option, default in [("--m", DEFAULT_M), ("--tau", DEFAULT_TAU),
+                            ("--lambda", DEFAULT_LAMBDA), ("--eta0", DEFAULT_ETA0),
+                            ("--alpha1", DEFAULT_ALPHA1), ("--alpha2", DEFAULT_ALPHA2),
+                            ("--m-density", DEFAULT_M_DENSITY),
+                            ("--m-eval", DEFAULT_EVAL_M)]:
+        assert f"(default {default})" in options[option].help, option
 
 
 def test_limit_and_vocab_file_pass_through(emb_file, tmp_path):
