@@ -222,7 +222,7 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
     _require(params, "epsilon")
     emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
-    graph = build_graph(emb, params["m"], params["tau"])
+    graph = _build_graph(params, emb)
     partition = build_partition(graph, emb)
     privacy = PrivacyParams(epsilon=params["epsilon"], delta=delta)
     calib = calibrate_components(partition.local_sensitivities, privacy)
@@ -301,25 +301,36 @@ def cmd_eval_privacy(params: dict, out_dir: Path) -> list[str]:
     return ["privacy.json", "privacy_histogram.csv"]
 
 
-def _parse_list(value, cast):
+def _parse_list(params: dict, key: str, cast) -> list | None:
+    """A comma-separated flag (or a manifest's list) as a list; a bad entry
+    is an error naming the flag."""
+    value = params[key]
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
+    if not isinstance(value, (list, tuple)):
+        value = [v for v in str(value).split(",") if v != ""]
+    try:
         return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if v != ""]
+    except ValueError as exc:
+        raise ValueError(f"{_PARAMS[key][0]}: {exc}") from None
 
 
 def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
     # every argument check comes before the loads and the baseline scores
     if not (params["wordsim"] or params["sts"] or params["oddman"]):
         raise ValueError("at least one of --wordsim/--sts/--oddman is required")
-    mechanisms = _parse_list(params["mechanisms"], str) or ["nadp"]
-    epsilons = _parse_list(params["epsilons"], float)
+    mechanisms = _parse_list(params, "mechanisms", str) or ["nadp"]
+    epsilons = _parse_list(params, "epsilons", float)
     if not epsilons:
         raise ValueError("--epsilons is required (comma-separated list)")
     for kind in mechanisms:
         if kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism {kind!r}")
+    seeds = _parse_list(params, "seeds", int)
+    if seeds is None:
+        base = _resolve_seed(params)
+        seeds = [base + i for i in range(params["repeats"])]
+    params["seeds"] = seeds
     emb = _load_set(params)
     datasets = UtilityDatasets(
         word_similarity=(
@@ -328,11 +339,6 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         sts=load_sentence_pairs(params["sts"]) if params["sts"] else None,
         odd_man=load_odd_man_dataset(params["oddman"]) if params["oddman"] else None,
     )
-    seeds = _parse_list(params["seeds"], int)
-    if seeds is None:
-        base = _resolve_seed(params)
-        seeds = [base + i for i in range(params["repeats"])]
-    params["seeds"] = seeds
     perturber = _perturber(params, emb)
     rows = utility_suite(
         emb,
@@ -369,7 +375,7 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
 
 def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     _require(params, "embeddings", "perturbed")
-    words = _parse_list(params["words"], str)
+    words = _parse_list(params, "words", str)
     if not words:
         raise ValueError("--words is required (comma-separated list)")
     original = _load_set(params)

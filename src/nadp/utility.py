@@ -21,7 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .embeddings import EmbeddingSet
 
@@ -110,6 +109,58 @@ def load_odd_man_dataset(path, name: str | None = None) -> OddManDataset:
     return OddManDataset(name=name or str(path), instances=tuple(instances))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def _constant(x: np.ndarray) -> bool:
+    return bool((x == x[0]).all())
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v centred and scaled to unit norm. The largest magnitude is divided
+    out before the norm is taken, so the norm cannot overflow."""
+    centred = v - v.mean()
+    top = np.max(np.abs(centred))
+    # with an axis, norm sums squares pairwise as scipy's norm does; without
+    # one it takes a BLAS dot, whose last bit can differ
+    return centred / (top * np.linalg.norm(centred / top, axis=-1))
+
+
+def spearman(x, y) -> float:
+    """Spearman's rank correlation of two finite samples of equal length
+    n >= 2; NaN when either is constant.
+
+    The correlation of average-tie ranks, computed as `scipy.stats.spearmanr`
+    computes it (`np.corrcoef` over the stacked rank columns), so the two
+    agree bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if _constant(x) or _constant(y):
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def pearson(x, y) -> float:
+    """Pearson's correlation of two finite samples of equal length n >= 2;
+    NaN when either is constant, and exactly +-1 at n = 2.
+
+    The formula of `scipy.stats.pearsonr`: the dot product of the two
+    centred unit vectors, clipped to [-1, 1].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if _constant(x) or _constant(y):
+        return float("nan")
+    r = float(np.clip(np.dot(_unit(x), _unit(y)), -1.0, 1.0))
+    return float(np.round(r)) if x.size == 2 else r
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -138,7 +189,7 @@ def word_similarity_eval(
         raise ValueError(
             f"need at least 2 scorable pairs, got {len(sims)} of {len(data.pairs)}"
         )
-    rho = float(stats.spearmanr(sims, ratings).statistic)
+    rho = spearman(sims, ratings)
     return WordSimilarityResult(
         spearman=rho, scorable=len(sims), total=len(data.pairs)
     )
@@ -183,8 +234,8 @@ def sts_eval(emb: EmbeddingSet, data: SentencePairDataset) -> STSResult:
         raise ValueError(
             f"need at least 2 scorable pairs, got {len(sims)} of {len(data.pairs)}"
         )
-    rho = float(stats.spearmanr(sims, ratings).statistic)
-    r = float(stats.pearsonr(sims, ratings).statistic)
+    rho = spearman(sims, ratings)
+    r = pearson(sims, ratings)
     prod = rho * r
     combined = math.sqrt(prod) if prod >= 0.0 else float("nan")
     return STSResult(

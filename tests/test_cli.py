@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nadp
 from nadp import cli
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
@@ -481,3 +486,85 @@ def test_cli_error_paths(tmp_path, capsys):
                 "--out-dir", tmp_path) != 0
     assert _run("calibrate", "--config", tmp_path / "nope.json",
                 "--out-dir", tmp_path) != 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--epsilons", "1,x"), "--epsilons: could not convert string to float: 'x'"),
+        (("--epsilons", 1, "--seeds", "1,y"),
+         "--seeds: invalid literal for int() with base 10: 'y'"),
+    ],
+    ids=["epsilons", "seeds"],
+)
+def test_bad_list_entry_names_its_flag_before_any_load(
+    emb_file, tmp_path, capsys, monkeypatch, flags, message
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the list flags were parsed")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    out = tmp_path / "out"
+    assert _run("eval-utility", "--embeddings", emb_file, "--wordsim", "pairs.tsv",
+                *flags, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "tau, warning",
+    [
+        (0.5, "warning: tau=0.5 exceeds (k-1)/(k+1)=0.333333 for k=min(m, n-1)=2; "
+              "the graph has no edges\n"),
+        (1 / 3, ""),
+    ],
+    ids=["above", "at-bound"],
+)
+def test_calibrate_flags_edgeless_tau(emb_file, tmp_path, capsys, tau, warning):
+    assert _run("calibrate", "--embeddings", emb_file, "--epsilon", 0.5,
+                "--m", 2, "--tau", tau, "--out-dir", tmp_path) == 0
+    assert capsys.readouterr().err == warning
+    report = json.loads((tmp_path / "calibration.json").read_text())
+    assert (report["max_sigma"] == 0.0) == bool(warning)
+
+
+def test_commands_never_import_scipy_stats(emb_file, tmp_path):
+    """A fresh interpreter imports nadp and runs all seven commands without
+    loading scipy.stats, whose import alone costs more than half a second."""
+    emb = load_embeddings(emb_file)
+    (tmp_path / "pairs.tsv").write_text(
+        "".join(f"{emb.words[i]}\t{emb.words[i + 1]}\t{i % 7}\n" for i in range(0, 60, 2)),
+        encoding="utf-8",
+    )
+    common = ["--embeddings", str(emb_file), "--out-dir", str(tmp_path)]
+    runs = [
+        ["graph", *common, "--m", "2", "--tau", "0.1"],
+        ["components", *common, "--m", "2", "--tau", "0.1"],
+        ["calibrate", *common, "--m", "2", "--tau", "0.1", "--epsilon", "0.5"],
+        ["perturb", *common, "--m", "2", "--tau", "0.1", "--mechanism", "nadp",
+         "--epsilon", "1", "--seed", "1"],
+        ["eval-privacy", *common, "--perturbed", str(tmp_path / "perturbed.txt")],
+        ["eval-utility", *common, "--m", "2", "--tau", "0.1",
+         "--wordsim", str(tmp_path / "pairs.tsv"), "--epsilons", "1", "--seeds", "1"],
+        ["neighbours", *common, "--perturbed", str(tmp_path / "perturbed.txt"),
+         "--words", ",".join(emb.words[:3])],
+    ]
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    script = (
+        "import json, sys\n"
+        "import nadp\n"
+        "import nadp.cli\n"
+        "seen = ['scipy.stats' in sys.modules]\n"
+        f"for argv in {runs!r}:\n"
+        "    seen.append(nadp.cli.main(argv))\n"
+        "    seen.append('scipy.stats' in sys.modules)\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(Path(nadp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == [False] + [0, False] * len(runs)

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from nadp.embeddings import EmbeddingSet
-from nadp.privacy import prediction_probability, privacy_report, skewness
+from nadp.graph import jaccard
+from nadp.privacy import _overlap, prediction_probability, privacy_report, skewness
 
 from oracles import prediction_probability_bruteforce, skewness_formula
 from synth import random_embeddings, two_far_clusters
@@ -56,6 +57,21 @@ def test_prediction_probability_validation():
         prediction_probability(emb, emb.vectors[0], 9, m=2)
     with pytest.raises(ValueError):
         prediction_probability(emb, emb.vectors[0], 0, m=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_overlap_matches_set_jaccard_row_by_row(k):
+    rng = np.random.default_rng(k)
+    # each row holds k distinct indices, as a ranking does; a small index
+    # range makes partial and full overlaps common
+    clean = np.array([rng.choice(2 * k + 1, k, replace=False) for _ in range(300)])
+    query = np.array([rng.choice(2 * k + 1, k, replace=False) for _ in range(300)])
+    query[:20] = clean[:20, ::-1]  # same sets in another order
+    got = _overlap(clean, query)
+    assert got.dtype == np.float64
+    expected = [jaccard(set(a.tolist()), set(b.tolist())) for a, b in zip(clean, query)]
+    assert got.tolist() == expected
+    assert (got[:20] == 1.0).all()
 
 
 def test_skewness_symmetric_sample():

@@ -16,7 +16,9 @@ from nadp.utility import (
     load_similarity_dataset,
     odd_man_eval,
     odd_man_out,
+    pearson,
     sentence_centroid,
+    spearman,
     sts_eval,
     suite_rows_to_csv,
     utility_suite,
@@ -111,6 +113,69 @@ def test_correlations_match_oracles_on_random_data():
         assert float(stats.pearsonr(x, y).statistic) == pytest.approx(
             pearson_bruteforce(list(x), list(y)), abs=1e-12
         )
+
+
+def _scipy_correlations(x, y) -> tuple[float, float]:
+    import warnings
+
+    from scipy import stats
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on constant input
+        return (float(stats.spearmanr(x, y).statistic),
+                float(stats.pearsonr(x, y).statistic))
+
+
+def _correlation_cases():
+    rng = np.random.default_rng(11)
+    yield [1.0, 2.0], [3.0, 5.0]
+    yield [1.0, 2.0], [5.0, 3.0]
+    yield [0.1, 0.3], [0.7, 0.2]
+    yield [2.0, 2.0, 2.0], [1.0, 2.0, 3.0]
+    yield [1.0, 2.0, 3.0], [4.0, 4.0, 4.0]
+    yield [1.0, 1.0, 2.0, 2.0, 3.0], [5.0, 4.0, 4.0, 1.0, 1.0]
+    for i in range(300):
+        n = int(rng.integers(2, 200))
+        if i % 3 == 0:
+            x = rng.normal(size=n)
+            y = rng.normal() * x + rng.normal(size=n)
+        elif i % 3 == 1:  # many ties on both sides
+            x = rng.integers(0, 4, n).astype(np.float64)
+            y = rng.integers(0, 7, n) / 2.0
+        else:  # nearly constant, far from zero
+            x = 5.0 + 1e-4 * rng.normal(size=n)
+            y = np.round(rng.normal(size=n), 1)
+        yield x, y
+
+
+def test_correlations_reproduce_scipy():
+    scored = 0
+    for x, y in _correlation_cases():
+        sp, pe = _scipy_correlations(x, y)
+        if math.isnan(sp):
+            assert math.isnan(spearman(x, y))
+            assert math.isnan(pearson(x, y))
+            continue
+        assert spearman(x, y) == sp
+        assert pearson(x, y) == pytest.approx(pe, rel=0.0, abs=1e-15)
+        scored += 1
+    assert scored > 250
+
+
+def test_correlations_edge_cases():
+    assert pearson([1.0, 2.0], [3.0, 5.0]) == 1.0
+    assert pearson([0.1, 0.3], [0.7, 0.2]) == -1.0
+    for constant in ([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]):
+        assert math.isnan(spearman(constant, [1.0, 2.0, 3.0]))
+        assert math.isnan(pearson([1.0, 2.0, 3.0], constant))
+    # a tie shares its average rank: ranks (1.5, 1.5, 3) against (1, 2, 3)
+    assert spearman([7.0, 7.0, 9.0], [1.0, 2.0, 3.0]) == pytest.approx(
+        pearson_bruteforce([1.5, 1.5, 3.0], [1.0, 2.0, 3.0]), abs=1e-15
+    )
+    # centring and scaling by the largest magnitude keep huge values finite
+    assert pearson([-5e210, 5e210, 3e200], [1.0, 2.0, 3.0]) == pytest.approx(
+        pearson_bruteforce([-5.0, 5.0, 3e-10], [1.0, 2.0, 3.0]), abs=1e-15
+    )
 
 
 def test_sentence_centroid_single_word_reduces_to_vector(toy_emb):
