@@ -137,6 +137,12 @@ def _require(params: dict, *keys: str) -> None:
             raise ValueError(f"--{key.replace('_', '-')} is required")
 
 
+def _require_positive(params: dict, *keys: str) -> None:
+    for key in keys:
+        if params[key] < 1:
+            raise ValueError(f"{_PARAMS[key][0]} must be >= 1, got {params[key]}")
+
+
 def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
     _require(params, key)
     path = params[key]
@@ -283,6 +289,7 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
 
 def cmd_eval_privacy(params: dict, out_dir: Path) -> list[str]:
     _require(params, "embeddings", "perturbed")
+    _require_positive(params, "m_eval")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     report = privacy_report(original, perturbed, m=params["m_eval"])
@@ -327,7 +334,10 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         if kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism {kind!r}")
     seeds = _parse_list(params, "seeds", int)
+    if seeds == []:
+        raise ValueError("--seeds must list at least one seed")
     if seeds is None:
+        _require_positive(params, "repeats")
         base = _resolve_seed(params)
         seeds = [base + i for i in range(params["repeats"])]
     params["seeds"] = seeds
@@ -378,6 +388,7 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     words = _parse_list(params, "words", str)
     if not words:
         raise ValueError("--words is required (comma-separated list)")
+    _require_positive(params, "k")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     if original.words != perturbed.words:

@@ -278,34 +278,43 @@ def jaccard(a: set[int], b: set[int]) -> float:
     return len(a & b) / len(a | b)
 
 
+def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
+    """Per-row Jaccard similarity of two (q, k) index rankings, k >= 1.
+
+    A ranking holds k distinct indices, so a row's intersection is its count
+    of equal (clean, query) index pairs and its union is 2k minus that.
+    """
+    k = clean_rows.shape[1]
+    inter = (clean_rows[:, :, None] == query_rows[:, None, :]).sum(axis=(1, 2))
+    return inter / (2 * k - inter)
+
+
 def build_graph(
     emb: EmbeddingSet,
     m: int = DEFAULT_M,
     tau: float = DEFAULT_TAU,
     neighbour_sets: NeighbourSets | None = None,
 ) -> NeighbourGraph:
-    """Build the neighbour graph: scan each word's top-m set and keep the
-    pairs whose neighbour-set Jaccard similarity reaches `tau`.
+    """Build the neighbour graph: pair every word with each word of its
+    top-m set and keep the pairs whose neighbour-set Jaccard similarity
+    reaches `tau`.
 
-    Scanning every word's own set realises the disjunctive membership
+    Pairing each word with its own set realises the disjunctive membership
     condition; storing unordered pairs makes the edge set symmetric. The
-    Jaccard test uses the same top-m sets as the membership condition.
+    Jaccard test uses the same top-m sets as the membership condition, one
+    neighbour column at a time.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     ns = neighbour_sets if neighbour_sets is not None else knn(emb, m)
     if ns.m != m or ns.n != emb.n:
         raise ValueError("neighbour_sets do not match the embedding set and m")
-    sets = [ns.row_set(i) for i in range(ns.n)]
+    idx = ns.indices
     edges: set[tuple[int, int]] = set()
-    for i in range(ns.n):
-        for j in ns.indices[i]:
-            j = int(j)
-            pair = (i, j) if i < j else (j, i)
-            if pair in edges:
-                continue
-            if jaccard(sets[i], sets[j]) >= tau:
-                edges.add(pair)
+    for column in idx.T:
+        i = np.flatnonzero(_overlap(idx, idx[column]) >= tau)
+        j = column[i]
+        edges.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
     return NeighbourGraph(n=emb.n, edges=frozenset(edges), m=m, tau=tau)
 
 

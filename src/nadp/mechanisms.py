@@ -11,13 +11,15 @@
 * ``jaccard``: two density categories (dense/sparse by mean neighbour
   distance), each with its own closed-form Gaussian sigma.
 
-All mechanisms draw noise from one counter-based substream per word index,
-derived from the master seed, so outputs do not depend on iteration order or
-parallelism.
+All mechanisms add their noise through one path, `_add_noise`, which draws
+each word's noise from one counter-based substream per word index, derived
+from the master seed, so outputs do not depend on iteration order or
+parallelism, and which alone counts the words left without noise.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -42,20 +44,20 @@ DEFAULT_M_DENSITY = 10
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PerturbationReport:
     """Exact record of the noise scales a perturbation run used."""
 
     kind: str
     seed: int
     epsilon: float
-    delta: float | None
-    sigma_per_component: tuple[float, ...]
-    delta_per_component: tuple[float, ...]
-    global_sensitivity: float
-    u_star: float | None
+    delta: float | None = None
+    sigma_per_component: tuple[float, ...] = ()
+    delta_per_component: tuple[float, ...] = ()
+    global_sensitivity: float = 0.0
+    u_star: float | None = None
     zero_noise_words: int
-    proven_dp: bool
+    proven_dp: bool = False
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -121,20 +123,31 @@ def _require_proven_range(epsilon: float, strict: bool, kind: str) -> bool:
     return False
 
 
-def _perturb_gaussian_scales(
-    emb: EmbeddingSet, sigma_of_word: np.ndarray, seed: int
-) -> tuple[EmbeddingSet, int]:
-    """Add per-word isotropic Gaussian noise; sigma 0 leaves a word unchanged."""
+def _require_finite_epsilon(epsilon: float) -> None:
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
+def _add_noise(
+    emb: EmbeddingSet,
+    seed: int,
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    noised: np.ndarray | None = None,
+    **report_fields,
+) -> tuple[EmbeddingSet, PerturbationReport]:
+    """The one noise path of every mechanism: add `draw(rng, i)` to each word
+    i that the bool mask `noised` marks (every word when it is None), in word
+    order, with rng the word's own substream. The words the mask leaves out
+    are returned unchanged and counted as the report's zero-noise words."""
     out = np.array(emb.vectors, dtype=np.float64)
-    zero = 0
+    words = range(emb.n) if noised is None else np.flatnonzero(noised).tolist()
     substream = _word_substreams(seed)
-    for i in range(emb.n):
-        s = float(sigma_of_word[i])
-        if s == 0.0:
-            zero += 1
-            continue
-        out[i] += substream(i).normal(0.0, s, emb.d)
-    return EmbeddingSet(emb.words, out), zero
+    for i in words:
+        out[i] += draw(substream(i), i)
+    report = PerturbationReport(
+        seed=seed, zero_noise_words=emb.n - len(words), **report_fields
+    )
+    return EmbeddingSet(emb.words, out), report
 
 
 def nadp_perturb(
@@ -154,20 +167,20 @@ def nadp_perturb(
     calib = calibrate_components(partition.local_sensitivities, params)
     sigmas = calib.sigma_per_component
     sigma_of_word = sigmas[partition.assignment]
-    perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
-    report = PerturbationReport(
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
+        sigma_of_word != 0.0,
         kind="nadp",
-        seed=seed,
         epsilon=params.epsilon,
         delta=params.delta,
         sigma_per_component=tuple(float(s) for s in sigmas),
         delta_per_component=tuple(float(d) for d in partition.local_sensitivities),
         global_sensitivity=partition.global_sensitivity,
         u_star=calib.u_star,
-        zero_noise_words=zero,
         proven_dp=True,
     )
-    return perturbed, report
 
 
 def gaussian_perturb(
@@ -187,53 +200,42 @@ def gaussian_perturb(
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     proven = _require_proven_range(params.epsilon, strict, "gaussian")
-    sigma = classic_sigma_formula(params.epsilon, params.delta, Delta)
-    sigma_of_word = np.full(emb.n, sigma)
-    perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
-    report = PerturbationReport(
+    sigma = float(classic_sigma_formula(params.epsilon, params.delta, Delta))
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.normal(0.0, sigma, emb.d),
+        np.full(emb.n, sigma != 0.0),
         kind="gaussian",
-        seed=seed,
         epsilon=params.epsilon,
         delta=params.delta,
-        sigma_per_component=(float(sigma),),
+        sigma_per_component=(sigma,),
         delta_per_component=(float(Delta),),
         global_sensitivity=float(Delta),
-        u_star=None,
-        zero_noise_words=zero,
         proven_dp=proven,
     )
-    return perturbed, report
 
 
 def laplacian_perturb(
     emb: EmbeddingSet, epsilon: float, Delta: float, seed: int
 ) -> tuple[EmbeddingSet, PerturbationReport]:
     """Independent per-coordinate Laplace noise with scale Delta/epsilon."""
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _require_finite_epsilon(epsilon)
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     scale = Delta / epsilon
-    out = np.array(emb.vectors, dtype=np.float64)
-    zero = emb.n if scale == 0.0 else 0
-    if scale > 0.0:
-        substream = _word_substreams(seed)
-        for i in range(emb.n):
-            out[i] += substream(i).laplace(0.0, scale, emb.d)
-    report = PerturbationReport(
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.laplace(0.0, scale, emb.d),
+        np.full(emb.n, scale > 0.0),
         kind="laplacian",
-        seed=seed,
         epsilon=epsilon,
-        delta=None,
         sigma_per_component=(float(scale),),
         delta_per_component=(float(Delta),),
         global_sensitivity=float(Delta),
-        u_star=None,
-        zero_noise_words=zero,
-        proven_dp=False,
         extra={"noise": "per-coordinate Laplace, scale Delta/epsilon"},
     )
-    return EmbeddingSet(emb.words, out), report
 
 
 def covariance_shape(emb: EmbeddingSet, lambda_: float) -> np.ndarray:
@@ -283,36 +285,25 @@ def mahalanobis_perturb(
     (Gamma radius, sphere direction, covariance square root); only lambda and
     the epsilon range are fixed by the benchmark protocol.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _require_finite_epsilon(epsilon)
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
     if emb.n < 2:
         raise ValueError("need at least 2 words to estimate a covariance")
     shape = covariance_shape(emb, lambda_)
     shape_sqrt = _sqrt_psd(shape)
-    out = np.array(emb.vectors, dtype=np.float64)
-    substream = _word_substreams(seed)
-    for i in range(emb.n):
-        out[i] += mahalanobis_noise(substream(i), shape_sqrt, epsilon)
-    report = PerturbationReport(
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: mahalanobis_noise(rng, shape_sqrt, epsilon),
         kind="mahalanobis",
-        seed=seed,
         epsilon=epsilon,
-        delta=None,
-        sigma_per_component=(),
-        delta_per_component=(),
-        global_sensitivity=0.0,
-        u_star=None,
-        zero_noise_words=0,
-        proven_dp=False,
         extra={
             "lambda": lambda_,
             "noise": "non-normative elliptical construction "
             "(Gamma radius, unit-sphere direction, covariance square root)",
         },
     )
-    return EmbeddingSet(emb.words, out), report
 
 
 def neighbourhood_density(neighbour_sets: NeighbourSets) -> np.ndarray:
@@ -352,17 +343,17 @@ def jaccard_mechanism_perturb(
     sigma1 = alpha1 * base
     sigma2 = alpha2 * base
     sigma_of_word = np.where(dense, sigma1, sigma2)
-    perturbed, zero = _perturb_gaussian_scales(emb, sigma_of_word, seed)
-    report = PerturbationReport(
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
+        sigma_of_word != 0.0,
         kind="jaccard",
-        seed=seed,
         epsilon=params.epsilon,
         delta=params.delta,
         sigma_per_component=(float(sigma1), float(sigma2)),
         delta_per_component=(float(Delta), float(Delta)),
         global_sensitivity=Delta,
-        u_star=None,
-        zero_noise_words=zero,
         proven_dp=proven,
         extra={
             "eta0": eta0,
@@ -373,7 +364,6 @@ def jaccard_mechanism_perturb(
             "sparse_words": int(emb.n - dense.sum()),
         },
     )
-    return perturbed, report
 
 
 @dataclass(eq=False, repr=False)
@@ -399,6 +389,8 @@ class Perturber:
     _neighbour_sets: NeighbourSets | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.m_density < 1:
             raise ValueError(f"m_density must be >= 1, got {self.m_density}")
 

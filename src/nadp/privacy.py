@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import rank_queries
+from .graph import _overlap, rank_queries
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -56,17 +56,6 @@ class PrivacyReport:
         if words is not None:
             out["words"] = list(words)
         return out
-
-
-def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-    """Per-row Jaccard similarity of two (q, k) index rankings, k >= 1.
-
-    A ranking holds k distinct indices, so a row's intersection is its count
-    of equal (clean, query) index pairs and its union is 2k minus that.
-    """
-    k = clean_rows.shape[1]
-    inter = (clean_rows[:, :, None] == query_rows[:, None, :]).sum(axis=(1, 2))
-    return inter / (2 * k - inter)
 
 
 def prediction_probability(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nadp
-from nadp import cli
+from nadp import cli, mechanisms
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import DEFAULT_M, DEFAULT_TAU, rank_queries
@@ -159,6 +159,28 @@ def test_m_density_below_one_is_rejected_for_every_mechanism(emb_file, tmp_path,
         assert "m_density must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_m_below_one_fails_before_the_knn(emb_file, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran the kNN before m was checked")
+
+    monkeypatch.setattr(mechanisms, "knn", must_not_run)
+    for mechanism in ("nadp", "jaccard"):
+        assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
+                    "--epsilon", 0.8, "--seed", 1, "--m", 0,
+                    "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == "error: m must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("mechanism", ["laplacian", "mahalanobis"])
+def test_perturb_rejects_an_infinite_epsilon(emb_file, tmp_path, capsys, mechanism):
+    # at epsilon = inf both would release the input unchanged
+    out = tmp_path / "out"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
+                "--epsilon", "inf", "--seed", 1, "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: epsilon must be finite and > 0, got inf\n"
+    assert list(out.iterdir()) == []
+
+
 def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the precision was checked")
@@ -190,10 +212,22 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
         ("neighbours", ("--words", "w0"), "--perturbed is required"),
         ("neighbours", ("--perturbed", "noisy.txt"),
          "--words is required (comma-separated list)"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--repeats", 0),
+         "--repeats must be >= 1, got 0"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--repeats", -2),
+         "--repeats must be >= 1, got -2"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--seeds", ","),
+         "--seeds must list at least one seed"),
+        ("neighbours", ("--perturbed", "noisy.txt", "--words", "w0", "-k", 0),
+         "-k must be >= 1, got 0"),
+        ("eval-privacy", ("--perturbed", "noisy.txt", "--m-eval", 0),
+         "--m-eval must be >= 1, got 0"),
     ],
     ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
          "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
-         "eval-privacy-perturbed", "neighbours-perturbed", "neighbours-words"],
+         "eval-privacy-perturbed", "neighbours-perturbed", "neighbours-words",
+         "eval-utility-repeats-0", "eval-utility-repeats-negative",
+         "eval-utility-seeds-empty", "neighbours-k", "eval-privacy-m-eval"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message

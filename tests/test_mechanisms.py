@@ -318,6 +318,51 @@ def test_perturber_rejects_m_density_below_one():
     Perturber(emb, delta=0.1, m_density=1)
 
 
+def test_perturber_rejects_m_below_one():
+    emb = random_embeddings(6, 3, seed=14)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {bad}"):
+            Perturber(emb, delta=0.1, m=bad)
+    Perturber(emb, delta=0.1, m=1)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan, 0.0])
+def test_laplacian_and_mahalanobis_need_a_finite_epsilon(epsilon):
+    # at epsilon = inf the Laplace scale and the Gamma radius are 0: the
+    # release would be the input
+    emb = random_embeddings(6, 3, seed=14)
+    message = "epsilon must be finite and > 0"
+    with pytest.raises(ValueError, match=message):
+        laplacian_perturb(emb, epsilon, 1.0, seed=0)
+    with pytest.raises(ValueError, match=message):
+        mahalanobis_perturb(emb, epsilon, 1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["nadp", "gaussian", "laplacian", "mahalanobis", "jaccard"]
+)
+def test_zero_noise_words_counts_the_unchanged_words(kind):
+    # nadp leaves the words of its singleton components unchanged and
+    # noises the rest; every other mechanism noises every word
+    rng = np.random.default_rng(19)
+    centres = rng.normal(0.0, 5.0, (6, 4))
+    vecs = centres[rng.integers(0, 6, 40)] + rng.normal(0.0, 0.3, (40, 4))
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
+    perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, m_density=3, strict=False)
+    out, report = perturber.perturb(kind, 0.8, seed=3)
+    unchanged = int((out.vectors == emb.vectors).all(axis=1).sum())
+    assert report.zero_noise_words == unchanged
+    assert (0 < unchanged < emb.n) if kind == "nadp" else unchanged == 0
+    # a zero sensitivity leaves every word of the scaled mechanisms unchanged
+    for perturb in (
+        lambda: gaussian_perturb(emb, PrivacyParams(0.5, 0.05), 0.0, seed=3),
+        lambda: laplacian_perturb(emb, 0.8, 0.0, seed=3),
+    ):
+        out, report = perturb()
+        assert np.array_equal(out.vectors, emb.vectors)
+        assert report.zero_noise_words == emb.n
+
+
 def test_word_substream_is_order_independent():
     # noise is keyed by (seed, word index) alone: the same word draws the
     # same noise no matter what else is in the set
