@@ -12,9 +12,11 @@ g(u) <= delta; it exists and is unique for every eps >= 0 and
 delta in (0, 1) because g decreases strictly from 1 to 0.
 
 For large eps*u both terms of g are tiny and nearly equal, so g is always
-evaluated in log space (log of the Gaussian CDF via the scaled complementary
-error function) and combined with expm1; this keeps full relative accuracy
-up to eps = 40 and beyond.
+evaluated in log space (log of the Gaussian CDF from the standard library's
+complementary error function) and combined with expm1; this keeps full
+relative accuracy up to eps = 40 and beyond. At eps = 0 the two terms are
+both near log(1/2) and the difference cancels, so g uses its closed form
+erf(1/(2*sqrt(2)*u)) there.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 _SQRT2 = math.sqrt(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# below this t, Phi(t) nears the subnormal range and log Phi uses its
+# asymptotic series instead of erfc; from there on, the series' tenth term
+# is below 1e-22 and every later one smaller still
+_LOG_PHI_SERIES_BELOW = -37.0
+_LOG_PHI_SERIES_TERMS = 10
 
 # bisection safety limits; unreachable in practice because g is monotone
 _MAX_BRACKET_STEPS = 2000
@@ -63,21 +70,43 @@ def phi(t: float) -> float:
     return 0.5 * math.erfc(-t / _SQRT2)
 
 
+def _log_phi(t: float) -> float:
+    """log Phi(t) to full relative precision for every finite t.
+
+    Above 0 it is log1p of minus the upper tail; down to -37 the log of the
+    lower tail from erfc; below that the asymptotic expansion
+    log Phi(t) = -t^2/2 - log(-t) - log(2 pi)/2 + log(1 - 1/t^2 + 3/t^4 - ...).
+    """
+    if t > 0.0:
+        return math.log1p(-0.5 * math.erfc(t / _SQRT2))
+    if t > _LOG_PHI_SERIES_BELOW:
+        return math.log(0.5 * math.erfc(-t / _SQRT2))
+    inv_t2 = 1.0 / (t * t)
+    total = term = 1.0
+    for k in range(1, _LOG_PHI_SERIES_TERMS):
+        term *= -(2 * k - 1) * inv_t2
+        total += term
+    return -0.5 * t * t - math.log(-t) - _HALF_LOG_2PI + math.log(total)
+
+
 def g(u: float, epsilon: float) -> float:
     """The DP condition function; strictly decreasing in u with
     g(0+) = 1 and g(inf) = 0.
 
     Evaluated as exp(a) * (1 - exp(b - a)) with a, b the log terms, which
     survives the catastrophic cancellation of the direct difference when the
-    two terms converge in the tail.
+    two terms converge in the tail. At epsilon = 0, where a and b both near
+    log(1/2) and b - a cancels, it is the exact erf(1/(2 sqrt(2) u)).
     """
     if not u > 0.0:
         raise ValueError(f"u must be > 0, got {u}")
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon == 0.0:
+        return math.erf(1.0 / (2.0 * _SQRT2 * u))
     half = 1.0 / (2.0 * u)
-    a = float(log_ndtr(half - epsilon * u))
-    b = epsilon + float(log_ndtr(-half - epsilon * u))
+    a = _log_phi(half - epsilon * u)
+    b = epsilon + _log_phi(-half - epsilon * u)
     if b >= a:
         return 0.0
     return math.exp(a) * -math.expm1(b - a)

@@ -15,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
 
 from .embeddings import EmbeddingSet
 from .graph import NeighbourGraph
@@ -42,19 +41,46 @@ class ComponentPartition:
         return [len(c) for c in self.components]
 
 
+def _root_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Each vertex's smallest component member, by hooking roots.
+
+    Every round hooks each root that shares an edge with a smaller root
+    onto the smallest such root, then jumps pointers until every label is a
+    root. Hooking roots, not vertices, keeps the round count low on long
+    paths, where min-label propagation over vertices needs a number of
+    rounds that grows with the path's length. A sort and `np.minimum.reduceat` stand in for
+    `np.minimum.at`, which is slow before numpy 1.25.
+    """
+    lab = np.arange(n, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        lu, lv = lab[u], lab[v]
+        cross = lu != lv
+        if not cross.any():
+            return lab
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        hi, lo = np.maximum(lu, lv), np.minimum(lu, lv)
+        order = np.argsort(hi)
+        hi = hi[order]
+        starts = np.flatnonzero(np.r_[True, hi[1:] != hi[:-1]])
+        lab[hi[starts]] = np.minimum.reduceat(lo[order], starts)
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+
+
 def connected_components(graph: NeighbourGraph) -> list[list[int]]:
     """Connected components of the undirected graph, canonicalised.
 
     Components are sorted by their smallest member and members ascend within
-    each component, so the output does not depend on the labels scipy
-    assigns. Isolated vertices form singleton components.
+    each component, so the output does not depend on how components are
+    labelled. Isolated vertices form singleton components.
     """
     edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-    adj = coo_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(graph.n, graph.n)
-    )
-    k, labels = csgraph.connected_components(adj, directed=False)
-    components: list[list[int]] = [[] for _ in range(k)]
+    roots, labels = np.unique(_root_labels(graph.n, edges), return_inverse=True)
+    components: list[list[int]] = [[] for _ in range(len(roots))]
     for v, label in enumerate(labels.tolist()):
         components[label].append(v)
     components.sort(key=lambda c: c[0])

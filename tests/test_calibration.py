@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
+from nadp import calibration
 from nadp.calibration import (
     PrivacyParams,
+    _log_phi,
     calibrate_components,
     check_dp_condition,
     classic_gaussian_sigma,
@@ -35,6 +39,56 @@ def test_phi_symmetry():
 def test_phi_against_quadrature():
     for t in np.linspace(-8.0, 8.0, 33):
         assert phi(float(t)) == pytest.approx(phi_quadrature(float(t)), abs=1e-14)
+
+
+def test_log_phi_matches_scipy_log_ndtr():
+    # both sides of each branch point: 0, where the upper tail takes over,
+    # and -37, where the asymptotic series does
+    ts = np.concatenate([
+        np.linspace(-1000.0, 100.0, 110_001),
+        [0.0, -0.0, -37.0, np.nextafter(-37.0, 0.0), np.nextafter(-37.0, -np.inf),
+         np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0), -36.5, -37.5, -1e6],
+    ])
+    ref = log_ndtr(ts)
+    got = np.array([_log_phi(float(t)) for t in ts])
+    shown = np.abs(ref) > 1e-290  # below, the value itself is subnormal or 0
+    rel = np.abs(got[shown] - ref[shown]) / np.abs(ref[shown])
+    assert rel.max() <= 1e-12
+    assert np.all(np.abs(got[~shown]) <= 1e-290)
+    assert _log_phi(0.0) == _log_phi(-0.0) == math.log(0.5)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8, 1e-5, 1e-3, 0.1, 0.5])
+def test_u_star_epsilon_zero_matches_closed_form(delta):
+    # at epsilon = 0, g(u) = erf(1/(2 sqrt(2) u)), so u* = 1/(2 sqrt(2) erfinv(delta))
+    with mpmath.workdps(40):
+        exact = 1 / (2 * mpmath.sqrt(2) * mpmath.erfinv(delta))
+        u = solve_u_star(PrivacyParams(epsilon=0.0, delta=delta))
+        assert abs(u - exact) / exact <= 1e-10
+
+
+def _solve_u_star_with_scipy(monkeypatch, eps, delta):
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "_log_phi", lambda t: float(log_ndtr(t)))
+        return solve_u_star(PrivacyParams(epsilon=eps, delta=delta))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0])
+def test_u_star_identical_to_scipy_log_ndtr(monkeypatch, eps):
+    for delta in [10.0 ** -e for e in range(2, 11)]:
+        u = solve_u_star(PrivacyParams(epsilon=eps, delta=delta))
+        assert u == _solve_u_star_with_scipy(monkeypatch, eps, delta), delta
+
+
+def test_u_star_within_one_bisection_step_of_scipy_log_ndtr(monkeypatch):
+    # where g(mid) lies within the two log Phi's rounding of delta, the last
+    # bisection steps may go different ways; they never differ by more
+    for eps in [0.01, 0.02, 0.05, 0.2, 1.0, 3.0]:
+        for delta in [10.0 ** (-e / 4) for e in range(8, 41)]:
+            params = PrivacyParams(epsilon=eps, delta=delta)
+            u = solve_u_star(params)
+            ref = _solve_u_star_with_scipy(monkeypatch, eps, delta)
+            assert abs(u - ref) <= 2 * params.tol * ref, (eps, delta)
 
 
 def test_g_limits():

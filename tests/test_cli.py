@@ -602,3 +602,47 @@ def test_commands_never_import_scipy_stats(emb_file, tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.strip().splitlines()[-1])
     assert seen == [False] + [0, False] * len(runs)
+
+
+def test_commands_never_import_scipy(emb_file, tmp_path):
+    """A fresh interpreter imports nadp and runs all seven commands without
+    loading scipy or any of its modules: the library needs numpy alone."""
+    emb = load_embeddings(emb_file)
+    (tmp_path / "pairs.tsv").write_text(
+        "".join(f"{emb.words[i]}\t{emb.words[i + 1]}\t{i % 7}\n" for i in range(0, 60, 2)),
+        encoding="utf-8",
+    )
+    common = ["--embeddings", str(emb_file), "--out-dir", str(tmp_path)]
+    graph = ["--m", "2", "--tau", "0.1"]
+    runs = [
+        ["graph", *common, *graph],
+        ["components", *common, *graph],
+        ["calibrate", *common, *graph, "--epsilon", "0.5"],
+        ["perturb", *common, *graph, "--mechanism", "nadp", "--epsilon", "1", "--seed", "1"],
+        ["eval-privacy", *common, "--perturbed", str(tmp_path / "perturbed.txt")],
+        ["eval-utility", *common, *graph, "--wordsim", str(tmp_path / "pairs.tsv"),
+         "--epsilons", "1", "--seeds", "1"],
+        ["neighbours", *common, "--perturbed", str(tmp_path / "perturbed.txt"),
+         "--words", ",".join(emb.words[:3])],
+    ]
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    script = (
+        "import json, sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import nadp\n"
+        "import nadp.cli\n"
+        "seen = [scipy_loaded()]\n"
+        f"for argv in {runs!r}:\n"
+        "    seen.append(nadp.cli.main(argv))\n"
+        "    seen.append(scipy_loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(Path(nadp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == [[]] + [0, []] * len(runs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, csgraph
 
 from nadp.components import (
     build_partition,
@@ -55,6 +56,41 @@ def test_components_independent_of_start_choice():
     expected = connected_components(graph)
     for seed in range(5):
         assert components_frontier(n, edges, np.random.default_rng(seed)) == expected
+
+
+def _scipy_partition(n, edges) -> list[list[int]]:
+    """`csgraph.connected_components`, canonicalised as the library does."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    _, labels = csgraph.connected_components(adj, directed=False)
+    members: dict[int, list[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(v)
+    return sorted(members.values(), key=lambda c: c[0])
+
+
+@pytest.mark.parametrize("edges_per_vertex", [0.1, 0.5, 1.0, 2.0, 8.0])
+def test_components_match_scipy_on_random_graphs(edges_per_vertex):
+    rng = np.random.default_rng(int(10 * edges_per_vertex))
+    n = 5000
+    pairs = rng.integers(0, n, (int(edges_per_vertex * n), 2))
+    edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
+    assert connected_components(_graph(n, edges)) == _scipy_partition(n, list(edges))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_components_match_scipy_without_edges(n):
+    assert connected_components(_graph(n, [])) == _scipy_partition(n, [])
+
+
+def test_components_match_scipy_on_a_long_shuffled_path():
+    # one component 100k hops across: min-label propagation over vertices
+    # needs a number of rounds that grows with that diameter
+    n = 100_000
+    order = np.random.default_rng(3).permutation(n)
+    edges = list(zip(order[:-1].tolist(), order[1:].tolist()))
+    got = connected_components(_graph(n, edges))
+    assert got == _scipy_partition(n, edges) == [list(range(n))]
 
 
 def test_sensitivity_singleton_is_zero():
