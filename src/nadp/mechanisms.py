@@ -276,6 +276,16 @@ def mahalanobis_noise(
     return r * (shape_sqrt @ (v / norm))
 
 
+def _mahalanobis_shape_sqrt(emb: EmbeddingSet, lambda_: float) -> np.ndarray:
+    """The square root of `covariance_shape(emb, lambda_)` the noise maps
+    its draws through."""
+    if not 0.0 <= lambda_ <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
+    if emb.n < 2:
+        raise ValueError("need at least 2 words to estimate a covariance")
+    return _sqrt_psd(covariance_shape(emb, lambda_))
+
+
 def mahalanobis_perturb(
     emb: EmbeddingSet, epsilon: float, lambda_: float, seed: int
 ) -> tuple[EmbeddingSet, PerturbationReport]:
@@ -286,12 +296,18 @@ def mahalanobis_perturb(
     the epsilon range are fixed by the benchmark protocol.
     """
     _require_finite_epsilon(epsilon)
-    if not 0.0 <= lambda_ <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
-    if emb.n < 2:
-        raise ValueError("need at least 2 words to estimate a covariance")
-    shape = covariance_shape(emb, lambda_)
-    shape_sqrt = _sqrt_psd(shape)
+    return _add_mahalanobis_noise(
+        emb, epsilon, lambda_, seed, _mahalanobis_shape_sqrt(emb, lambda_)
+    )
+
+
+def _add_mahalanobis_noise(
+    emb: EmbeddingSet,
+    epsilon: float,
+    lambda_: float,
+    seed: int,
+    shape_sqrt: np.ndarray,
+) -> tuple[EmbeddingSet, PerturbationReport]:
     return _add_noise(
         emb,
         seed,
@@ -372,7 +388,9 @@ class Perturber:
 
     The neighbour graph, component partition and density neighbour sets are
     computed lazily once, from a single kNN pass, and reused across
-    (mechanism, epsilon, seed) calls, which is what benchmark sweeps need.
+    (mechanism, epsilon, seed) calls, which is what benchmark sweeps need;
+    so is the Mahalanobis covariance square root, on the first Mahalanobis
+    call.
     """
 
     emb: EmbeddingSet
@@ -387,6 +405,7 @@ class Perturber:
     strict: bool = True
     _partition: ComponentPartition | None = field(default=None, init=False)
     _neighbour_sets: NeighbourSets | None = field(default=None, init=False)
+    _shape_sqrt: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -415,12 +434,28 @@ class Perturber:
     def density_sets(self) -> NeighbourSets:
         return self._knn.prefix(self.m_density)
 
+    @property
+    def shape_sqrt(self) -> np.ndarray:
+        """The Mahalanobis noise's covariance square root, computed on the
+        first Mahalanobis call rather than in set-up."""
+        if self._shape_sqrt is None:
+            self._shape_sqrt = _mahalanobis_shape_sqrt(self.emb, self.lambda_)
+        return self._shape_sqrt
+
     def perturb(
         self, kind: str, epsilon: float, seed: int
     ) -> tuple[EmbeddingSet, PerturbationReport]:
         if kind not in _MECHANISMS:
             raise ValueError(f"unknown mechanism {kind!r}")
         return _MECHANISMS[kind](self, epsilon, seed)
+
+
+def _perturber_mahalanobis(
+    p: Perturber, epsilon: float, seed: int
+) -> tuple[EmbeddingSet, PerturbationReport]:
+    """`mahalanobis_perturb` with the Perturber's cached square root."""
+    _require_finite_epsilon(epsilon)
+    return _add_mahalanobis_noise(p.emb, epsilon, p.lambda_, seed, p.shape_sqrt)
 
 
 # kind -> how a Perturber runs that mechanism on its shared state; the order
@@ -439,9 +474,7 @@ _MECHANISMS = {
     "laplacian": lambda p, eps, seed: laplacian_perturb(
         p.emb, eps, p.partition.global_sensitivity, seed
     ),
-    "mahalanobis": lambda p, eps, seed: mahalanobis_perturb(
-        p.emb, eps, p.lambda_, seed
-    ),
+    "mahalanobis": _perturber_mahalanobis,
     "jaccard": lambda p, eps, seed: jaccard_mechanism_perturb(
         p.emb,
         PrivacyParams(eps, p.delta),

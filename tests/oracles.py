@@ -248,3 +248,127 @@ def skewness_formula(values) -> float:
     if s == 0.0:
         return 0.0
     return n / ((n - 1) * (n - 2)) * sum(((v - mean) / s) ** 3 for v in values)
+
+
+# The per-item utility definitions, frozen as they were before the tasks
+# were batched: one cosine per pair from np.linalg.norm and np.dot, one
+# np.mean per sentence and per odd-man drop. The batched library must
+# reproduce them bit for bit. The correlations are the library's own, which
+# tests compare with scipy separately.
+
+
+def cosine_per_pair(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def word_similarity_per_pair(emb, data):
+    from nadp.utility import WordSimilarityResult, spearman
+
+    sims, ratings = [], []
+    for w1, w2, rating in data.pairs:
+        if w1 in emb and w2 in emb:
+            sims.append(cosine_per_pair(emb.vector(w1), emb.vector(w2)))
+            ratings.append(rating)
+    if len(sims) < 2:
+        raise ValueError(
+            f"need at least 2 scorable pairs, got {len(sims)} of {len(data.pairs)}"
+        )
+    rho = spearman(sims, ratings)
+    return WordSimilarityResult(
+        spearman=rho, scorable=len(sims), total=len(data.pairs)
+    )
+
+
+def sentence_centroid_per_sentence(emb, tokens):
+    vecs = [emb.vector(t) for t in tokens if t in emb]
+    if not vecs:
+        return None
+    return np.mean(vecs, axis=0)
+
+
+def sts_per_pair(emb, data):
+    from nadp.utility import STSResult, pearson, spearman
+
+    sims, ratings, dropped = [], [], 0
+    for s1, s2, rating in data.pairs:
+        c1 = sentence_centroid_per_sentence(emb, s1)
+        c2 = sentence_centroid_per_sentence(emb, s2)
+        if c1 is None or c2 is None:
+            dropped += 1
+            continue
+        sims.append(cosine_per_pair(c1, c2))
+        ratings.append(rating)
+    if len(sims) < 2:
+        raise ValueError(
+            f"need at least 2 scorable pairs, got {len(sims)} of {len(data.pairs)}"
+        )
+    rho = spearman(sims, ratings)
+    r = pearson(sims, ratings)
+    prod = rho * r
+    combined = math.sqrt(prod) if prod >= 0.0 else float("nan")
+    return STSResult(
+        spearman=rho,
+        pearson=r,
+        combined=combined,
+        scorable=len(sims),
+        dropped=dropped,
+        total=len(data.pairs),
+    )
+
+
+def first_best_scan(scores) -> tuple[int, bool]:
+    """The odd-man pick: the first score strictly above the best so far,
+    starting from -inf, and whether a later score equals it."""
+    best_idx, best_score, tie = 0, -math.inf, False
+    for drop, score in enumerate(scores):
+        if score > best_score:
+            best_idx, best_score, tie = drop, score, False
+        elif score == best_score:
+            tie = True
+    return best_idx, tie
+
+
+def odd_man_out_per_drop(emb, tokens) -> tuple[str, bool]:
+    if len(tokens) < 3:
+        raise ValueError(f"need at least 3 tokens, got {len(tokens)}")
+    missing = [t for t in tokens if t not in emb]
+    if missing:
+        raise KeyError(f"tokens not in vocabulary: {missing}")
+    vecs = [emb.vector(t) for t in tokens]
+    n = len(vecs)
+    cos = {
+        (i, j): cosine_per_pair(vecs[i], vecs[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    scores = [
+        float(np.mean([c for (i, j), c in cos.items() if drop not in (i, j)]))
+        for drop in range(n)
+    ]
+    best_idx, tie = first_best_scan(scores)
+    return tokens[best_idx], tie
+
+
+def odd_man_per_instance(emb, data):
+    from nadp.utility import OddManResult
+
+    correct = evaluated = skipped = 0
+    for tokens, gold in data.instances:
+        if any(t not in emb for t in tokens):
+            skipped += 1
+            continue
+        predicted, _ = odd_man_out_per_drop(emb, tokens)
+        evaluated += 1
+        if predicted == gold:
+            correct += 1
+    if evaluated == 0:
+        raise ValueError("no fully in-vocabulary instances to evaluate")
+    return OddManResult(
+        accuracy=correct / evaluated,
+        correct=correct,
+        evaluated=evaluated,
+        skipped=skipped,
+    )

@@ -447,3 +447,31 @@ def test_perturber_partition_matches_a_fresh_graph(m_density):
     assert perturber.density_sets.m == m_density
     assert np.array_equal(perturber.density_sets.indices, dense.indices)
     assert np.array_equal(perturber.density_sets.distances, dense.distances)
+
+
+def test_perturber_computes_the_mahalanobis_square_root_once(monkeypatch):
+    # the Perturber keeps the covariance square root after its first
+    # Mahalanobis call; every cell still equals a direct call, which
+    # computes its own
+    import nadp.mechanisms as mechanisms
+
+    emb = random_embeddings(30, 5, seed=22)
+    direct = [mahalanobis_perturb(emb, eps, 0.7, seed=9) for eps in (1.0, 5.0)]
+    calls = []
+
+    def counted(mat):
+        calls.append(1)
+        return _sqrt_psd(mat)
+
+    monkeypatch.setattr(mechanisms, "_sqrt_psd", counted)
+    perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, lambda_=0.7, m_density=3)
+    perturber.partition
+    perturber.density_sets
+    assert calls == []  # set-up does not compute it
+    for eps, (out, report) in zip((1.0, 5.0), direct):
+        cell, cell_report = perturber.perturb("mahalanobis", eps, seed=9)
+        assert cell.vectors.tobytes() == out.vectors.tobytes()
+        assert cell_report == report
+    assert calls == [1]
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        perturber.perturb("mahalanobis", math.inf, seed=9)
