@@ -206,7 +206,7 @@ def cmd_graph(params: dict, out_dir: Path) -> list[str]:
     emb = _load_set(params)
     graph = _build_graph(params, emb)
     _write_json(out_dir / "graph.json", graph_report(graph, emb))
-    print(f"graph: n={graph.n} edges={len(graph.edges)} m={graph.m} tau={graph.tau}")
+    print(f"graph: n={graph.n} edges={len(graph.pairs)} m={graph.m} tau={graph.tau}")
     return ["graph.json"]
 
 

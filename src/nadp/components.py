@@ -6,6 +6,12 @@ from the component's own worst neighbouring pair, so dense neighbourhoods
 receive less noise than sparse ones. A singleton component has sensitivity 0
 (the only neighbouring pair is the trivial one of a word with itself) and its
 words are left unperturbed downstream.
+
+Both steps read the graph's one edge array, `NeighbourGraph.pairs` ((E, 2)
+int64 rows (i, j), i < j, sorted and unique). Edge lengths are gathered in
+runs of whole edges whose gathered rows fit `utility._GATHER_BYTES` (1 MiB),
+so beyond the pairs and one component id per edge end, the sensitivity pass
+holds no (E, d) array.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .graph import NeighbourGraph
+from .utility import _chunks, _dots
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +85,12 @@ def connected_components(graph: NeighbourGraph) -> list[list[int]]:
     each component, so the output does not depend on how components are
     labelled. Isolated vertices form singleton components.
     """
-    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-    roots, labels = np.unique(_root_labels(graph.n, edges), return_inverse=True)
-    components: list[list[int]] = [[] for _ in range(len(roots))]
-    for v, label in enumerate(labels.tolist()):
-        components[label].append(v)
-    components.sort(key=lambda c: c[0])
-    return components
+    labels = _root_labels(graph.n, graph.pairs)
+    # labels are smallest members, so ascending labels are canonical order
+    # and a stable sort keeps each component's members ascending
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.unique(labels, return_counts=True)[1]).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def sensitivities(
@@ -112,19 +118,22 @@ def sensitivities(
             assignment[v] = cid
     if np.any(assignment < 0):
         raise ValueError("components do not cover every word index")
+    i, j = graph.pairs[:, 0], graph.pairs[:, 1]
+    ci, cj = assignment[i], assignment[j]
+    crossing = np.flatnonzero(ci != cj)
+    if len(crossing):
+        e = crossing[0]  # the first crossing edge in (i, j) order
+        raise ValueError(
+            f"edge ({i[e]}, {j[e]}) crosses components {ci[e]} and {cj[e]}; "
+            "partition does not belong to this graph"
+        )
+    # each length is sqrt of one BLAS dot, as np.linalg.norm takes it
     local = np.zeros(len(components), dtype=np.float64)
-    edge_counts = np.zeros(len(components), dtype=np.int64)
-    for i, j in graph.edges:
-        ci, cj = assignment[i], assignment[j]
-        if ci != cj:
-            raise ValueError(
-                f"edge ({i}, {j}) crosses components {ci} and {cj}; "
-                "partition does not belong to this graph"
-            )
-        length = float(np.linalg.norm(emb.vectors[i] - emb.vectors[j]))
-        edge_counts[ci] += 1
-        if length > local[ci]:
-            local[ci] = length
+    x = emb.vectors
+    for run in _chunks(len(i), 2 * 8 * emb.d):
+        diff = x[i[run]]
+        diff -= x[j[run]]
+        np.maximum.at(local, ci[run], np.sqrt(_dots(diff, diff)))
     for cid, comp in enumerate(components):
         if len(comp) > 1 and local[cid] == 0.0:
             warnings.warn(

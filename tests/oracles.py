@@ -372,3 +372,55 @@ def odd_man_per_instance(emb, data):
         evaluated=evaluated,
         skipped=skipped,
     )
+
+
+# The set-based graph code, frozen as it was before the graph became one
+# sorted (E, 2) edge array: edges collected into a Python set of tuples,
+# components grouped by a per-vertex append loop and a sort, and each local
+# sensitivity a running maximum of one np.linalg.norm per edge. The array
+# code must reproduce them exactly. Root labelling is the library's own,
+# which tests compare with scipy and a DFS separately.
+
+
+def build_graph_edge_set(
+    indices: np.ndarray, tau: float
+) -> frozenset[tuple[int, int]]:
+    """The edges of the top-k rows `indices` at threshold tau: each word
+    paired with each of its neighbours, kept when the two rows' Jaccard
+    similarity reaches tau, as (min, max) tuples in a set."""
+    k = indices.shape[1]
+    edges: set[tuple[int, int]] = set()
+    for column in indices.T:
+        inter = (indices[:, :, None] == indices[column][:, None, :]).sum(axis=(1, 2))
+        i = np.flatnonzero(inter / (2 * k - inter) >= tau)
+        j = column[i]
+        edges.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    return frozenset(edges)
+
+
+def components_by_append(n: int, edges) -> list[list[int]]:
+    """Root labels grouped by one append per vertex, then sorted by each
+    component's smallest member."""
+    from nadp.components import _root_labels
+
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    roots, labels = np.unique(_root_labels(n, pairs), return_inverse=True)
+    components: list[list[int]] = [[] for _ in range(len(roots))]
+    for v, label in enumerate(labels.tolist()):
+        components[label].append(v)
+    components.sort(key=lambda c: c[0])
+    return components
+
+
+def sensitivities_per_edge(components, edges, vectors: np.ndarray) -> np.ndarray:
+    """Each component's largest edge length, one np.linalg.norm per edge."""
+    assignment = {v: cid for cid, comp in enumerate(components) for v in comp}
+    local = np.zeros(len(components), dtype=np.float64)
+    for i, j in edges:
+        ci, cj = assignment[i], assignment[j]
+        if ci != cj:
+            raise ValueError(f"edge ({i}, {j}) crosses components {ci} and {cj}")
+        length = float(np.linalg.norm(vectors[i] - vectors[j]))
+        if length > local[ci]:
+            local[ci] = length
+    return local

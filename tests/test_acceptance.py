@@ -182,7 +182,12 @@ def test_criterion_4_oracle_equivalence():
             for a, b in rng.integers(0, n, (k, 2))
             if a < b
         }
-        graph = NeighbourGraph(n=n, edges=frozenset(pairs), m=2, tau=0.0)
+        graph = NeighbourGraph(
+            n=n,
+            pairs=np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2),
+            m=2,
+            tau=0.0,
+        )
         ok &= connected_components(graph) == components_dfs(n, pairs)
 
     # correlations against longhand rank arithmetic

@@ -16,8 +16,9 @@ from synth import random_embeddings
 
 
 def _graph(n, edges, m=2, tau=0.0) -> NeighbourGraph:
-    pairs = frozenset(tuple(sorted(e)) for e in edges)
-    return NeighbourGraph(n=n, edges=pairs, m=m, tau=tau)
+    pairs = sorted({tuple(sorted(e)) for e in edges})
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return NeighbourGraph(n=n, pairs=pairs, m=m, tau=tau)
 
 
 def test_triangle_single_component():
@@ -129,6 +130,18 @@ def test_sensitivity_mismatched_partition_rejected():
         sensitivities([[0], [1], [2]], graph, emb)
     with pytest.raises(ValueError, match="vertices"):
         sensitivities([[0, 1]], graph, EmbeddingSet(("a", "b"), np.eye(2)))
+
+
+def test_sensitivity_names_the_first_crossing_edge():
+    # both edges cross; the message names the first in (i, j) order
+    emb = EmbeddingSet(("a", "b", "c", "d"), np.arange(4.0)[:, None])
+    graph = _graph(4, [(1, 2), (0, 3)])
+    with pytest.raises(ValueError) as err:
+        sensitivities([[0, 1], [2, 3]], graph, emb)
+    assert str(err.value) == (
+        "edge (0, 3) crosses components 0 and 1; "
+        "partition does not belong to this graph"
+    )
 
 
 def test_zero_sensitivity_multiword_component_warns():

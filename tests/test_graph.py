@@ -203,6 +203,56 @@ def test_graph_params_recorded():
     assert isinstance(graph, NeighbourGraph)
 
 
+@pytest.mark.parametrize("m, tau", [(1, 0.0), (3, 0.0), (3, 0.2), (5, 0.1)])
+def test_build_graph_pairs_are_sorted_unique_int64(m, tau):
+    graph = build_graph(clustered_embeddings(120, 5, 6, seed=m), m=m, tau=tau)
+    pairs = graph.pairs
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert len(pairs) > 0 and (pairs[:, 0] < pairs[:, 1]).all()
+    keys = pairs[:, 0] * graph.n + pairs[:, 1]
+    assert (np.diff(keys) > 0).all()
+    assert graph.edges == {tuple(row) for row in pairs.tolist()}
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[0, 1], [2, 2]], "0 <= i < j < n"),  # self-loop
+        ([[0, 1], [3, 2]], "0 <= i < j < n"),  # j < i
+        ([[0, 4]], "0 <= i < j < n"),  # j >= n
+        ([[-1, 2]], "0 <= i < j < n"),  # i < 0
+        ([[0, 1], [0, 1]], "sorted and unique"),  # a duplicate pair
+        ([[0, 2], [0, 1]], "sorted and unique"),  # unsorted
+        ([[1, 2], [0, 3]], "sorted and unique"),  # unsorted first column
+    ],
+)
+def test_neighbour_graph_rejects_invalid_pairs(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        NeighbourGraph(n=4, pairs=np.array(pairs, dtype=np.int64), m=2, tau=0.0)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        np.array([0, 1], dtype=np.int64),  # one dimension
+        np.array([[0, 1, 2]], dtype=np.int64),  # three columns
+        np.zeros((0,), dtype=np.int64),
+        np.array([[0, 1]], dtype=np.int32),
+        np.array([[0.0, 1.0]]),
+        [[0, 1]],  # not an array
+    ],
+)
+def test_neighbour_graph_rejects_a_wrong_shape_or_type(pairs):
+    with pytest.raises(ValueError, match=r"\(E, 2\) int64 array"):
+        NeighbourGraph(n=4, pairs=pairs, m=2, tau=0.0)
+
+
+def test_neighbour_graph_accepts_no_edges():
+    graph = NeighbourGraph(n=3, pairs=np.zeros((0, 2), dtype=np.int64), m=2, tau=0.5)
+    assert graph.edges == frozenset()
+    assert graph.adjacency() == [[], [], []]
+
+
 def test_rank_queries_matches_knn_rows():
     emb = random_embeddings(40, 6, seed=23)
     ns = knn(emb, 4)
