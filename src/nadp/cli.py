@@ -26,7 +26,7 @@ from .calibration import (
     classic_gaussian_sigma,
 )
 from .components import build_partition, partition_report
-from .embeddings import EmbeddingSet, check_precision, load_embeddings, save_embeddings
+from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from .graph import (
     DEFAULT_M,
     DEFAULT_TAU,
@@ -94,6 +94,19 @@ _PARAMS = {
 }
 _DEFAULTS = {key: default for key, (_, _, default, _) in _PARAMS.items()}
 
+# key -> (the name its range error gives it, its domain). Where the library
+# checks the value under that name, both errors read the same; None names
+# the flag.
+_DOMAINS = {
+    "limit": ("limit", ">= 1"), "m": ("m", ">= 1"), "m_density": ("m_density", ">= 1"),
+    "precision": ("precision", ">= 1"), "repeats": (None, ">= 1"), "k": (None, ">= 1"),
+    "m_eval": (None, ">= 1"), "tau": ("tau", "in [0, 1]"),
+    "lambda_": ("lambda", "in [0, 1]"), "delta": ("delta", "in (0, 1)"),
+    "eta0": ("eta0", "> 0"), "alpha1": ("alpha1", "> 0"), "alpha2": ("alpha2", "> 0"),
+}
+_IN_DOMAIN = {">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
+              "in (0, 1)": lambda v: 0 < v < 1, "> 0": lambda v: v > 0}
+
 
 def _sha256(path: str | Path) -> str:
     h = hashlib.sha256()
@@ -131,20 +144,19 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _require(params: dict, *keys: str) -> None:
+def _check_params(params: dict, keys: tuple, required: tuple) -> None:
+    """Name the first of `keys` that is required and missing, or outside its domain."""
     for key in keys:
-        if params[key] is None:
-            raise ValueError(f"--{key.replace('_', '-')} is required")
-
-
-def _require_positive(params: dict, *keys: str) -> None:
-    for key in keys:
-        if params[key] < 1:
-            raise ValueError(f"{_PARAMS[key][0]} must be >= 1, got {params[key]}")
+        flag, kind, _, _ = _PARAMS[key]
+        name, domain = _DOMAINS.get(key, (None, None))
+        if params[key] is None and key in required:
+            choices = f" (one of {kind})" if isinstance(kind, tuple) else ""
+            raise ValueError(f"{flag} is required{choices}")
+        if params[key] is not None and domain and not _IN_DOMAIN[domain](params[key]):
+            raise ValueError(f"{name or flag} must be {domain}, got {params[key]}")
 
 
 def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
-    _require(params, key)
     path = params[key]
     word_filter = None
     if key == "embeddings" and params.get("vocab_file"):
@@ -225,7 +237,6 @@ def cmd_components(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
-    _require(params, "epsilon")
     emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
     graph = _build_graph(params, emb)
@@ -261,11 +272,6 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
-    # every argument check comes before the load and the mechanism
-    check_precision(params["precision"])
-    if params["mechanism"] is None:
-        raise ValueError(f"--mechanism is required (one of {MECHANISM_KINDS})")
-    _require(params, "epsilon")
     emb = _load_set(params)
     seed = _resolve_seed(params)
     perturbed, report = _perturber(params, emb).perturb(
@@ -288,8 +294,6 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_eval_privacy(params: dict, out_dir: Path) -> list[str]:
-    _require(params, "embeddings", "perturbed")
-    _require_positive(params, "m_eval")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     report = privacy_report(original, perturbed, m=params["m_eval"])
@@ -337,7 +341,6 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
     if seeds == []:
         raise ValueError("--seeds must list at least one seed")
     if seeds is None:
-        _require_positive(params, "repeats")
         base = _resolve_seed(params)
         seeds = [base + i for i in range(params["repeats"])]
     params["seeds"] = seeds
@@ -384,11 +387,9 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
-    _require(params, "embeddings", "perturbed")
     words = _parse_list(params, "words", str)
     if not words:
         raise ValueError("--words is required (comma-separated list)")
-    _require_positive(params, "k")
     original = _load_set(params)
     perturbed = _load_set(params, key="perturbed")
     if original.words != perturbed.words:
@@ -438,23 +439,26 @@ _COMMON = ("embeddings", "limit", "vocab_file")
 _GRAPH = (*_COMMON, "m", "tau")
 _MECHANISM = (*_GRAPH, "delta", "lambda_", "eta0", "alpha1", "alpha2", "m_density",
               "allow_unproven_epsilon")
+_EMB = ("embeddings",)
 
-# command -> (function, help, the parameter keys it takes as flags)
+# command -> (function, help, the parameter keys it takes as flags, the keys
+# of those it requires)
 _COMMANDS = {
-    "graph": (cmd_graph, "build the nearest-neighbour graph", _GRAPH),
-    "components": (cmd_components, "factorise the graph into neighbourhoods", _GRAPH),
+    "graph": (cmd_graph, "build the nearest-neighbour graph", _GRAPH, _EMB),
+    "components": (cmd_components, "factorise the graph into neighbourhoods", _GRAPH,
+                   _EMB),
     "calibrate": (cmd_calibrate, "solve the minimal noise multiplier",
-                  (*_GRAPH, "epsilon", "delta")),
+                  (*_GRAPH, "epsilon", "delta"), (*_EMB, "epsilon")),
     "perturb": (cmd_perturb, "apply a DP mechanism to the embeddings",
                 (*_MECHANISM, "mechanism", "epsilon", "seed", "output", "report",
-                 "precision")),
+                 "precision"), (*_EMB, "mechanism", "epsilon")),
     "eval-privacy": (cmd_eval_privacy, "neighbour-overlap privacy report",
-                     (*_COMMON, "perturbed", "m_eval")),
+                     (*_COMMON, "perturbed", "m_eval"), (*_EMB, "perturbed")),
     "eval-utility": (cmd_eval_utility, "utility sweep over mechanisms",
                      (*_MECHANISM, "wordsim", "sts", "oddman", "mechanisms",
-                      "epsilons", "seeds", "repeats", "seed")),
+                      "epsilons", "seeds", "repeats", "seed"), _EMB),
     "neighbours": (cmd_neighbours, "inspect clean vs perturbed neighbours",
-                   (*_COMMON, "perturbed", "words", "k")),
+                   (*_COMMON, "perturbed", "words", "k"), (*_EMB, "perturbed")),
 }
 
 
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, keys) in _COMMANDS.items():
+    for name, (_, summary, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="manifest file to replay parameters from")
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
@@ -490,7 +494,9 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command][0](params, out_dir)
+        command, _, keys, required = _COMMANDS[args.command]
+        _check_params(params, keys, required)  # before any command reads a file
+        outputs = command(params, out_dir)
         manifest = {
             "command": args.command,
             "version": __version__,

@@ -450,40 +450,55 @@ class Perturber:
         return _MECHANISMS[kind](self, epsilon, seed)
 
 
-def _perturber_mahalanobis(
-    p: Perturber, epsilon: float, seed: int
-) -> tuple[EmbeddingSet, PerturbationReport]:
+def _perturber_nadp(p: Perturber, epsilon: float, seed: int):
+    privacy = PrivacyParams(epsilon, p.delta)
+    return nadp_perturb(p.emb, p.partition, privacy, seed)
+
+
+def _classic_privacy(p: Perturber, epsilon: float, kind: str) -> PrivacyParams:
+    """The checks of epsilon the closed-form mechanisms make, in their order."""
+    privacy = PrivacyParams(epsilon, p.delta)
+    _require_proven_range(epsilon, p.strict, kind)
+    classic_sigma_formula(epsilon, p.delta, 0.0)  # epsilon > 0 when not strict
+    return privacy
+
+
+def _perturber_gaussian(p: Perturber, epsilon: float, seed: int):
+    privacy = _classic_privacy(p, epsilon, "gaussian")
+    return gaussian_perturb(
+        p.emb, privacy, p.partition.global_sensitivity, seed, strict=p.strict
+    )
+
+
+def _perturber_laplacian(p: Perturber, epsilon: float, seed: int):
+    _require_finite_epsilon(epsilon)
+    return laplacian_perturb(p.emb, epsilon, p.partition.global_sensitivity, seed)
+
+
+def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
     """`mahalanobis_perturb` with the Perturber's cached square root."""
     _require_finite_epsilon(epsilon)
     return _add_mahalanobis_noise(p.emb, epsilon, p.lambda_, seed, p.shape_sqrt)
 
 
+def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
+    privacy = _classic_privacy(p, epsilon, "jaccard")
+    return jaccard_mechanism_perturb(
+        p.emb, privacy, p.density_sets, p.eta0, p.alpha1, p.alpha2, seed,
+        strict=p.strict,
+    )
+
+
 # kind -> how a Perturber runs that mechanism on its shared state; the order
-# is the order in which the CLI lists the kinds
+# is the order in which the CLI lists the kinds. Each runner makes its
+# mechanism's checks of epsilon before it touches the shared kNN, so a
+# rejected epsilon costs no kNN; the mechanism then checks again, with the
+# same messages.
 _MECHANISMS = {
-    "nadp": lambda p, eps, seed: nadp_perturb(
-        p.emb, p.partition, PrivacyParams(eps, p.delta), seed
-    ),
-    "gaussian": lambda p, eps, seed: gaussian_perturb(
-        p.emb,
-        PrivacyParams(eps, p.delta),
-        p.partition.global_sensitivity,
-        seed,
-        strict=p.strict,
-    ),
-    "laplacian": lambda p, eps, seed: laplacian_perturb(
-        p.emb, eps, p.partition.global_sensitivity, seed
-    ),
+    "nadp": _perturber_nadp,
+    "gaussian": _perturber_gaussian,
+    "laplacian": _perturber_laplacian,
     "mahalanobis": _perturber_mahalanobis,
-    "jaccard": lambda p, eps, seed: jaccard_mechanism_perturb(
-        p.emb,
-        PrivacyParams(eps, p.delta),
-        p.density_sets,
-        p.eta0,
-        p.alpha1,
-        p.alpha2,
-        seed,
-        strict=p.strict,
-    ),
+    "jaccard": _perturber_jaccard,
 }
 MECHANISM_KINDS = tuple(_MECHANISMS)

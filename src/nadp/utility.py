@@ -259,7 +259,8 @@ def _centroids(x: np.ndarray, sentences: list[list[int]]) -> np.ndarray:
     sentences of one length t at once over (sentences, t, d) gathers."""
     lengths = np.array([len(rows) for rows in sentences])
     out = np.empty((len(sentences), x.shape[1]))
-    for t in np.unique(lengths):
+    # a plain np.unique would import numpy.ma (1.3 MB) on numpy 2.4
+    for t in sorted(set(lengths.tolist())):
         which = np.flatnonzero(lengths == t)
         rows = np.array([sentences[k] for k in which])
         for part in _chunks(len(which), 8 * t * x.shape[1]):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,9 +12,10 @@ import pytest
 
 import nadp
 from nadp import cli, mechanisms
+from nadp.calibration import PrivacyParams
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
-from nadp.graph import DEFAULT_M, DEFAULT_TAU, rank_queries
+from nadp.graph import DEFAULT_M, DEFAULT_TAU, build_graph, knn, rank_queries
 from nadp.mechanisms import (
     DEFAULT_ALPHA1,
     DEFAULT_ALPHA2,
@@ -22,8 +24,10 @@ from nadp.mechanisms import (
     DEFAULT_M_DENSITY,
     MECHANISM_KINDS,
     Perturber,
+    jaccard_mechanism_perturb,
+    mahalanobis_perturb,
 )
-from nadp.privacy import DEFAULT_EVAL_M
+from nadp.privacy import DEFAULT_EVAL_M, privacy_report
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
@@ -222,12 +226,34 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
          "-k must be >= 1, got 0"),
         ("eval-privacy", ("--perturbed", "noisy.txt", "--m-eval", 0),
          "--m-eval must be >= 1, got 0"),
+        *[
+            ("perturb", ("--mechanism", "nadp", "--epsilon", 1.0, flag, value), message)
+            for flag, value, message in [
+                ("--m", 0, "m must be >= 1, got 0"),
+                ("--m-density", 0, "m_density must be >= 1, got 0"),
+                ("--tau", 2, "tau must be in [0, 1], got 2.0"),
+                ("--delta", 2, "delta must be in (0, 1), got 2.0"),
+                ("--lambda", 2, "lambda must be in [0, 1], got 2.0"),
+                ("--eta0", -1, "eta0 must be > 0, got -1.0"),
+                ("--alpha1", 0, "alpha1 must be > 0, got 0.0"),
+                ("--alpha2", -1, "alpha2 must be > 0, got -1.0"),
+                ("--limit", 0, "limit must be >= 1, got 0"),
+            ]
+        ],
+        ("graph", ("--m", 0), "m must be >= 1, got 0"),
+        ("components", ("--m", 0), "m must be >= 1, got 0"),
+        ("calibrate", ("--epsilon", 1.0, "--m", 0), "m must be >= 1, got 0"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--m", 0),
+         "m must be >= 1, got 0"),
     ],
     ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
          "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
          "eval-privacy-perturbed", "neighbours-perturbed", "neighbours-words",
          "eval-utility-repeats-0", "eval-utility-repeats-negative",
-         "eval-utility-seeds-empty", "neighbours-k", "eval-privacy-m-eval"],
+         "eval-utility-seeds-empty", "neighbours-k", "eval-privacy-m-eval",
+         "perturb-m", "perturb-m-density", "perturb-tau", "perturb-delta",
+         "perturb-lambda", "perturb-eta0", "perturb-alpha1", "perturb-alpha2",
+         "perturb-limit", "graph-m", "components-m", "calibrate-m", "eval-utility-m"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message
@@ -240,6 +266,85 @@ def test_missing_argument_fails_before_any_work(
     assert _run(command, "--embeddings", emb_file, *flags, "--out-dir", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def test_replayed_manifest_out_of_domain_fails_before_any_load(
+    emb_file, tmp_path, capsys, monkeypatch
+):
+    first = tmp_path / "first"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 1.0, "--seed", 33, "--out-dir", first) == 0
+    manifest = json.loads((first / "perturb_manifest.json").read_text())
+    manifest["parameters"]["lambda_"] = 2.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the manifest's parameters were checked")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("perturb", "--config", edited, "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: lambda must be in [0, 1], got 2.0\n"
+    assert list(out.iterdir()) == []
+
+
+def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path):
+    """Each `cli._DOMAINS` row the library also checks: the library call
+    rejects the values just outside the domain and takes those just inside
+    it, and where the row names the value as the library does, the two
+    errors read the same."""
+    emb = load_embeddings(emb_file)
+    ns = knn(emb, 2)
+    knobs = {"eta0": DEFAULT_ETA0, "alpha1": DEFAULT_ALPHA1, "alpha2": DEFAULT_ALPHA2}
+
+    def jaccard(key):
+        return lambda v: jaccard_mechanism_perturb(
+            emb, PrivacyParams(0.5, 0.1), ns, **{**knobs, key: v}, seed=0
+        )
+
+    library = {
+        "limit": [lambda v: load_embeddings(emb_file, limit=v)],
+        "m": [lambda v: Perturber(emb, delta=0.1, m=v),
+              lambda v: build_graph(emb, v, 0.1)],
+        "m_density": [lambda v: Perturber(emb, delta=0.1, m_density=v)],
+        "precision": [lambda v: save_embeddings(emb, tmp_path / "e.txt", precision=v)],
+        "tau": [lambda v: build_graph(emb, 2, v)],
+        "delta": [lambda v: PrivacyParams(0.5, v)],
+        "lambda_": [lambda v: mahalanobis_perturb(emb, 1.0, v, seed=0)],
+        "eta0": [jaccard("eta0")],
+        "alpha1": [jaccard("alpha1")],
+        "alpha2": [jaccard("alpha2")],
+        "m_eval": [lambda v: privacy_report(emb, emb, m=v)],
+        "k": [lambda v: rank_queries(emb, emb.vectors, v)],
+    }
+    same_message = {"m", "m_density", "precision", "tau", "delta", "lambda_", "eta0"}
+    # domain -> (values just outside it, values just inside it)
+    edges = {
+        ">= 1": ([0, -1], [1]),
+        "in [0, 1]": ([math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), math.nan],
+                      [0.0, 1.0]),
+        "in (0, 1)": ([0.0, 1.0, math.nan],
+                      [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]),
+        "> 0": ([0.0, -1.0, math.nan], [math.nextafter(0.0, 1.0)]),
+    }
+    # --repeats alone is checked by the command line only
+    assert set(cli._DOMAINS) - set(library) == {"repeats"}
+    for key, calls in library.items():
+        outside, inside = edges[cli._DOMAINS[key][1]]
+        for value in outside:
+            with pytest.raises(ValueError) as cli_error:
+                cli._check_params({key: value}, (key,), ())
+            for call in calls:
+                with pytest.raises(ValueError) as library_error:
+                    call(value)
+                if key in same_message:
+                    assert str(library_error.value) == str(cli_error.value)
+        for value in inside:
+            cli._check_params({key: value}, (key,), ())
+            for call in calls:
+                call(value)
 
 
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nadp import mechanisms
 from nadp.calibration import PrivacyParams
 from nadp.components import build_partition
 from nadp.embeddings import EmbeddingSet
@@ -11,6 +12,7 @@ from nadp.mechanisms import (
     DEFAULT_ALPHA1,
     DEFAULT_ALPHA2,
     DEFAULT_ETA0,
+    MECHANISM_KINDS,
     Perturber,
     _sqrt_psd,
     covariance_shape,
@@ -336,6 +338,37 @@ def test_laplacian_and_mahalanobis_need_a_finite_epsilon(epsilon):
         laplacian_perturb(emb, epsilon, 1.0, seed=0)
     with pytest.raises(ValueError, match=message):
         mahalanobis_perturb(emb, epsilon, 1.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kind, epsilon, strict",
+    [(kind, eps, True) for kind in MECHANISM_KINDS
+     for eps in (math.inf, -1.0, math.nan)]
+    + [(kind, eps, strict) for kind in ("gaussian", "jaccard")
+       for eps, strict in ((2.0, True), (0.0, False))],
+)
+def test_perturber_rejects_a_bad_epsilon_before_the_knn(
+    monkeypatch, kind, epsilon, strict
+):
+    # the shared kNN costs O(n^2 d); an epsilon the mechanism rejects must
+    # not pay for it, and the error is the mechanism's own
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran the kNN before epsilon was checked")
+
+    monkeypatch.setattr(mechanisms, "knn", must_not_run)
+    perturber = Perturber(random_embeddings(6, 3, seed=14), delta=0.1, m=2, tau=0.1,
+                          strict=strict)
+    if epsilon == 2.0:  # outside the range proven under strict=True
+        message = f"the {kind} mechanism's closed-form calibration is proven only"
+    elif epsilon == 0.0:  # the closed form divides by epsilon
+        message = "epsilon must be > 0, got 0.0"
+    elif kind in ("laplacian", "mahalanobis"):
+        message = f"epsilon must be finite and > 0, got {epsilon}"
+    else:
+        message = f"epsilon must be finite and >= 0, got {epsilon}"
+    with pytest.raises(ValueError) as error:
+        perturber.perturb(kind, epsilon, seed=0)
+    assert str(error.value).startswith(message)
 
 
 @pytest.mark.parametrize(

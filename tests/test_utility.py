@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nadp
 from nadp.embeddings import EmbeddingSet
 from nadp.utility import (
     OddManDataset,
@@ -232,6 +238,35 @@ def test_sts_hand_computed_pairs(toy_emb):
     assert result.spearman == pytest.approx(sp, abs=1e-12)
     assert result.pearson == pytest.approx(pe, abs=1e-12)
     assert result.combined == pytest.approx(math.sqrt(sp * pe), abs=1e-12)
+
+
+def test_sts_eval_does_not_import_numpy_ma():
+    """A plain `np.unique` imports numpy.ma on numpy 2.4, ~20 ms and 1.3 MB
+    once per process; grouping the sentences by length needs none of it."""
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from nadp.embeddings import EmbeddingSet\n"
+        "from nadp.utility import SentencePairDataset, sts_eval\n"
+        "loaded = ['numpy.ma' in sys.modules]\n"
+        "vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])\n"
+        "emb = EmbeddingSet(('a', 'b', 'c'), vectors)\n"
+        "pairs = ((('a',), ('b', 'c'), 1.0), (('a', 'b'), ('c',), 2.0),\n"
+        "         (('b',), ('a', 'c', 'c'), 3.0))\n"
+        "sts_eval(emb, SentencePairDataset('tiny', pairs))\n"
+        "loaded.append('numpy.ma' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = str(Path(nadp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout.strip().splitlines()[-1])
+    if before:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert not after
 
 
 def test_sts_drops_out_of_vocabulary_sentences(toy_emb):
