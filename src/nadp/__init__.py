@@ -30,7 +30,6 @@ from .graph import (
     NeighbourGraph,
     NeighbourSets,
     build_graph,
-    jaccard,
     knn,
     rank_queries,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "connected_components",
     "g",
     "gaussian_perturb",
-    "jaccard",
     "jaccard_mechanism_perturb",
     "knn",
     "laplacian_perturb",

@@ -54,6 +54,12 @@ from .utility import (
     utility_suite,
 )
 
+
+def _csv(text: str) -> str:
+    """The type of a comma-separated list flag; a manifest may hold a list."""
+    return text
+
+
 # One row per manifest parameter: key -> (flag, type, default, help). The
 # type is an argparse type, a tuple of choices, or `bool` for a switch. Every
 # flag parses to None when absent, so `_resolve_params` can tell a flag given
@@ -85,11 +91,11 @@ _PARAMS = {
     "wordsim": ("--wordsim", str, None, "word-pair similarity TSV"),
     "sts": ("--sts", str, None, "sentence-pair TSV"),
     "oddman": ("--oddman", str, None, "odd-man-out TSV"),
-    "mechanisms": ("--mechanisms", str, None, "comma-separated mechanism list"),
-    "epsilons": ("--epsilons", str, None, "comma-separated epsilon grid"),
-    "seeds": ("--seeds", str, None, "comma-separated seed list"),
+    "mechanisms": ("--mechanisms", _csv, None, "comma-separated mechanism list"),
+    "epsilons": ("--epsilons", _csv, None, "comma-separated epsilon grid"),
+    "seeds": ("--seeds", _csv, None, "comma-separated seed list"),
     "repeats": ("--repeats", int, 5, "seeds drawn when --seeds absent"),
-    "words": ("--words", str, None, "comma-separated query words"),
+    "words": ("--words", _csv, None, "comma-separated query words"),
     "k": ("-k", int, 3, "neighbours listed per word"),
 }
 _DEFAULTS = {key: default for key, (_, _, default, _) in _PARAMS.items()}
@@ -106,6 +112,10 @@ _DOMAINS = {
 }
 _IN_DOMAIN = {">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
               "in (0, 1)": lambda v: 0 < v < 1, "> 0": lambda v: v > 0}
+# type -> how a type error names it, and the Python types its values may have
+_KINDS = {int: ("an int", int), float: ("a number", (int, float)),
+          str: ("a string", str), bool: ("true or false", bool),
+          _csv: ("a string or a list", (str, list))}
 
 
 def _sha256(path: str | Path) -> str:
@@ -145,15 +155,25 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 
 
 def _check_params(params: dict, keys: tuple, required: tuple) -> None:
-    """Name the first of `keys` that is required and missing, or outside its domain."""
+    """Name the first of `keys` that is required and missing, of the wrong
+    type (a bool only where the type is bool), or outside its domain."""
     for key in keys:
         flag, kind, _, _ = _PARAMS[key]
         name, domain = _DOMAINS.get(key, (None, None))
-        if params[key] is None and key in required:
-            choices = f" (one of {kind})" if isinstance(kind, tuple) else ""
-            raise ValueError(f"{flag} is required{choices}")
-        if params[key] is not None and domain and not _IN_DOMAIN[domain](params[key]):
-            raise ValueError(f"{name or flag} must be {domain}, got {params[key]}")
+        name, value = name or flag, params[key]
+        if isinstance(kind, tuple):
+            what, fits = f"one of {kind}", value in kind
+        else:
+            what, cls = _KINDS[kind]
+            fits = isinstance(value, cls) and isinstance(value, bool) == (kind is bool)
+        if value is None:
+            if key in required:
+                choices = f" ({what})" if isinstance(kind, tuple) else ""
+                raise ValueError(f"{flag} is required{choices}")
+        elif not fits:
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        elif domain and not _IN_DOMAIN[domain](value):
+            raise ValueError(f"{name} must be {domain}, got {value}")
 
 
 def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
@@ -259,11 +279,11 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
         "per_component": [
             {
                 "id": cid,
-                "size": len(comp),
+                "size": size,
                 "local_sensitivity": float(partition.local_sensitivities[cid]),
                 "sigma": float(calib.sigma_per_component[cid]),
             }
-            for cid, comp in enumerate(partition.components)
+            for cid, size in enumerate(partition.sizes())
         ],
     }
     _write_json(out_dir / "calibration.json", report)

@@ -7,18 +7,21 @@ receive less noise than sparse ones. A singleton component has sensitivity 0
 (the only neighbouring pair is the trivial one of a word with itself) and its
 words are left unperturbed downstream.
 
-Both steps read the graph's one edge array, `NeighbourGraph.pairs` ((E, 2)
-int64 rows (i, j), i < j, sorted and unique). Edge lengths are gathered in
-runs of whole edges whose gathered rows fit `utility._GATHER_BYTES` (1 MiB),
-so beyond the pairs and one component id per edge end, the sensitivity pass
-holds no (E, d) array.
+The partition is arrays: it reads the graph's edge array `NeighbourGraph.pairs`
+and holds one component id per word, ranking the components by their
+smallest member; `connected_components` is the grouped view. Edge lengths
+are gathered in runs that fit `utility._GATHER_BYTES` (1 MiB), so no (E, d)
+array is held. Hop diameters are exact up to 64 members, from uint64 reach
+bitsets, and a double-sweep lower bound above, from breadth-first searches
+run level by level.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,26 +29,29 @@ from .embeddings import EmbeddingSet
 from .graph import NeighbourGraph
 from .utility import _chunks, _dots
 
+_EXACT_MEMBERS = 64  # a word's uint64 bitset holds the members it reaches
+
 
 @dataclass(frozen=True, eq=False)
 class ComponentPartition:
     """Disjoint neighbourhoods covering all word indices.
 
-    `local_sensitivities[i]` is the largest Euclidean edge length inside
-    component i (0 for singletons); `global_sensitivity` is their maximum.
+    `assignment[v]` is word v's component id; ids rank the components by
+    their smallest member. `local_sensitivities[i]` is the largest Euclidean
+    edge length inside component i (0 for singletons); `global_sensitivity`
+    is their maximum.
     """
 
-    components: tuple[tuple[int, ...], ...]
     assignment: np.ndarray  # (n,) int64, word index -> component id
     local_sensitivities: np.ndarray  # (k,) float64
     global_sensitivity: float
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return len(self.local_sensitivities)
 
     def sizes(self) -> list[int]:
-        return [len(c) for c in self.components]
+        return np.bincount(self.assignment, minlength=self.k).tolist()
 
 
 def _root_labels(n: int, edges: np.ndarray) -> np.ndarray:
@@ -78,6 +84,21 @@ def _root_labels(n: int, edges: np.ndarray) -> np.ndarray:
             lab = up
 
 
+def _component_ids(graph: NeighbourGraph) -> tuple[np.ndarray, int]:
+    """Each word's component id, ranking the components by their smallest
+    member, and the number of components."""
+    labels = _root_labels(graph.n, graph.pairs)
+    roots = np.cumsum(labels == np.arange(graph.n))
+    return roots[labels] - 1, int(roots[-1]) if graph.n else 0
+
+
+def _member_lists(ids: np.ndarray, k: int) -> list[list[int]]:
+    """The words of each component id, ascending."""
+    members = np.argsort(ids, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(ids, minlength=k)).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def connected_components(graph: NeighbourGraph) -> list[list[int]]:
     """Connected components of the undirected graph, canonicalised.
 
@@ -85,12 +106,15 @@ def connected_components(graph: NeighbourGraph) -> list[list[int]]:
     each component, so the output does not depend on how components are
     labelled. Isolated vertices form singleton components.
     """
-    labels = _root_labels(graph.n, graph.pairs)
-    # labels are smallest members, so ascending labels are canonical order
-    # and a stable sort keeps each component's members ascending
-    members = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.unique(labels, return_counts=True)[1]).tolist()
-    return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    return _member_lists(*_component_ids(graph))
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each key."""
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
+    return first
 
 
 def sensitivities(
@@ -103,21 +127,32 @@ def sensitivities(
     The local sensitivity of a component is the supremum of ||x - y|| over
     neighbouring pairs inside it, i.e. the maximum over its *edges* only;
     non-adjacent pairs in the same component do not count. Singletons get 0
-    via the trivial self-relation.
+    via the trivial self-relation. The error names the first member, in list
+    order, out of range or placed twice; then the cover and edges are checked.
     """
     n = graph.n
     if emb.n != n:
         raise ValueError(f"graph has {n} vertices but embedding set has {emb.n}")
-    assignment = np.full(n, -1, dtype=np.int64)
-    for cid, comp in enumerate(components):
-        for v in comp:
-            if not 0 <= v < n:
-                raise ValueError(f"component member {v} out of range")
-            if assignment[v] != -1:
-                raise ValueError(f"word index {v} appears in two components")
-            assignment[v] = cid
-    if np.any(assignment < 0):
+    members = np.fromiter(chain.from_iterable(components), dtype=np.int64)
+    bad = np.flatnonzero((members < 0) | (members >= n) | ~_firsts(members))
+    if len(bad):
+        v = members[bad[0]]  # out of range, or in range and placed before
+        if not 0 <= v < n:
+            raise ValueError(f"component member {v} out of range")
+        raise ValueError(f"word index {v} appears in two components")
+    if len(members) < n:
         raise ValueError("components do not cover every word index")
+    assignment = np.empty(n, dtype=np.int64)
+    sizes = list(map(len, components))
+    assignment[members] = np.repeat(np.arange(len(components)), sizes)
+    return _partition(assignment, len(components), graph, emb)
+
+
+def _partition(
+    assignment: np.ndarray, k: int, graph: NeighbourGraph, emb: EmbeddingSet
+) -> ComponentPartition:
+    """The partition of a cover given as component ids: the crossing-edge
+    check, the edge lengths and the zero-sensitivity warnings."""
     i, j = graph.pairs[:, 0], graph.pairs[:, 1]
     ci, cj = assignment[i], assignment[j]
     crossing = np.flatnonzero(ci != cj)
@@ -128,54 +163,86 @@ def sensitivities(
             "partition does not belong to this graph"
         )
     # each length is sqrt of one BLAS dot, as np.linalg.norm takes it
-    local = np.zeros(len(components), dtype=np.float64)
+    local = np.zeros(k, dtype=np.float64)
     x = emb.vectors
     for run in _chunks(len(i), 2 * 8 * emb.d):
         diff = x[i[run]]
         diff -= x[j[run]]
         np.maximum.at(local, ci[run], np.sqrt(_dots(diff, diff)))
-    for cid, comp in enumerate(components):
-        if len(comp) > 1 and local[cid] == 0.0:
-            warnings.warn(
-                f"component {cid} has {len(comp)} words but zero sensitivity "
-                "(duplicate vectors); its words will receive no noise",
-                stacklevel=2,
-            )
-    global_sensitivity = float(local.max()) if len(components) else 0.0
-    return ComponentPartition(
-        components=tuple(tuple(c) for c in components),
-        assignment=assignment,
-        local_sensitivities=local,
-        global_sensitivity=global_sensitivity,
-    )
+    sizes = np.bincount(assignment, minlength=k)
+    for cid in np.flatnonzero((sizes > 1) & (local == 0.0)).tolist():
+        warnings.warn(
+            f"component {cid} has {sizes[cid]} words but zero sensitivity "
+            "(duplicate vectors); its words will receive no noise",
+            stacklevel=3,
+        )
+    global_sensitivity = float(local.max()) if k else 0.0
+    return ComponentPartition(assignment, local, global_sensitivity)
 
 
 def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartition:
-    """connected_components followed by sensitivities."""
-    return sensitivities(connected_components(graph), graph, emb)
+    """The connected components of the graph with their sensitivities."""
+    if emb.n != graph.n:
+        raise ValueError(f"graph has {graph.n} vertices but embedding set has {emb.n}")
+    return _partition(*_component_ids(graph), graph, emb)
 
 
-def _hop_diameter(members: tuple[int, ...], adj: list[list[int]]) -> int:
-    """Exact hop diameter for small components, double-sweep lower bound above."""
+def _sweep(
+    starts: np.ndarray, indptr: np.ndarray, nbr: np.ndarray, ids: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Breadth-first searches from `starts`, one per component, all at once,
+    each level in the queue order of a one-word-at-a-time search. Returns the
+    levels past the starts and, per start, the first word of its deepest level."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[starts] = True
+    far = np.empty_like(indptr)  # component id -> first word of its last level
+    far[ids[starts]] = starts
+    level, depth = starts, 0
+    while True:
+        lo = indptr[level]
+        deg = indptr[level + 1] - lo
+        ends = np.cumsum(deg)
+        reached = nbr[np.arange(ends[-1]) + np.repeat(lo - ends + deg, deg)]
+        reached = reached[~seen[reached]]
+        if not len(reached):
+            return depth, far[ids[starts]]
+        level, depth = reached[_firsts(reached)], depth + 1
+        seen[level] = True
+        lead = level[_firsts(ids[level])]
+        far[ids[lead]] = lead
 
-    def bfs_far(src: int) -> tuple[int, int]:
-        dist = {src: 0}
-        queue = deque([src])
-        far, far_d = src, 0
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if dist[w] > far_d:
-                        far, far_d = w, dist[w]
-                    queue.append(w)
-        return far, far_d
 
-    if len(members) <= 64:
-        return max(bfs_far(v)[1] for v in members)
-    far, _ = bfs_far(members[0])
-    return bfs_far(far)[1]
+def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> int:
+    """The largest hop diameter: exact up to `_EXACT_MEMBERS` members, a
+    double-sweep lower bound above."""
+    n, ids = graph.n, partition.assignment
+    sizes = np.bincount(ids, minlength=partition.k)
+    # CSR over both directions of the pairs, each word's neighbours ascending
+    src, nbr = np.concatenate([graph.pairs, graph.pairs[:, ::-1]]).T
+    order = np.argsort(src * n + nbr)
+    src, nbr = src[order], nbr[order]
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    # a small component's word keeps a bitset of the members it reaches, bit
+    # b for the b-th smallest, and each round ORs in its neighbours' bitsets
+    members, first = np.argsort(ids, kind="stable"), np.cumsum(sizes) - sizes
+    rank = np.empty(n, dtype=np.uint64)
+    # (a larger component's bits wrap, and are never read)
+    rank[members] = (np.arange(n) - np.repeat(first, sizes)) % 64
+    reach = np.left_shift(np.uint64(1), rank)
+    inner = sizes[ids[src]] <= _EXACT_MEMBERS
+    into = np.flatnonzero(np.diff(src[inner], prepend=-1))
+    rows, diameter = src[inner][into], 0
+    while len(rows):
+        grown = np.bitwise_or.reduceat(reach[nbr[inner]], into) | reach[rows]
+        if np.array_equal(grown, reach[rows]):
+            break
+        reach[rows] = grown
+        diameter += 1
+    big = members[first[sizes > _EXACT_MEMBERS]]
+    if len(big):
+        far = _sweep(big, indptr, nbr, ids)[1]
+        diameter = max(diameter, _sweep(far, indptr, nbr, ids)[0])
+    return diameter
 
 
 def partition_report(
@@ -187,20 +254,13 @@ def partition_report(
     """JSON-ready component summary with a size histogram and, for chain
     inspection, the largest hop diameter (exact up to 64 members, a
     double-sweep lower bound beyond that)."""
-    adj = graph.adjacency()
-    sizes = partition.sizes()
-    hist: dict[int, int] = {}
-    for s in sizes:
-        hist[s] = hist.get(s, 0) + 1
-    max_diam = 0
-    for comp in partition.components:
-        if len(comp) > 1:
-            max_diam = max(max_diam, _hop_diameter(comp, adj))
+    components = _member_lists(partition.assignment, partition.k)
+    hist = Counter(map(len, components))
     return {
         "k": partition.k,
         "global_sensitivity": partition.global_sensitivity,
         "size_histogram": {str(s): hist[s] for s in sorted(hist)},
-        "max_hop_diameter": max_diam,
+        "max_hop_diameter": _max_hop_diameter(partition, graph),
         "components": [
             {
                 "id": cid,
@@ -208,6 +268,6 @@ def partition_report(
                 "local_sensitivity": float(partition.local_sensitivities[cid]),
                 "members": [emb.words[v] for v in comp[:max_listed_members]],
             }
-            for cid, comp in enumerate(partition.components)
+            for cid, comp in enumerate(components)
         ],
     }

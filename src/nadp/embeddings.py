@@ -174,7 +174,7 @@ def load_embeddings(
     coordinate, then a non-finite one, then a duplicate token.
     """
     if limit is not None and limit <= 0:
-        raise ValueError(f"limit must be positive, got {limit}")
+        raise ValueError(f"limit must be >= 1, got {limit}")
     path = Path(path)
     bound = _row_bound(path, limit)
     if word_filter is not None:

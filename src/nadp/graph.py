@@ -70,9 +70,6 @@ class NeighbourSets:
     def n(self) -> int:
         return int(self.indices.shape[0])
 
-    def row_set(self, i: int) -> set[int]:
-        return set(self.indices[i].tolist())
-
     def prefix(self, m: int) -> NeighbourSets:
         """The top-m sets for m <= self.m: the first min(m, n-1) columns.
 
@@ -115,13 +112,6 @@ class NeighbourGraph:
     def edges(self) -> frozenset[tuple[int, int]]:
         """The pairs as a set of (i, j) tuples, built on first use."""
         return frozenset(zip(*self.pairs.T.tolist()))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.pairs.tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 def _block_rows(n: int) -> int:
@@ -297,13 +287,6 @@ def knn(emb: EmbeddingSet, m: int, block_size: int | None = None) -> NeighbourSe
         emb, emb.vectors, min(m, n - 1), np.arange(n), block_size
     )
     return NeighbourSets(m=m, indices=indices, distances=distances)
-
-
-def jaccard(a: set[int], b: set[int]) -> float:
-    """|a & b| / |a | b|; undefined (raises) when both sets are empty."""
-    if not a and not b:
-        raise ValueError("Jaccard of two empty sets is undefined")
-    return len(a & b) / len(a | b)
 
 
 def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:

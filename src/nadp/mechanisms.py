@@ -327,6 +327,12 @@ def neighbourhood_density(neighbour_sets: NeighbourSets) -> np.ndarray:
     return neighbour_sets.distances.mean(axis=1)
 
 
+def _check_jaccard_knobs(eta0: float, alpha1: float, alpha2: float) -> None:
+    for name, value in (("eta0", eta0), ("alpha1", alpha1), ("alpha2", alpha2)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def jaccard_mechanism_perturb(
     emb: EmbeddingSet,
     params: PrivacyParams,
@@ -345,10 +351,7 @@ def jaccard_mechanism_perturb(
     epsilon, where Delta is the average distance from a word to its
     furthermost neighbour.
     """
-    if not eta0 > 0.0:
-        raise ValueError(f"eta0 must be > 0, got {eta0}")
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("alpha1 and alpha2 must be > 0")
+    _check_jaccard_knobs(eta0, alpha1, alpha2)
     if neighbour_sets.n != emb.n:
         raise ValueError("neighbour sets do not match the embedding set")
     proven = _require_proven_range(params.epsilon, strict, "jaccard")
@@ -482,6 +485,7 @@ def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
 
 
 def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
+    _check_jaccard_knobs(p.eta0, p.alpha1, p.alpha2)
     privacy = _classic_privacy(p, epsilon, "jaccard")
     return jaccard_mechanism_perturb(
         p.emb, privacy, p.density_sets, p.eta0, p.alpha1, p.alpha2, seed,
@@ -491,9 +495,9 @@ def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
 
 # kind -> how a Perturber runs that mechanism on its shared state; the order
 # is the order in which the CLI lists the kinds. Each runner makes its
-# mechanism's checks of epsilon before it touches the shared kNN, so a
-# rejected epsilon costs no kNN; the mechanism then checks again, with the
-# same messages.
+# mechanism's checks of epsilon (and jaccard's of its knobs) before it
+# touches the shared kNN, so a rejected value costs no kNN; the mechanism
+# then checks again, with the same messages.
 _MECHANISMS = {
     "nadp": _perturber_nadp,
     "gaussian": _perturber_gaussian,

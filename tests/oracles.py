@@ -9,6 +9,8 @@ arithmetic instead of scipy. Tests compare the library against these.
 from __future__ import annotations
 
 import math
+import warnings
+from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
@@ -424,3 +426,93 @@ def sensitivities_per_edge(components, edges, vectors: np.ndarray) -> np.ndarray
         if length > local[ci]:
             local[ci] = length
     return local
+
+
+# The set and list views the partition and graph code kept before they
+# became arrays: `NeighbourSets.row_set`, the set-based `graph.jaccard`,
+# `NeighbourGraph.adjacency`, the dict-and-deque hop diameter, and the
+# member-by-member check of `components.sensitivities`.
+
+
+def row_set(neighbour_sets, i: int) -> set[int]:
+    """Word i's neighbours as a set."""
+    return set(neighbour_sets.indices[i].tolist())
+
+
+def jaccard(a: set[int], b: set[int]) -> float:
+    """|a & b| / |a | b|; undefined (raises) when both sets are empty."""
+    if not a and not b:
+        raise ValueError("Jaccard of two empty sets is undefined")
+    return len(a & b) / len(a | b)
+
+
+def adjacency(n: int, pairs: np.ndarray) -> list[list[int]]:
+    """Each vertex's neighbours, appended edge by edge in pair order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def hop_diameter(members, adj: list[list[int]]) -> int:
+    """Exact hop diameter for small components, double-sweep lower bound above."""
+
+    def bfs_far(src: int) -> tuple[int, int]:
+        dist = {src: 0}
+        queue = deque([src])
+        far, far_d = src, 0
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    if dist[w] > far_d:
+                        far, far_d = w, dist[w]
+                    queue.append(w)
+        return far, far_d
+
+    if len(members) <= 64:
+        return max(bfs_far(v)[1] for v in members)
+    far, _ = bfs_far(members[0])
+    return bfs_far(far)[1]
+
+
+def max_hop_diameter(n: int, pairs: np.ndarray) -> int:
+    """The largest `hop_diameter` over the components of 2 or more members."""
+    adj = adjacency(n, pairs)
+    components = components_by_append(n, map(tuple, pairs.tolist()))
+    return max((hop_diameter(c, adj) for c in components if len(c) > 1), default=0)
+
+
+def sensitivities_by_member(components, n: int, pairs: np.ndarray, vectors):
+    """(assignment, local sensitivities) of a component list, checked member
+    by member, then for cover and crossing edges, with one warning per
+    component of several words and zero sensitivity."""
+    assignment = np.full(n, -1, dtype=np.int64)
+    for cid, comp in enumerate(components):
+        for v in comp:
+            if not 0 <= v < n:
+                raise ValueError(f"component member {v} out of range")
+            if assignment[v] != -1:
+                raise ValueError(f"word index {v} appears in two components")
+            assignment[v] = cid
+    if np.any(assignment < 0):
+        raise ValueError("components do not cover every word index")
+    for i, j in pairs.tolist():
+        if assignment[i] != assignment[j]:
+            raise ValueError(
+                f"edge ({i}, {j}) crosses components {assignment[i]} and "
+                f"{assignment[j]}; partition does not belong to this graph"
+            )
+    local = np.zeros(len(components), dtype=np.float64)
+    for i, j in pairs.tolist():
+        length = float(np.linalg.norm(vectors[i] - vectors[j]))
+        local[assignment[i]] = max(local[assignment[i]], length)
+    for cid, comp in enumerate(components):
+        if len(comp) > 1 and local[cid] == 0.0:
+            warnings.warn(
+                f"component {cid} has {len(comp)} words but zero sensitivity "
+                "(duplicate vectors); its words will receive no noise"
+            )
+    return assignment, local

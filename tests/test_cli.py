@@ -268,14 +268,14 @@ def test_missing_argument_fails_before_any_work(
     assert list(out.iterdir()) == []
 
 
-def test_replayed_manifest_out_of_domain_fails_before_any_load(
-    emb_file, tmp_path, capsys, monkeypatch
-):
+def _replay_edited(emb_file, tmp_path, capsys, monkeypatch, key, value) -> str:
+    """Replay a perturb manifest with one parameter edited, with every load
+    made to fail; returns stderr after asserting exit 2 and no output."""
     first = tmp_path / "first"
     assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
                 "--epsilon", 1.0, "--seed", 33, "--out-dir", first) == 0
     manifest = json.loads((first / "perturb_manifest.json").read_text())
-    manifest["parameters"]["lambda_"] = 2.0
+    manifest["parameters"][key] = value
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(manifest), encoding="utf-8")
 
@@ -286,8 +286,36 @@ def test_replayed_manifest_out_of_domain_fails_before_any_load(
     capsys.readouterr()
     out = tmp_path / "out"
     assert _run("perturb", "--config", edited, "--out-dir", out) == 2
-    assert capsys.readouterr().err == "error: lambda must be in [0, 1], got 2.0\n"
     assert list(out.iterdir()) == []
+    return capsys.readouterr().err
+
+
+def test_replayed_manifest_out_of_domain_fails_before_any_load(
+    emb_file, tmp_path, capsys, monkeypatch
+):
+    err = _replay_edited(emb_file, tmp_path, capsys, monkeypatch, "lambda_", 2.0)
+    assert err == "error: lambda must be in [0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("m", "2", "m must be an int, got '2'"),
+     ("tau", "x", "tau must be a number, got 'x'"),
+     ("m", True, "m must be an int, got True"),
+     ("limit", 2.0, "limit must be an int, got 2.0"),
+     ("output", 1, "--output must be a string, got 1"),
+     ("allow_unproven_epsilon", "yes",
+      "--allow-unproven-epsilon must be true or false, got 'yes'"),
+     ("mechanism", "nope", "--mechanism must be one of ('nadp', 'gaussian', "
+      "'laplacian', 'mahalanobis', 'jaccard'), got 'nope'")],
+    ids=["m-'2'", "tau-'x'", "m-true", "limit-2.0", "output-1", "allow-'yes'",
+         "mechanism-'nope'"],
+)
+def test_replayed_manifest_of_the_wrong_type_fails_before_any_load(
+    emb_file, tmp_path, capsys, monkeypatch, key, value, message
+):
+    err = _replay_edited(emb_file, tmp_path, capsys, monkeypatch, key, value)
+    assert err == f"error: {message}\n"
 
 
 def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path):
@@ -319,7 +347,8 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path):
         "m_eval": [lambda v: privacy_report(emb, emb, m=v)],
         "k": [lambda v: rank_queries(emb, emb.vectors, v)],
     }
-    same_message = {"m", "m_density", "precision", "tau", "delta", "lambda_", "eta0"}
+    same_message = {"limit", "m", "m_density", "precision", "tau", "delta", "lambda_",
+                    "eta0", "alpha1", "alpha2"}
     # domain -> (values just outside it, values just inside it)
     edges = {
         ">= 1": ([0, -1], [1]),
@@ -374,6 +403,25 @@ def test_perturb_manifest_schema_is_pinned(emb_file, tmp_path):
     assert _run("perturb", "--config", first / "perturb_manifest.json",
                 "--out-dir", second) == 0
     for name in ("perturbed.txt", "perturb_report.json", "perturb_manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_eval_utility_manifest_with_a_seed_list_replays(emb_file, tmp_path):
+    # the manifest records the drawn seeds as a list, which the type check
+    # of the comma-separated flags takes
+    emb = load_embeddings(emb_file)
+    wordsim = tmp_path / "pairs.tsv"
+    wordsim.write_text("".join(f"{emb.words[i]}\t{emb.words[i + 1]}\t{i % 7}\n"
+                               for i in range(0, 40, 2)), encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run("eval-utility", "--embeddings", emb_file, "--wordsim", wordsim,
+                "--epsilons", "0.5,0.8", "--seed", 5, "--repeats", 2,
+                "--out-dir", first) == 0
+    manifest = json.loads((first / "eval_utility_manifest.json").read_text())
+    assert manifest["parameters"]["seeds"] == [5, 6]
+    assert _run("eval-utility", "--config", first / "eval_utility_manifest.json",
+                "--out-dir", second) == 0
+    for name in ("utility.csv", "utility.json", "eval_utility_manifest.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 

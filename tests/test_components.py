@@ -152,12 +152,18 @@ def test_zero_sensitivity_multiword_component_warns():
     assert part.local_sensitivities.tolist() == [0.0]
 
 
+def _members(part) -> list[list[int]]:
+    """Each component id's words, ascending, in id order."""
+    return [np.flatnonzero(part.assignment == c).tolist() for c in range(part.k)]
+
+
 def test_partition_invariants_on_random_graphs():
     emb = random_embeddings(80, 6, seed=3)
     graph = build_graph(emb, m=3, tau=0.1)
     part = build_partition(graph, emb)
-    # disjoint cover
-    seen = sorted(v for comp in part.components for v in comp)
+    # disjoint cover, one id per canonical component
+    assert _members(part) == connected_components(graph)
+    seen = sorted(v for comp in _members(part) for v in comp)
     assert seen == list(range(emb.n))
     # every edge is internal and realises <= the local sensitivity
     for i, j in graph.edges:
@@ -184,9 +190,9 @@ def test_partition_invariant_under_relabelling():
     permuted_graph = build_graph(permuted_emb, m=2, tau=0.1)
     permuted_part = build_partition(permuted_graph, permuted_emb)
     expected = sorted(
-        sorted(int(inverse[v]) for v in comp) for comp in part.components
+        sorted(int(inverse[v]) for v in comp) for comp in _members(part)
     )
-    got = sorted(sorted(comp) for comp in permuted_part.components)
+    got = sorted(sorted(comp) for comp in _members(permuted_part))
     assert got == expected
     assert np.isclose(
         permuted_part.global_sensitivity, part.global_sensitivity

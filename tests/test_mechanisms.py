@@ -340,25 +340,37 @@ def test_laplacian_and_mahalanobis_need_a_finite_epsilon(epsilon):
         mahalanobis_perturb(emb, epsilon, 1.0, seed=0)
 
 
-@pytest.mark.parametrize(
-    "kind, epsilon, strict",
-    [(kind, eps, True) for kind in MECHANISM_KINDS
+_BAD_BEFORE_THE_KNN = (
+    [(kind, eps, True, {}) for kind in MECHANISM_KINDS
      for eps in (math.inf, -1.0, math.nan)]
-    + [(kind, eps, strict) for kind in ("gaussian", "jaccard")
-       for eps, strict in ((2.0, True), (0.0, False))],
+    + [(kind, eps, strict, {}) for kind in ("gaussian", "jaccard")
+       for eps, strict in ((2.0, True), (0.0, False))]
+    + [("jaccard", 0.5, True, {knob: value}) for knob in ("eta0", "alpha1", "alpha2")
+       for value in (-1.0, 0.0, math.nan)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, epsilon, strict, knobs",
+    _BAD_BEFORE_THE_KNN,
+    ids=["-".join([f"{kind}-{eps}-{strict}", *(f"{k}={v}" for k, v in knobs.items())])
+         for kind, eps, strict, knobs in _BAD_BEFORE_THE_KNN],
 )
 def test_perturber_rejects_a_bad_epsilon_before_the_knn(
-    monkeypatch, kind, epsilon, strict
+    monkeypatch, kind, epsilon, strict, knobs
 ):
-    # the shared kNN costs O(n^2 d); an epsilon the mechanism rejects must
-    # not pay for it, and the error is the mechanism's own
+    # the shared kNN costs O(n^2 d); an epsilon or a jaccard knob the
+    # mechanism rejects must not pay for it, and the error is the mechanism's own
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran the kNN before epsilon was checked")
 
     monkeypatch.setattr(mechanisms, "knn", must_not_run)
     perturber = Perturber(random_embeddings(6, 3, seed=14), delta=0.1, m=2, tau=0.1,
-                          strict=strict)
-    if epsilon == 2.0:  # outside the range proven under strict=True
+                          strict=strict, **knobs)
+    if knobs:
+        [(knob, value)] = knobs.items()
+        message = f"{knob} must be > 0, got {value}"
+    elif epsilon == 2.0:  # outside the range proven under strict=True
         message = f"the {kind} mechanism's closed-form calibration is proven only"
     elif epsilon == 0.0:  # the closed form divides by epsilon
         message = "epsilon must be > 0, got 0.0"
@@ -471,7 +483,7 @@ def test_perturber_partition_matches_a_fresh_graph(m_density):
     emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
     perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, m_density=m_density)
     ref = build_partition(build_graph(emb, m=2, tau=0.1), emb)
-    assert perturber.partition.components == ref.components
+    assert perturber.partition.k == ref.k
     assert np.array_equal(perturber.partition.assignment, ref.assignment)
     assert np.array_equal(
         perturber.partition.local_sensitivities, ref.local_sensitivities

@@ -3,10 +3,9 @@ import pytest
 from scipy import stats
 
 from nadp.embeddings import EmbeddingSet
-from nadp.graph import jaccard
 from nadp.privacy import _overlap, prediction_probability, privacy_report, skewness
 
-from oracles import prediction_probability_bruteforce, skewness_formula
+from oracles import jaccard, prediction_probability_bruteforce, skewness_formula
 from synth import random_embeddings, two_far_clusters
 
 
