@@ -37,23 +37,22 @@ _LOG_PHI_SERIES_TERMS = 10
 # bisection safety limits; unreachable in practice because g is monotone
 _MAX_BRACKET_STEPS = 2000
 _MAX_BISECT_STEPS = 500
+# relative width of the final bisection bracket
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy level (epsilon >= 0, delta in (0, 1)) plus solver tolerance."""
+    """Privacy level: epsilon >= 0, delta in (0, 1)."""
 
     epsilon: float
     delta: float
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class CalibrationResult:
 
     u_star: float
     sigma_per_component: np.ndarray  # sigma_i = u_star * Delta_i
-    params: PrivacyParams
 
 
 def phi(t: float) -> float:
@@ -124,10 +122,10 @@ def solve_u_star(params: PrivacyParams) -> float:
     """Smallest u > 0 with g(u) <= delta, by bracketed bisection.
 
     The bracket is grown geometrically from u = 1 and then bisected to a
-    relative width of `tol`; monotonicity of g makes this unconditionally
+    relative width of `_TOL`; monotonicity of g makes this unconditionally
     convergent. The returned value always satisfies g(u) <= delta.
     """
-    eps, delta, tol = params.epsilon, params.delta, params.tol
+    eps, delta = params.epsilon, params.delta
     lo = hi = 1.0
     steps = 0
     if g(1.0, eps) <= delta:
@@ -146,7 +144,7 @@ def solve_u_star(params: PrivacyParams) -> float:
                 raise ArithmeticError("failed to bracket u_star from above")
     # invariant: g(lo) > delta >= g(hi)
     steps = 0
-    while hi - lo > tol * hi:
+    while hi - lo > _TOL * hi:
         mid = 0.5 * (lo + hi)
         if g(mid, eps) <= delta:
             hi = mid
@@ -205,6 +203,4 @@ def calibrate_components(
     deltas = np.asarray(local_sensitivities, dtype=np.float64)
     if np.any(deltas < 0.0):
         raise ValueError("local sensitivities must be >= 0")
-    return CalibrationResult(
-        u_star=u_star, sigma_per_component=u_star * deltas, params=params
-    )
+    return CalibrationResult(u_star=u_star, sigma_per_component=u_star * deltas)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import secrets
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .graph import (
     DEFAULT_M,
     DEFAULT_TAU,
     NeighbourGraph,
+    _require_two_words,
     build_graph,
     graph_report,
     rank_queries,
@@ -382,23 +383,7 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         seeds,
     )
     (out_dir / "utility.csv").write_text(suite_rows_to_csv(rows), encoding="utf-8")
-    _write_json(
-        out_dir / "utility.json",
-        {
-            "rows": [
-                {
-                    "mechanism": r.mechanism,
-                    "epsilon": r.epsilon,
-                    "task": r.task,
-                    "mean": r.mean,
-                    "stderr": r.stderr,
-                    "repeats": r.repeats,
-                    "values": list(r.values),
-                }
-                for r in rows
-            ]
-        },
-    )
+    _write_json(out_dir / "utility.json", {"rows": [asdict(r) for r in rows]})
     for r in rows:
         eps = "baseline" if r.epsilon is None else f"eps={r.epsilon:g}"
         err = "" if r.stderr is None else f" +- {r.stderr:.4f}"
@@ -414,6 +399,7 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     perturbed = _load_set(params, key="perturbed")
     if original.words != perturbed.words:
         raise ValueError("original and perturbed vocabularies do not match")
+    _require_two_words(original.n)
     k = params["k"]
     found = []
     for word in words:

@@ -30,6 +30,7 @@ from .graph import NeighbourGraph
 from .utility import _chunks, _dots
 
 _EXACT_MEMBERS = 64  # a word's uint64 bitset holds the members it reaches
+_LISTED_MEMBERS = 50  # members a component report names
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +247,7 @@ def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> i
 
 
 def partition_report(
-    partition: ComponentPartition,
-    graph: NeighbourGraph,
-    emb: EmbeddingSet,
-    max_listed_members: int = 50,
+    partition: ComponentPartition, graph: NeighbourGraph, emb: EmbeddingSet
 ) -> dict:
     """JSON-ready component summary with a size histogram and, for chain
     inspection, the largest hop diameter (exact up to 64 members, a
@@ -266,7 +264,7 @@ def partition_report(
                 "id": cid,
                 "size": len(comp),
                 "local_sensitivity": float(partition.local_sensitivities[cid]),
-                "members": [emb.words[v] for v in comp[:max_listed_members]],
+                "members": [emb.words[v] for v in comp[:_LISTED_MEMBERS]],
             }
             for cid, comp in enumerate(components)
         ],

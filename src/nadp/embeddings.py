@@ -251,12 +251,6 @@ def load_embeddings(
     return EmbeddingSet(tuple(words), vectors)
 
 
-def check_precision(precision: int) -> None:
-    """Raise ValueError unless `precision` is a valid decimal-place count."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-
-
 # Veltkamp's splitter for float64: x*(2**27 + 1) splits x into two halves of
 # at most 26 significant bits each, whose pairwise products are exact
 _SPLITTER = 2.0**27 + 1.0
@@ -370,7 +364,8 @@ def save_embeddings(emb: EmbeddingSet, path: str | Path, precision: int = 6) -> 
     of 2**52 / 10**precision or more is formatted one row at a time by
     Python's own ``%``-format instead.
     """
-    check_precision(precision)
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for start in range(0, emb.n, _PARSE_CHUNK):

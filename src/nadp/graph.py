@@ -114,6 +114,12 @@ class NeighbourGraph:
         return frozenset(zip(*self.pairs.T.tolist()))
 
 
+def _require_two_words(n: int) -> None:
+    """Every neighbour of a word is another word, so a search needs two."""
+    if n < 2:
+        raise ValueError(f"need at least 2 words, got {n}")
+
+
 def _block_rows(n: int) -> int:
     """Query rows per block: as many as keep one (rows, n) 8-byte array
     within `_BLOCK_BYTES`, and at least one."""
@@ -221,7 +227,6 @@ def rank_queries(
     queries: np.ndarray,
     k: int,
     exclude: np.ndarray | None = None,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k words of `emb` for each query vector, nearest first.
 
@@ -230,17 +235,16 @@ def rank_queries(
     are broken by ascending word index. Returns (indices, distances), each
     of shape (len(queries), k).
 
-    Distances are computed blockwise via the Gram matrix, `block_size`
-    query rows at a time. The default, `_block_rows(n)`, keeps a block's
-    (rows, n) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows at
-    n = 10,000, 20 at n = 100,000), and it is the block's one full-width
-    array, so the transient memory does not grow with n. (When k +
-    _TIE_SLACK >= n / _GROUP every column is a candidate: the distances
-    overwrite the Gram product, and ranking them takes a second (rows, n)
-    array.) The block size only decides which rows share one BLAS call;
-    BLAS may round a Gram entry differently for another call shape, so a
-    distance can move in its last bit (and a near-tie reorder) between
-    block sizes.
+    Distances are computed blockwise via the Gram matrix, `_block_rows(n)`
+    query rows at a time: as many as keep a block's (rows, n) Gram product
+    within `_BLOCK_BYTES` (16 MiB: 209 rows at n = 10,000, 20 at
+    n = 100,000), and it is the block's one full-width array, so the
+    transient memory does not grow with n. (When k + _TIE_SLACK >= n /
+    _GROUP every column is a candidate: the distances overwrite the Gram
+    product, and ranking them takes a second (rows, n) array.) The block
+    size only decides which rows share one BLAS call; BLAS may round a Gram
+    entry differently for another call shape, so a distance can move in its
+    last bit (and a near-tie reorder) under another `_BLOCK_BYTES`.
 
     Per row, the k + _TIE_SLACK groups of `_GROUP` columns with the smallest
     key minima are gathered, their columns get exact distances, and the
@@ -264,10 +268,9 @@ def rank_queries(
     indices = np.empty((nq, k), dtype=np.int64)
     distances = np.empty((nq, k), dtype=np.float64)
     n_cand = min(limit, k + _TIE_SLACK)
-    if block_size is None:
-        block_size = _block_rows(n)
-    for start in range(0, nq, block_size):
-        stop = min(start + block_size, nq)
+    step = _block_rows(n)
+    for start in range(0, nq, step):
+        stop = min(start + step, nq)
         excl = None if exclude is None else exclude[start:stop]
         sel, sel_d = _block_topk(queries[start:stop], x, sq_x, excl, k, n_cand)
         indices[start:stop] = sel
@@ -275,17 +278,14 @@ def rank_queries(
     return indices, distances
 
 
-def knn(emb: EmbeddingSet, m: int, block_size: int | None = None) -> NeighbourSets:
+def knn(emb: EmbeddingSet, m: int) -> NeighbourSets:
     """Exact top-m Euclidean neighbours of every word, self excluded: the
     self query of `rank_queries`, with each word excluded from its own row."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n = emb.n
-    if n < 2:
-        raise ValueError(f"need at least 2 words, got {n}")
-    indices, distances = rank_queries(
-        emb, emb.vectors, min(m, n - 1), np.arange(n), block_size
-    )
+    _require_two_words(n)
+    indices, distances = rank_queries(emb, emb.vectors, min(m, n - 1), np.arange(n))
     return NeighbourSets(m=m, indices=indices, distances=distances)
 
 

@@ -22,13 +22,21 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .calibration import PrivacyParams, calibrate_components, classic_sigma_formula
 from .components import ComponentPartition, build_partition
 from .embeddings import EmbeddingSet
-from .graph import DEFAULT_M, DEFAULT_TAU, NeighbourSets, build_graph, knn
+from .graph import (
+    DEFAULT_M,
+    DEFAULT_TAU,
+    NeighbourSets,
+    _require_two_words,
+    build_graph,
+    knn,
+)
 
 # knob defaults of the baselines: `lambda_` blends the embedding covariance
 # into the Mahalanobis noise shape; `eta0` splits dense from sparse words by
@@ -389,11 +397,11 @@ def jaccard_mechanism_perturb(
 class Perturber:
     """Shared-state dispatcher over the five mechanisms for one clean set.
 
-    The neighbour graph, component partition and density neighbour sets are
-    computed lazily once, from a single kNN pass, and reused across
-    (mechanism, epsilon, seed) calls, which is what benchmark sweeps need;
-    so is the Mahalanobis covariance square root, on the first Mahalanobis
-    call.
+    Its fields are the clean set and the knobs. The neighbour graph,
+    component partition and density neighbour sets are computed lazily
+    once, from a single kNN pass, and reused across (mechanism, epsilon,
+    seed) calls, which is what benchmark sweeps need; so is the Mahalanobis
+    covariance square root, on the first Mahalanobis call.
     """
 
     emb: EmbeddingSet
@@ -406,44 +414,37 @@ class Perturber:
     alpha2: float = DEFAULT_ALPHA2
     m_density: int = DEFAULT_M_DENSITY
     strict: bool = True
-    _partition: ComponentPartition | None = field(default=None, init=False)
-    _neighbour_sets: NeighbourSets | None = field(default=None, init=False)
-    _shape_sqrt: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.m_density < 1:
             raise ValueError(f"m_density must be >= 1, got {self.m_density}")
+        # the graph, the density sets and the covariance all need two words
+        _require_two_words(self.emb.n)
 
-    @property
+    @cached_property
     def _knn(self) -> NeighbourSets:
         # one kNN pass at max(m, m_density); the graph and the density sets
         # are exact prefixes of it
-        if self._neighbour_sets is None:
-            self._neighbour_sets = knn(self.emb, max(self.m, self.m_density))
-        return self._neighbour_sets
+        return knn(self.emb, max(self.m, self.m_density))
 
-    @property
+    @cached_property
     def partition(self) -> ComponentPartition:
-        if self._partition is None:
-            graph = build_graph(
-                self.emb, self.m, self.tau, neighbour_sets=self._knn.prefix(self.m)
-            )
-            self._partition = build_partition(graph, self.emb)
-        return self._partition
+        graph = build_graph(
+            self.emb, self.m, self.tau, neighbour_sets=self._knn.prefix(self.m)
+        )
+        return build_partition(graph, self.emb)
 
     @property
     def density_sets(self) -> NeighbourSets:
         return self._knn.prefix(self.m_density)
 
-    @property
+    @cached_property
     def shape_sqrt(self) -> np.ndarray:
         """The Mahalanobis noise's covariance square root, computed on the
         first Mahalanobis call rather than in set-up."""
-        if self._shape_sqrt is None:
-            self._shape_sqrt = _mahalanobis_shape_sqrt(self.emb, self.lambda_)
-        return self._shape_sqrt
+        return _mahalanobis_shape_sqrt(self.emb, self.lambda_)
 
     def perturb(
         self, kind: str, epsilon: float, seed: int

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import _overlap, rank_queries
+from .graph import _overlap, _require_two_words, knn, rank_queries
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -41,8 +41,8 @@ class PrivacyReport:
     residual_uncertainty: float  # 1/m floor, metadata only
     histogram: np.ndarray  # HISTOGRAM_BINS counts over [0, 1]
 
-    def to_dict(self, words: tuple[str, ...] | None = None) -> dict:
-        out = {
+    def to_dict(self, words: tuple[str, ...]) -> dict:
+        return {
             "m": self.m,
             "mean": self.mean,
             "std": self.std,
@@ -52,10 +52,8 @@ class PrivacyReport:
             "histogram_bins": HISTOGRAM_BINS,
             "histogram": [int(c) for c in self.histogram],
             "probabilities": [float(p) for p in self.probabilities],
+            "words": list(words),
         }
-        if words is not None:
-            out["words"] = list(words)
-        return out
 
 
 def prediction_probability(
@@ -71,6 +69,7 @@ def prediction_probability(
         raise ValueError(f"word_index {word_index} out of range")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    _require_two_words(original.n)
     k = min(m, original.n - 1)
     exclude = np.array([word_index])
     clean, _ = rank_queries(
@@ -110,15 +109,12 @@ def privacy_report(
     """
     if original.words != perturbed.words:
         raise ValueError("original and perturbed vocabularies do not match")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = original.n
-    k = min(m, n - 1)
-    self_idx = np.arange(n)
-    clean, _ = rank_queries(original, original.vectors, k, self_idx)
-    query, _ = rank_queries(original, perturbed.vectors, k, self_idx)
+    # the clean ranking is the kNN self query, which rejects m < 1 and n < 2
+    clean = knn(original, m).indices
+    n, k = clean.shape
+    query, _ = rank_queries(original, perturbed.vectors, k, np.arange(n))
     probs = _overlap(clean, query)
-    std = float(probs.std(ddof=1)) if n > 1 else 0.0
+    std = float(probs.std(ddof=1))
     degenerate = std == 0.0
     skew = skewness(probs) if n >= 3 else 0.0
     hist, _ = np.histogram(probs, bins=HISTOGRAM_BINS, range=(0.0, 1.0))

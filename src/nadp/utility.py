@@ -50,19 +50,16 @@ _GATHER_BYTES = 2**20
 
 @dataclass(frozen=True)
 class SimilarityDataset:
-    name: str
     pairs: tuple[tuple[str, str, float], ...]
 
 
 @dataclass(frozen=True)
 class SentencePairDataset:
-    name: str
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...], float], ...]
 
 
 @dataclass(frozen=True)
 class OddManDataset:
-    name: str
     instances: tuple[tuple[tuple[str, ...], str], ...]  # (tokens, gold odd one)
 
 
@@ -92,7 +89,7 @@ def _tab_rows(path, fields: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
+def load_similarity_dataset(path) -> SimilarityDataset:
     """Tab-separated lines: token, token, human rating."""
     pairs = []
     for lineno, parts in _tab_rows(path, 3):
@@ -100,10 +97,10 @@ def load_similarity_dataset(path, name: str | None = None) -> SimilarityDataset:
         if not parts[0] or not parts[1]:
             raise ValueError(f"{path}:{lineno}: empty token")
         pairs.append((parts[0], parts[1], rating))
-    return SimilarityDataset(name=name or str(path), pairs=tuple(pairs))
+    return SimilarityDataset(pairs=tuple(pairs))
 
 
-def load_sentence_pairs(path, name: str | None = None) -> SentencePairDataset:
+def load_sentence_pairs(path) -> SentencePairDataset:
     """Tab-separated lines: sentence, sentence, human rating.
 
     Sentences are whitespace-tokenised and lowercased, matching the
@@ -116,10 +113,10 @@ def load_sentence_pairs(path, name: str | None = None) -> SentencePairDataset:
         if not s1 or not s2:
             raise ValueError(f"{path}:{lineno}: empty sentence")
         pairs.append((s1, s2, _parse_rating(path, lineno, parts[2])))
-    return SentencePairDataset(name=name or str(path), pairs=tuple(pairs))
+    return SentencePairDataset(pairs=tuple(pairs))
 
 
-def load_odd_man_dataset(path, name: str | None = None) -> OddManDataset:
+def load_odd_man_dataset(path) -> OddManDataset:
     """Tab-separated lines: space-separated token set, gold odd token."""
     instances = []
     for lineno, (token_set, gold) in _tab_rows(path, 2):
@@ -129,7 +126,7 @@ def load_odd_man_dataset(path, name: str | None = None) -> OddManDataset:
         if gold not in tokens:
             raise ValueError(f"{path}:{lineno}: gold token not in the set")
         instances.append((tokens, gold))
-    return OddManDataset(name=name or str(path), instances=tuple(instances))
+    return OddManDataset(instances=tuple(instances))
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -218,8 +215,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _rows(emb: EmbeddingSet, tokens) -> list[int]:
-    """Row indices of the in-vocabulary tokens, in order, repeats kept."""
-    return [emb.index_of(t) for t in tokens if t in emb]
+    """Row indices of the in-vocabulary tokens, in order, repeats kept: one
+    index lookup per token, the resolver of every task."""
+    return [i for i in map(emb._index.get, tokens) if i is not None]
 
 
 @dataclass(frozen=True)
@@ -234,11 +232,11 @@ def word_similarity_eval(
 ) -> WordSimilarityResult:
     """Spearman correlation between cosine similarities and human ratings
     over the pairs whose both tokens are in vocabulary."""
-    scorable = [
-        (emb.index_of(w1), emb.index_of(w2), rating)
-        for w1, w2, rating in data.pairs
-        if w1 in emb and w2 in emb
-    ]
+    scorable = []
+    for w1, w2, rating in data.pairs:
+        rows = _rows(emb, (w1, w2))
+        if len(rows) == 2:
+            scorable.append((*rows, rating))
     if len(scorable) < 2:
         raise ValueError(
             f"need at least 2 scorable pairs, got {len(scorable)} of {len(data.pairs)}"
@@ -374,10 +372,11 @@ def odd_man_out(emb: EmbeddingSet, tokens: tuple[str, ...]) -> tuple[str, bool]:
     broken by the order tokens appear in the instance.
     """
     _require_odd_man_size(len(tokens))
-    missing = [t for t in tokens if t not in emb]
-    if missing:
+    rows = _rows(emb, tokens)
+    if len(rows) < len(tokens):
+        missing = [t for t in tokens if t not in emb]
         raise KeyError(f"tokens not in vocabulary: {missing}")
-    best, tie = _odd_man_picks(emb.vectors, np.array([_rows(emb, tokens)]))
+    best, tie = _odd_man_picks(emb.vectors, np.array([rows]))
     return tokens[int(best[0])], bool(tie[0])
 
 
@@ -390,22 +389,23 @@ class OddManResult:
 
 
 def odd_man_eval(emb: EmbeddingSet, data: OddManDataset) -> OddManResult:
-    by_size: dict[int, list[tuple[tuple[str, ...], str]]] = {}
+    # size -> the fully in-vocabulary instances of that size and their rows
+    by_size: dict[int, list[tuple[tuple[str, ...], str, list[int]]]] = {}
     skipped = 0
     for tokens, gold in data.instances:
-        if any(t not in emb for t in tokens):
+        rows = _rows(emb, tokens)
+        if len(rows) < len(tokens):
             skipped += 1
             continue
-        by_size.setdefault(len(tokens), []).append((tokens, gold))
+        by_size.setdefault(len(tokens), []).append((tokens, gold, rows))
     evaluated = len(data.instances) - skipped
     if evaluated == 0:
         raise ValueError("no fully in-vocabulary instances to evaluate")
     correct = 0
     for group in by_size.values():
-        rows = np.array([_rows(emb, tokens) for tokens, _ in group])
-        best, _ = _odd_man_picks(emb.vectors, rows)
+        best, _ = _odd_man_picks(emb.vectors, np.array([r for _, _, r in group]))
         correct += sum(
-            tokens[b] == gold for (tokens, gold), b in zip(group, best.tolist())
+            tokens[b] == gold for (tokens, gold, _), b in zip(group, best.tolist())
         )
     return OddManResult(
         accuracy=correct / evaluated,

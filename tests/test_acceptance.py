@@ -346,7 +346,7 @@ def _cosine_gold_pairs(emb, count=400, seed=17):
         a, b = emb.vectors[i], emb.vectors[j]
         gold = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         pairs.append((emb.words[i], emb.words[j], gold))
-    return SimilarityDataset("sampled-cosine", tuple(pairs))
+    return SimilarityDataset(tuple(pairs))
 
 
 def test_criterion_6_real_data_skewness_direction():

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from nadp.mechanisms import (
     jaccard_mechanism_perturb,
     mahalanobis_perturb,
 )
-from nadp.privacy import DEFAULT_EVAL_M, privacy_report
+from nadp.privacy import DEFAULT_EVAL_M, prediction_probability, privacy_report
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
@@ -652,6 +653,55 @@ def test_parameter_table_and_parser_agree():
                             ("--m-density", DEFAULT_M_DENSITY),
                             ("--m-eval", DEFAULT_EVAL_M)]:
         assert f"(default {default})" in options[option].help, option
+
+
+def test_perturber_fields_are_parameters_of_the_table():
+    # `_perturber` maps each field to the parameter of its name; every field
+    # but the clean set and `strict` (from --allow-unproven-epsilon) is one
+    knobs = {f.name for f in fields(Perturber)} - {"emb", "strict"}
+    assert knobs <= set(cli._PARAMS)
+
+
+_ONE_WORD_RUNS = [
+    *(("perturb", "--mechanism", kind, "--epsilon", 0.5, "--seed", 1)
+      for kind in MECHANISM_KINDS),
+    ("eval-utility", "--wordsim", "pairs.tsv", "--epsilons", 0.5, "--seeds", 1),
+    ("eval-privacy", "--perturbed", "one.txt"),
+    ("neighbours", "--perturbed", "one.txt", "--words", "w0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _ONE_WORD_RUNS,
+    ids=[f"{a[0]}-{a[2]}" if a[0] == "perturb" else a[0] for a in _ONE_WORD_RUNS],
+)
+def test_a_one_word_vocabulary_is_named(tmp_path, capsys, monkeypatch, argv):
+    # every search and covariance needs a second word; the error says so
+    # instead of naming a delta or k derived from n = 1
+    monkeypatch.chdir(tmp_path)
+    Path("one.txt").write_text("w0 1.0 2.0\n", encoding="utf-8")
+    Path("pairs.tsv").write_text("w0\tw0\t1\n", encoding="utf-8")
+    assert _run(*argv, "--embeddings", "one.txt", "--out-dir", "out") == 2
+    assert "error: need at least 2 words, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda one: privacy_report(one, one), "need at least 2 words, got 1"),
+        (lambda one: prediction_probability(one, one.vectors[0], 0, m=1),
+         "need at least 2 words, got 1"),
+        (lambda one: Perturber(one, delta=0.5), "need at least 2 words, got 1"),
+        # a direct Mahalanobis run names the covariance it cannot estimate
+        (lambda one: mahalanobis_perturb(one, 1.0, DEFAULT_LAMBDA, seed=0),
+         "need at least 2 words to estimate a covariance"),
+    ],
+    ids=["privacy_report", "prediction_probability", "Perturber", "mahalanobis_perturb"],
+)
+def test_a_one_word_vocabulary_is_named_by_the_library(call, message):
+    one = EmbeddingSet(("w0",), np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match=message):
+        call(one)
 
 
 def test_limit_and_vocab_file_pass_through(emb_file, tmp_path):

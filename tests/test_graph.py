@@ -108,10 +108,19 @@ def test_neighbour_sets_prefix_equals_knn():
         ns.prefix(0)
 
 
-def test_knn_block_size_independent():
+def _set_block_rows(monkeypatch, n: int, rows: int) -> None:
+    """Size the block budget so that a search over n words runs `rows`
+    query rows per block."""
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * n * rows)
+    assert graph._block_rows(n) == rows
+
+
+def test_knn_block_size_independent(monkeypatch):
     emb = random_embeddings(50, 6, seed=9)
-    a = knn(emb, 3, block_size=7)
-    b = knn(emb, 3, block_size=1024)
+    _set_block_rows(monkeypatch, emb.n, 7)
+    a = knn(emb, 3)
+    _set_block_rows(monkeypatch, emb.n, 1024)
+    b = knn(emb, 3)
     assert np.array_equal(a.indices, b.indices)
 
 
@@ -272,12 +281,13 @@ def test_rank_queries_without_exclusion_finds_self():
     assert np.allclose(dist[:, 0], 0.0)
 
 
-@pytest.mark.parametrize("block_size", [7, 1024])
+@pytest.mark.parametrize("block_rows", [7, 1024])
 @pytest.mark.parametrize("with_exclude", [True, False])
 def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
-    block_size, with_exclude
+    monkeypatch, block_rows, with_exclude
 ):
     emb = _heavy_tie_grid()
+    _set_block_rows(monkeypatch, emb.n, block_rows)
     rng = np.random.default_rng(5)
     # half the queries sit on the duplicate group, half on grid points that
     # are not rows of the set
@@ -287,7 +297,7 @@ def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
         # the queries on the duplicate group each drop one of its members
         exclude = np.concatenate([np.arange(6), rng.integers(0, emb.n, 6)])
     for k in (1, 3, 10, 45):
-        idx, dist = rank_queries(emb, queries, k, exclude, block_size)
+        idx, dist = rank_queries(emb, queries, k, exclude)
         expected = rank_bruteforce(emb.vectors, queries, k, exclude)
         assert idx.tolist() == expected
         direct = np.linalg.norm(queries[:, None, :] - emb.vectors[idx], axis=2)
@@ -316,17 +326,18 @@ def test_search_is_bit_identical_at_any_block_size(monkeypatch, with_exclude):
     if with_exclude:
         exclude = np.concatenate([np.arange(emb.n), rng.integers(0, emb.n, 20)])
 
-    def results(block_size=None):
+    def results():
         out = []
         for k in (1, 3, 10, 45):
-            out += _bits(*rank_queries(emb, queries, k, exclude, block_size))
-            ns = knn(emb, k, block_size=block_size)
+            out += _bits(*rank_queries(emb, queries, k, exclude))
+            ns = knn(emb, k)
             out += _bits(ns.indices, ns.distances)
         return out
 
     default = results()
-    assert results(7) == default
-    assert results(1024) == default
+    for rows in (7, 1024):
+        _set_block_rows(monkeypatch, emb.n, rows)
+        assert results() == default
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 8)
     assert graph._block_rows(emb.n) == 1
     blocks = []

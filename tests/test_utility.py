@@ -56,7 +56,7 @@ def _pairs(emb, ratings_from_cosine=True, flip=False):
         for j in range(i + 1, len(words)):
             c = cosine(emb.vectors[i], emb.vectors[j])
             pairs.append((words[i], words[j], -c if flip else c))
-    return SimilarityDataset("toy", tuple(pairs))
+    return SimilarityDataset(tuple(pairs))
 
 
 def test_word_similarity_perfect_correlation(toy_emb):
@@ -72,7 +72,6 @@ def test_word_similarity_reversed_correlation(toy_emb):
 
 def test_word_similarity_matches_rank_oracle(toy_emb):
     data = SimilarityDataset(
-        "hand",
         (
             ("cat", "dog", 4.6),
             ("car", "bus", 4.1),
@@ -92,15 +91,12 @@ def test_word_similarity_matches_rank_oracle(toy_emb):
 
 def test_word_similarity_coverage_and_errors(toy_emb):
     data = SimilarityDataset(
-        "partial",
         (("cat", "dog", 4.0), ("cat", "unknown", 3.0), ("car", "bus", 2.0)),
     )
     result = word_similarity_eval(toy_emb, data)
     assert (result.scorable, result.total) == (2, 3)
     with pytest.raises(ValueError, match="scorable"):
-        word_similarity_eval(
-            toy_emb, SimilarityDataset("thin", (("cat", "nope", 1.0),))
-        )
+        word_similarity_eval(toy_emb, SimilarityDataset((("cat", "nope", 1.0),)))
 
 
 def test_correlations_match_oracles_on_random_data():
@@ -192,7 +188,6 @@ def test_sentence_centroid_single_word_reduces_to_vector(toy_emb):
 
 def test_sts_single_word_sentences_reduce_to_word_similarity(toy_emb):
     data = SentencePairDataset(
-        "single",
         (
             (("cat",), ("dog",), 4.0),
             (("car",), ("bus",), 3.9),
@@ -218,7 +213,6 @@ def test_sts_centroid_invariant_under_duplication(toy_emb):
 
 def test_sts_hand_computed_pairs(toy_emb):
     data = SentencePairDataset(
-        "hand",
         (
             (("cat", "dog"), ("dog",), 4.8),
             (("car", "bus"), ("red", "car"), 3.1),
@@ -253,7 +247,7 @@ def test_sts_eval_does_not_import_numpy_ma():
         "emb = EmbeddingSet(('a', 'b', 'c'), vectors)\n"
         "pairs = ((('a',), ('b', 'c'), 1.0), (('a', 'b'), ('c',), 2.0),\n"
         "         (('b',), ('a', 'c', 'c'), 3.0))\n"
-        "sts_eval(emb, SentencePairDataset('tiny', pairs))\n"
+        "sts_eval(emb, SentencePairDataset(pairs))\n"
         "loaded.append('numpy.ma' in sys.modules)\n"
         "print(json.dumps(loaded))\n"
     )
@@ -271,7 +265,6 @@ def test_sts_eval_does_not_import_numpy_ma():
 
 def test_sts_drops_out_of_vocabulary_sentences(toy_emb):
     data = SentencePairDataset(
-        "oov",
         (
             (("cat",), ("dog",), 4.0),
             (("zzz",), ("dog",), 1.0),
@@ -361,7 +354,7 @@ def test_odd_man_out_equals_the_nested_loop():
         assert result == _odd_man_out_nested(emb, tokens)
         ties += result[1]
     assert ties > 10
-    result = odd_man_eval(emb, OddManDataset("random", tuple(instances)))
+    result = odd_man_eval(emb, OddManDataset(tuple(instances)))
     correct = sum(
         _odd_man_out_nested(emb, tokens)[0] == gold for tokens, gold in instances
     )
@@ -381,7 +374,6 @@ def test_odd_man_out_reorder_invariance():
 
 def test_odd_man_eval_skips_oov(toy_emb):
     data = OddManDataset(
-        "toy",
         (
             (("cat", "dog", "red", "bus", "car"), "car"),
             (("cat", "dog", "red", "bus", "zzz"), "zzz"),

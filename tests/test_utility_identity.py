@@ -88,7 +88,7 @@ def test_word_similarity_equals_the_per_pair_loop(d):
         (vocab[a], vocab[b], float(rng.integers(0, 10)))
         for a, b in rng.integers(0, len(vocab), (600, 2))
     )
-    data = SimilarityDataset("mixed", pairs)
+    data = SimilarityDataset(pairs)
     result = word_similarity_eval(emb, data)
     assert repr(result) == repr(word_similarity_per_pair(emb, data))
     assert result.scorable < result.total  # some pairs were out of vocabulary
@@ -129,7 +129,7 @@ def test_sts_equals_the_per_pair_loop(d):
     right = _sentences(emb, rng, 200, 0.05)[::-1]
     pairs = [(a, b, float(rng.integers(0, 6))) for a, b in zip(left, right)]
     pairs += [(OOV, left[3], 1.0), (left[5], (OOV[1],), 2.0)]
-    data = SentencePairDataset("mixed", tuple(pairs))
+    data = SentencePairDataset(tuple(pairs))
     result = sts_eval(emb, data)
     assert repr(result) == repr(sts_per_pair(emb, data))
     assert result.dropped >= 2
@@ -161,7 +161,7 @@ def test_odd_man_equals_the_per_drop_loop(d):
         assert got == odd_man_out_per_drop(emb, tokens), tokens
         ties += got[1]
     assert ties > 5
-    data = OddManDataset("mixed", tuple(instances))
+    data = OddManDataset(tuple(instances))
     result = odd_man_eval(emb, data)
     assert repr(result) == repr(odd_man_per_instance(emb, data))
     assert result.skipped > 0
@@ -188,7 +188,6 @@ def test_one_item_chunks_give_the_same_scores(monkeypatch):
     rng = np.random.default_rng(13)
     vocab = emb.words + OOV
     wordsim = SimilarityDataset(
-        "w",
         tuple(
             (vocab[a], vocab[b], float(rng.integers(0, 10)))
             for a, b in rng.integers(0, len(vocab), (300, 2))
@@ -196,9 +195,9 @@ def test_one_item_chunks_give_the_same_scores(monkeypatch):
     )
     left = _sentences(emb, rng, 120, 0.05)
     sts = SentencePairDataset(
-        "s", tuple((a, b, float(rng.integers(0, 6))) for a, b in zip(left, left[::-1]))
+        tuple((a, b, float(rng.integers(0, 6))) for a, b in zip(left, left[::-1]))
     )
-    oddman = OddManDataset("o", tuple(_instances(emb, rng, 160)))
+    oddman = OddManDataset(tuple(_instances(emb, rng, 160)))
 
     def scores():
         return [
