@@ -3,8 +3,9 @@
 Pipeline: build an exact nearest-neighbour graph over the vocabulary,
 factorise it into connected-component neighbourhoods, calibrate the minimal
 per-neighbourhood Gaussian noise for a requested (epsilon, delta), and
-perturb. Baseline mechanisms and privacy/utility evaluation protocols are
-included for comparison.
+perturb. For comparison, `Perturber` runs the Gaussian, Laplacian,
+Mahalanobis and two-category density baselines (it is their only entry
+point), and privacy/utility evaluation protocols are included.
 """
 
 __version__ = "0.1.0"
@@ -33,15 +34,7 @@ from .graph import (
     knn,
     rank_queries,
 )
-from .mechanisms import (
-    PerturbationReport,
-    Perturber,
-    gaussian_perturb,
-    jaccard_mechanism_perturb,
-    laplacian_perturb,
-    mahalanobis_perturb,
-    nadp_perturb,
-)
+from .mechanisms import PerturbationReport, Perturber, nadp_perturb
 from .privacy import PrivacyReport, prediction_probability, privacy_report, skewness
 from .utility import (
     OddManDataset,
@@ -74,12 +67,8 @@ __all__ = [
     "classic_gaussian_sigma",
     "connected_components",
     "g",
-    "gaussian_perturb",
-    "jaccard_mechanism_perturb",
     "knn",
-    "laplacian_perturb",
     "load_embeddings",
-    "mahalanobis_perturb",
     "nadp_perturb",
     "odd_man_out",
     "phi",

@@ -147,6 +147,11 @@ def _resolve_params(args: argparse.Namespace) -> dict:
                 f"manifest {args.config} was written by "
                 f"{manifest.get('command')!r}, not {args.command!r}"
             )
+        for key in manifest["parameters"]:
+            if key not in _PARAMS:
+                raise ValueError(
+                    f"manifest {args.config} has an unknown parameter {key!r}"
+                )
         params.update(manifest["parameters"])
     for key in _PARAMS:
         value = getattr(args, key, None)
@@ -207,6 +212,25 @@ def _input_hashes(params: dict) -> dict[str, str]:
         if path is not None:
             hashes[str(path)] = _sha256(path)
     return hashes
+
+
+def _manifest_name(command: str) -> str:
+    return command.replace("-", "_") + "_manifest.json"
+
+
+def _require_distinct_files(params: dict, out_dir: Path, written: dict) -> None:
+    """Each of `written` (what -> file name in out_dir) names its own file,
+    and none of them an input: a file written over another, or over an input
+    whose hash the manifest then records, leaves a run that cannot replay."""
+    seen = {}
+    for key in ("embeddings", "vocab_file"):
+        if params[key] is not None:
+            seen[Path(params[key]).resolve()] = _PARAMS[key][0]
+    for what, name in written.items():
+        path = out_dir / name
+        other = seen.setdefault(path.resolve(), what)
+        if other != what:
+            raise ValueError(f"{what} and {other} name the same file {path}")
 
 
 def _perturber(params: dict, emb: EmbeddingSet) -> Perturber:
@@ -293,14 +317,19 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
+    out_name = params["output"]
+    report_name = params["report"] or "perturb_report.json"
+    _require_distinct_files(params, out_dir, {
+        "the manifest": _manifest_name("perturb"),
+        "--output": out_name,
+        "--report": report_name,
+    })
     emb = _load_set(params)
     seed = _resolve_seed(params)
     perturbed, report = _perturber(params, emb).perturb(
         params["mechanism"], params["epsilon"], seed
     )
-    out_name = params["output"]
     save_embeddings(perturbed, out_dir / out_name, precision=params["precision"])
-    report_name = params["report"] or "perturb_report.json"
     _write_json(out_dir / report_name, report.to_dict())
     print(
         f"perturb: mechanism={report.kind} epsilon={report.epsilon} "
@@ -510,8 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             "inputs": _input_hashes(params),
             "outputs": outputs,
         }
-        name = args.command.replace("-", "_") + "_manifest.json"
-        _write_json(out_dir / name, manifest)
+        _write_json(out_dir / _manifest_name(args.command), manifest)
         return 0
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,11 @@
 * ``jaccard``: two density categories (dense/sparse by mean neighbour
   distance), each with its own closed-form Gaussian sigma.
 
+`Perturber` runs all five from one clean set and its knobs, which it checks
+when it is built; it is the only entry point of the four baselines, whose
+implementations are the runners of its registry `_MECHANISMS`. `nadp_perturb`
+also runs alone, on a partition the caller builds.
+
 All mechanisms add their noise through one path, `_add_noise`, which draws
 each word's noise from one counter-based substream per word index, derived
 from the master seed, so outputs do not depend on iteration order or
@@ -191,61 +196,6 @@ def nadp_perturb(
     )
 
 
-def gaussian_perturb(
-    emb: EmbeddingSet,
-    params: PrivacyParams,
-    Delta: float,
-    seed: int,
-    strict: bool = True,
-) -> tuple[EmbeddingSet, PerturbationReport]:
-    """Classic Gaussian mechanism: one closed-form sigma for every word.
-
-    With strict=True (the default) epsilon must lie in (0, 1), the range for
-    which the closed form is proven; strict=False evaluates the same formula
-    anyway so that benchmark sweeps over large epsilon can include this
-    mechanism, and flags the report as not proven.
-    """
-    if Delta < 0.0:
-        raise ValueError(f"sensitivity must be >= 0, got {Delta}")
-    proven = _require_proven_range(params.epsilon, strict, "gaussian")
-    sigma = float(classic_sigma_formula(params.epsilon, params.delta, Delta))
-    return _add_noise(
-        emb,
-        seed,
-        lambda rng, i: rng.normal(0.0, sigma, emb.d),
-        np.full(emb.n, sigma != 0.0),
-        kind="gaussian",
-        epsilon=params.epsilon,
-        delta=params.delta,
-        sigma_per_component=(sigma,),
-        delta_per_component=(float(Delta),),
-        global_sensitivity=float(Delta),
-        proven_dp=proven,
-    )
-
-
-def laplacian_perturb(
-    emb: EmbeddingSet, epsilon: float, Delta: float, seed: int
-) -> tuple[EmbeddingSet, PerturbationReport]:
-    """Independent per-coordinate Laplace noise with scale Delta/epsilon."""
-    _require_finite_epsilon(epsilon)
-    if Delta < 0.0:
-        raise ValueError(f"sensitivity must be >= 0, got {Delta}")
-    scale = Delta / epsilon
-    return _add_noise(
-        emb,
-        seed,
-        lambda rng, i: rng.laplace(0.0, scale, emb.d),
-        np.full(emb.n, scale > 0.0),
-        kind="laplacian",
-        epsilon=epsilon,
-        sigma_per_component=(float(scale),),
-        delta_per_component=(float(Delta),),
-        global_sensitivity=float(Delta),
-        extra={"noise": "per-coordinate Laplace, scale Delta/epsilon"},
-    )
-
-
 def covariance_shape(emb: EmbeddingSet, lambda_: float) -> np.ndarray:
     """Blend of the trace-normalised embedding covariance with the identity:
     C = lambda * Sigma_norm + (1 - lambda) * I, where Sigma_norm is the
@@ -284,124 +234,22 @@ def mahalanobis_noise(
     return r * (shape_sqrt @ (v / norm))
 
 
-def _mahalanobis_shape_sqrt(emb: EmbeddingSet, lambda_: float) -> np.ndarray:
-    """The square root of `covariance_shape(emb, lambda_)` the noise maps
-    its draws through."""
-    if not 0.0 <= lambda_ <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
-    if emb.n < 2:
-        raise ValueError("need at least 2 words to estimate a covariance")
-    return _sqrt_psd(covariance_shape(emb, lambda_))
-
-
-def mahalanobis_perturb(
-    emb: EmbeddingSet, epsilon: float, lambda_: float, seed: int
-) -> tuple[EmbeddingSet, PerturbationReport]:
-    """Elliptical noise following the covariance structure of the embeddings.
-
-    Non-normative construction: this mirrors the usual elliptical recipe
-    (Gamma radius, sphere direction, covariance square root); only lambda and
-    the epsilon range are fixed by the benchmark protocol.
-    """
-    _require_finite_epsilon(epsilon)
-    return _add_mahalanobis_noise(
-        emb, epsilon, lambda_, seed, _mahalanobis_shape_sqrt(emb, lambda_)
-    )
-
-
-def _add_mahalanobis_noise(
-    emb: EmbeddingSet,
-    epsilon: float,
-    lambda_: float,
-    seed: int,
-    shape_sqrt: np.ndarray,
-) -> tuple[EmbeddingSet, PerturbationReport]:
-    return _add_noise(
-        emb,
-        seed,
-        lambda rng, i: mahalanobis_noise(rng, shape_sqrt, epsilon),
-        kind="mahalanobis",
-        epsilon=epsilon,
-        extra={
-            "lambda": lambda_,
-            "noise": "non-normative elliptical construction "
-            "(Gamma radius, unit-sphere direction, covariance square root)",
-        },
-    )
-
-
 def neighbourhood_density(neighbour_sets: NeighbourSets) -> np.ndarray:
     """Mean Euclidean distance from each word to its nearest neighbours."""
     return neighbour_sets.distances.mean(axis=1)
 
 
-def _check_jaccard_knobs(eta0: float, alpha1: float, alpha2: float) -> None:
-    for name, value in (("eta0", eta0), ("alpha1", alpha1), ("alpha2", alpha2)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be > 0, got {value}")
-
-
-def jaccard_mechanism_perturb(
-    emb: EmbeddingSet,
-    params: PrivacyParams,
-    neighbour_sets: NeighbourSets,
-    eta0: float,
-    alpha1: float,
-    alpha2: float,
-    seed: int,
-    strict: bool = True,
-) -> tuple[EmbeddingSet, PerturbationReport]:
-    """Two-category density baseline.
-
-    Words are split by their mean neighbour distance eta(x) into dense
-    (eta < eta0) and sparse (eta >= eta0); category i receives isotropic
-    Gaussian noise with sigma_i = Delta * alpha_i * sqrt(2*log(1.25/delta)) /
-    epsilon, where Delta is the average distance from a word to its
-    furthermost neighbour.
-    """
-    _check_jaccard_knobs(eta0, alpha1, alpha2)
-    if neighbour_sets.n != emb.n:
-        raise ValueError("neighbour sets do not match the embedding set")
-    proven = _require_proven_range(params.epsilon, strict, "jaccard")
-    eta = neighbourhood_density(neighbour_sets)
-    Delta = float(neighbour_sets.distances[:, -1].mean())
-    dense = eta < eta0
-    base = classic_sigma_formula(params.epsilon, params.delta, Delta)
-    sigma1 = alpha1 * base
-    sigma2 = alpha2 * base
-    sigma_of_word = np.where(dense, sigma1, sigma2)
-    return _add_noise(
-        emb,
-        seed,
-        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
-        sigma_of_word != 0.0,
-        kind="jaccard",
-        epsilon=params.epsilon,
-        delta=params.delta,
-        sigma_per_component=(float(sigma1), float(sigma2)),
-        delta_per_component=(float(Delta), float(Delta)),
-        global_sensitivity=Delta,
-        proven_dp=proven,
-        extra={
-            "eta0": eta0,
-            "alpha1": alpha1,
-            "alpha2": alpha2,
-            "m_density": neighbour_sets.m,
-            "dense_words": int(dense.sum()),
-            "sparse_words": int(emb.n - dense.sum()),
-        },
-    )
-
-
 @dataclass(eq=False, repr=False)
 class Perturber:
-    """Shared-state dispatcher over the five mechanisms for one clean set.
+    """Shared-state dispatcher over the five mechanisms for one clean set,
+    and the one entry point of the four baselines.
 
-    Its fields are the clean set and the knobs. The neighbour graph,
-    component partition and density neighbour sets are computed lazily
-    once, from a single kNN pass, and reused across (mechanism, epsilon,
-    seed) calls, which is what benchmark sweeps need; so is the Mahalanobis
-    covariance square root, on the first Mahalanobis call.
+    Its fields are the clean set and the knobs, each checked once, when the
+    Perturber is built. The neighbour graph, component partition and
+    density neighbour sets are computed lazily once, from a single kNN
+    pass, and reused across (mechanism, epsilon, seed) calls, which is what
+    benchmark sweeps need; so is the Mahalanobis covariance square root, on
+    the first Mahalanobis call.
     """
 
     emb: EmbeddingSet
@@ -420,6 +268,12 @@ class Perturber:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.m_density < 1:
             raise ValueError(f"m_density must be >= 1, got {self.m_density}")
+        if not 0.0 <= self.lambda_ <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_}")
+        for name in ("eta0", "alpha1", "alpha2"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         # the graph, the density sets and the covariance all need two words
         _require_two_words(self.emb.n)
 
@@ -442,9 +296,10 @@ class Perturber:
 
     @cached_property
     def shape_sqrt(self) -> np.ndarray:
-        """The Mahalanobis noise's covariance square root, computed on the
-        first Mahalanobis call rather than in set-up."""
-        return _mahalanobis_shape_sqrt(self.emb, self.lambda_)
+        """The square root of `covariance_shape(emb, lambda_)` that the
+        Mahalanobis noise maps its draws through, computed on the first
+        Mahalanobis call rather than in set-up."""
+        return _sqrt_psd(covariance_shape(self.emb, self.lambda_))
 
     def perturb(
         self, kind: str, epsilon: float, seed: int
@@ -459,46 +314,134 @@ def _perturber_nadp(p: Perturber, epsilon: float, seed: int):
     return nadp_perturb(p.emb, p.partition, privacy, seed)
 
 
-def _classic_privacy(p: Perturber, epsilon: float, kind: str) -> PrivacyParams:
-    """The checks of epsilon the closed-form mechanisms make, in their order."""
+def _classic_privacy(
+    p: Perturber, epsilon: float, kind: str
+) -> tuple[PrivacyParams, bool]:
+    """The closed-form mechanisms' checks of epsilon, and whether the closed
+    form is proven at it."""
     privacy = PrivacyParams(epsilon, p.delta)
-    _require_proven_range(epsilon, p.strict, kind)
-    classic_sigma_formula(epsilon, p.delta, 0.0)  # epsilon > 0 when not strict
-    return privacy
+    proven = _require_proven_range(epsilon, p.strict, kind)
+    if not epsilon > 0.0:  # the closed form divides by epsilon
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return privacy, proven
 
 
 def _perturber_gaussian(p: Perturber, epsilon: float, seed: int):
-    privacy = _classic_privacy(p, epsilon, "gaussian")
-    return gaussian_perturb(
-        p.emb, privacy, p.partition.global_sensitivity, seed, strict=p.strict
+    """Classic Gaussian mechanism: one closed-form sigma for every word,
+    with Delta the partition's global sensitivity.
+
+    With strict=True epsilon must lie in (0, 1), the range for which the
+    closed form is proven; strict=False evaluates the same formula anyway,
+    so that benchmark sweeps over large epsilon can include this mechanism,
+    and flags the report as not proven."""
+    privacy, proven = _classic_privacy(p, epsilon, "gaussian")
+    emb = p.emb
+    Delta = p.partition.global_sensitivity
+    sigma = float(classic_sigma_formula(privacy.epsilon, privacy.delta, Delta))
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.normal(0.0, sigma, emb.d),
+        np.full(emb.n, sigma != 0.0),
+        kind="gaussian",
+        epsilon=privacy.epsilon,
+        delta=privacy.delta,
+        sigma_per_component=(sigma,),
+        delta_per_component=(float(Delta),),
+        global_sensitivity=float(Delta),
+        proven_dp=proven,
     )
 
 
 def _perturber_laplacian(p: Perturber, epsilon: float, seed: int):
+    """Independent per-coordinate Laplace noise with scale Delta/epsilon,
+    with Delta the partition's global sensitivity."""
     _require_finite_epsilon(epsilon)
-    return laplacian_perturb(p.emb, epsilon, p.partition.global_sensitivity, seed)
+    emb = p.emb
+    Delta = p.partition.global_sensitivity
+    scale = Delta / epsilon
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.laplace(0.0, scale, emb.d),
+        np.full(emb.n, scale > 0.0),
+        kind="laplacian",
+        epsilon=epsilon,
+        sigma_per_component=(float(scale),),
+        delta_per_component=(float(Delta),),
+        global_sensitivity=float(Delta),
+        extra={"noise": "per-coordinate Laplace, scale Delta/epsilon"},
+    )
 
 
 def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
-    """`mahalanobis_perturb` with the Perturber's cached square root."""
+    """Elliptical noise following the covariance structure of the embeddings.
+
+    Non-normative construction: this mirrors the usual elliptical recipe
+    (Gamma radius, sphere direction, covariance square root); only lambda and
+    the epsilon range are fixed by the benchmark protocol."""
     _require_finite_epsilon(epsilon)
-    return _add_mahalanobis_noise(p.emb, epsilon, p.lambda_, seed, p.shape_sqrt)
+    emb = p.emb
+    shape_sqrt = p.shape_sqrt
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: mahalanobis_noise(rng, shape_sqrt, epsilon),
+        kind="mahalanobis",
+        epsilon=epsilon,
+        extra={
+            "lambda": p.lambda_,
+            "noise": "non-normative elliptical construction "
+            "(Gamma radius, unit-sphere direction, covariance square root)",
+        },
+    )
 
 
 def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
-    _check_jaccard_knobs(p.eta0, p.alpha1, p.alpha2)
-    privacy = _classic_privacy(p, epsilon, "jaccard")
-    return jaccard_mechanism_perturb(
-        p.emb, privacy, p.density_sets, p.eta0, p.alpha1, p.alpha2, seed,
-        strict=p.strict,
+    """Two-category density baseline.
+
+    Words are split by their mean distance eta(x) to their `m_density`
+    nearest neighbours into dense (eta < eta0) and sparse (eta >= eta0);
+    category i receives isotropic Gaussian noise with sigma_i = Delta *
+    alpha_i * sqrt(2*log(1.25/delta)) / epsilon, where Delta is the average
+    distance from a word to its furthermost neighbour. `strict` bounds
+    epsilon as for the Gaussian mechanism."""
+    privacy, proven = _classic_privacy(p, epsilon, "jaccard")
+    emb = p.emb
+    neighbour_sets = p.density_sets
+    eta = neighbourhood_density(neighbour_sets)
+    Delta = float(neighbour_sets.distances[:, -1].mean())
+    dense = eta < p.eta0
+    base = classic_sigma_formula(privacy.epsilon, privacy.delta, Delta)
+    sigma1 = p.alpha1 * base
+    sigma2 = p.alpha2 * base
+    sigma_of_word = np.where(dense, sigma1, sigma2)
+    return _add_noise(
+        emb,
+        seed,
+        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
+        sigma_of_word != 0.0,
+        kind="jaccard",
+        epsilon=privacy.epsilon,
+        delta=privacy.delta,
+        sigma_per_component=(float(sigma1), float(sigma2)),
+        delta_per_component=(float(Delta), float(Delta)),
+        global_sensitivity=Delta,
+        proven_dp=proven,
+        extra={
+            "eta0": p.eta0,
+            "alpha1": p.alpha1,
+            "alpha2": p.alpha2,
+            "m_density": neighbour_sets.m,
+            "dense_words": int(dense.sum()),
+            "sparse_words": int(emb.n - dense.sum()),
+        },
     )
 
 
 # kind -> how a Perturber runs that mechanism on its shared state; the order
-# is the order in which the CLI lists the kinds. Each runner makes its
-# mechanism's checks of epsilon (and jaccard's of its knobs) before it
-# touches the shared kNN, so a rejected value costs no kNN; the mechanism
-# then checks again, with the same messages.
+# is the order in which the CLI lists the kinds. Each runner checks epsilon
+# before it touches the shared kNN, so a rejected epsilon costs no kNN.
 _MECHANISMS = {
     "nadp": _perturber_nadp,
     "gaussian": _perturber_gaussian,

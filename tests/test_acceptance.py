@@ -26,12 +26,7 @@ from nadp.cli import main as cli_main
 from nadp.components import build_partition, connected_components
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import NeighbourGraph, build_graph, knn
-from nadp.mechanisms import (
-    Perturber,
-    gaussian_perturb,
-    jaccard_mechanism_perturb,
-    nadp_perturb,
-)
+from nadp.mechanisms import Perturber, nadp_perturb
 from nadp.privacy import prediction_probability, privacy_report
 from nadp.utility import SimilarityDataset, word_similarity_eval
 
@@ -117,13 +112,12 @@ def test_criterion_3_monte_carlo_dp():
     sigmas = {}
     _, rep = nadp_perturb(emb, partition, params, seed=0)
     sigmas["nadp"] = rep.sigma_per_component[0]
-    _, rep = gaussian_perturb(emb, params, 1.0, seed=0, strict=False)
+    perturber = Perturber(emb, delta, m=1, tau=0.0, eta0=2.0, alpha1=1.835,
+                          alpha2=1.276, m_density=1, strict=False)
+    assert perturber.partition.global_sensitivity == 1.0
+    _, rep = perturber.perturb("gaussian", eps, seed=0)
     sigmas["gaussian"] = rep.sigma_per_component[0]
-    density = knn(emb, 1)
-    _, rep = jaccard_mechanism_perturb(
-        emb, params, density, eta0=2.0, alpha1=1.835, alpha2=1.276, seed=0,
-        strict=False,
-    )
+    _, rep = perturber.perturb("jaccard", eps, seed=0)
     sigmas["jaccard dense"] = rep.sigma_per_component[0]
     sigmas["jaccard sparse"] = rep.sigma_per_component[1]
 

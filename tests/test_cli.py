@@ -16,7 +16,7 @@ from nadp import cli, mechanisms
 from nadp.calibration import PrivacyParams
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
-from nadp.graph import DEFAULT_M, DEFAULT_TAU, build_graph, knn, rank_queries
+from nadp.graph import DEFAULT_M, DEFAULT_TAU, build_graph, rank_queries
 from nadp.mechanisms import (
     DEFAULT_ALPHA1,
     DEFAULT_ALPHA2,
@@ -25,8 +25,6 @@ from nadp.mechanisms import (
     DEFAULT_M_DENSITY,
     MECHANISM_KINDS,
     Perturber,
-    jaccard_mechanism_perturb,
-    mahalanobis_perturb,
 )
 from nadp.privacy import DEFAULT_EVAL_M, prediction_probability, privacy_report
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
@@ -319,19 +317,87 @@ def test_replayed_manifest_of_the_wrong_type_fails_before_any_load(
     assert err == f"error: {message}\n"
 
 
-def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path):
+def test_replayed_manifest_with_an_unknown_key_fails_before_any_load(
+    emb_file, tmp_path, capsys, monkeypatch
+):
+    # a misspelt key is named, not ignored while its parameter runs at the
+    # default; the check comes before the output directory is made
+    first = tmp_path / "first"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 1.0, "--seed", 33, "--m", 2, "--tau", 0.1,
+                "--out-dir", first) == 0
+    manifest = json.loads((first / "perturb_manifest.json").read_text())
+    manifest["parameters"]["tua"] = manifest["parameters"].pop("tau")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the manifest's parameters were checked")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("perturb", "--config", edited, "--out-dir", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: manifest {edited} has an unknown parameter 'tua'\n"
+    )
+
+
+_CLASHING_NAMES = [
+    (("--output", "same.json", "--report", "same.json"),
+     "--report and --output name the same file out/same.json"),
+    (("--output", "perturb_manifest.json"),
+     "--output and the manifest name the same file out/perturb_manifest.json"),
+    (("--output", "emb.txt"), "--output and --embeddings name the same file out/emb.txt"),
+    (("--report", "vocab.txt", "--vocab-file", "out/vocab.txt"),
+     "--report and --vocab-file name the same file out/vocab.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", _CLASHING_NAMES,
+    ids=["output-is-report", "output-is-manifest", "output-is-embeddings",
+         "report-is-vocab-file"],
+)
+def test_perturb_files_are_distinct_and_not_inputs(
+    emb_file, tmp_path, capsys, monkeypatch, flags, message
+):
+    # a file written over another, or over an input whose hash the manifest
+    # records after the run, leaves a run that cannot replay; each clash is
+    # named before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    out = Path("out")
+    out.mkdir()
+    shutil.copy(emb_file, out / "emb.txt")
+    (out / "vocab.txt").write_text("w0\nw1\n", encoding="utf-8")
+    inputs = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("read the embeddings before the file names were checked")
+
+    monkeypatch.setattr(cli, "load_embeddings", must_not_run)
+    assert _run("perturb", "--embeddings", "out/emb.txt", "--mechanism", "nadp",
+                "--epsilon", 1.0, "--seed", 1, "--out-dir", out, *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == inputs
+
+
+def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypatch):
     """Each `cli._DOMAINS` row the library also checks: the library call
     rejects the values just outside the domain and takes those just inside
     it, and where the row names the value as the library does, the two
-    errors read the same."""
+    errors read the same. A Perturber checks its knobs when it is built,
+    before any kNN."""
     emb = load_embeddings(emb_file)
-    ns = knn(emb, 2)
-    knobs = {"eta0": DEFAULT_ETA0, "alpha1": DEFAULT_ALPHA1, "alpha2": DEFAULT_ALPHA2}
 
-    def jaccard(key):
-        return lambda v: jaccard_mechanism_perturb(
-            emb, PrivacyParams(0.5, 0.1), ns, **{**knobs, key: v}, seed=0
-        )
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a Perturber ran the kNN while it was built")
+
+    monkeypatch.setattr(mechanisms, "knn", must_not_run)
+
+    def knob(key):
+        return lambda v: Perturber(emb, delta=0.1, **{key: v})
 
     library = {
         "limit": [lambda v: load_embeddings(emb_file, limit=v)],
@@ -341,10 +407,10 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path):
         "precision": [lambda v: save_embeddings(emb, tmp_path / "e.txt", precision=v)],
         "tau": [lambda v: build_graph(emb, 2, v)],
         "delta": [lambda v: PrivacyParams(0.5, v)],
-        "lambda_": [lambda v: mahalanobis_perturb(emb, 1.0, v, seed=0)],
-        "eta0": [jaccard("eta0")],
-        "alpha1": [jaccard("alpha1")],
-        "alpha2": [jaccard("alpha2")],
+        "lambda_": [knob("lambda_")],
+        "eta0": [knob("eta0")],
+        "alpha1": [knob("alpha1")],
+        "alpha2": [knob("alpha2")],
         "m_eval": [lambda v: privacy_report(emb, emb, m=v)],
         "k": [lambda v: rank_queries(emb, emb.vectors, v)],
     }
@@ -692,11 +758,8 @@ def test_a_one_word_vocabulary_is_named(tmp_path, capsys, monkeypatch, argv):
         (lambda one: prediction_probability(one, one.vectors[0], 0, m=1),
          "need at least 2 words, got 1"),
         (lambda one: Perturber(one, delta=0.5), "need at least 2 words, got 1"),
-        # a direct Mahalanobis run names the covariance it cannot estimate
-        (lambda one: mahalanobis_perturb(one, 1.0, DEFAULT_LAMBDA, seed=0),
-         "need at least 2 words to estimate a covariance"),
     ],
-    ids=["privacy_report", "prediction_probability", "Perturber", "mahalanobis_perturb"],
+    ids=["privacy_report", "prediction_probability", "Perturber"],
 )
 def test_a_one_word_vocabulary_is_named_by_the_library(call, message):
     one = EmbeddingSet(("w0",), np.array([[1.0, 2.0]]))

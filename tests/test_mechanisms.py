@@ -9,18 +9,12 @@ from nadp.components import build_partition
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import build_graph, knn
 from nadp.mechanisms import (
-    DEFAULT_ALPHA1,
-    DEFAULT_ALPHA2,
     DEFAULT_ETA0,
     MECHANISM_KINDS,
     Perturber,
     _sqrt_psd,
     covariance_shape,
-    gaussian_perturb,
-    jaccard_mechanism_perturb,
-    laplacian_perturb,
     mahalanobis_noise,
-    mahalanobis_perturb,
     nadp_perturb,
     neighbourhood_density,
     word_substream,
@@ -38,6 +32,21 @@ def _pair_set(distance: float, d: int) -> EmbeddingSet:
 
 def _pair_partition(emb: EmbeddingSet):
     return build_partition(build_graph(emb, m=1, tau=0.0), emb)
+
+
+def _pair_perturber(distance: float, d: int, **knobs) -> Perturber:
+    # one edge between the two words, so the global sensitivity is `distance`
+    perturber = Perturber(_pair_set(distance, d), delta=0.1, m=1, tau=0.0, **knobs)
+    assert perturber.partition.global_sensitivity == distance
+    return perturber
+
+
+def _edgeless_perturber(emb: EmbeddingSet, **knobs) -> Perturber:
+    # no two neighbour sets have Jaccard similarity 1, so tau = 1 leaves the
+    # graph without edges and the global sensitivity 0
+    perturber = Perturber(emb, tau=1.0, **knobs)
+    assert perturber.partition.global_sensitivity == 0.0
+    return perturber
 
 
 def test_nadp_singleton_component_unchanged():
@@ -113,19 +122,20 @@ def test_nadp_sigma_monotone_in_sensitivity():
 
 def test_gaussian_zero_sensitivity_is_identity():
     emb = random_embeddings(5, 3, seed=5)
-    out, report = gaussian_perturb(emb, PrivacyParams(0.5, 0.1), 0.0, seed=1)
+    perturber = _edgeless_perturber(emb, delta=0.1)
+    out, report = perturber.perturb("gaussian", 0.5, seed=1)
     assert np.array_equal(out.vectors, emb.vectors)
     assert report.zero_noise_words == 5
 
 
 def test_gaussian_monte_carlo_variance():
     d = 500
-    emb = _pair_set(1.0, d)
-    params = PrivacyParams(0.5, 0.1)
+    perturber = _pair_perturber(1.0, d)
+    emb = perturber.emb
     sigma = math.sqrt(2.0 * math.log(1.25 / 0.1)) / 0.5
     noises = []
     for seed in range(1000):
-        out, report = gaussian_perturb(emb, params, 1.0, seed=seed)
+        out, report = perturber.perturb("gaussian", 0.5, seed=seed)
         assert report.sigma_per_component[0] == pytest.approx(sigma, rel=1e-12)
         noises.append(out.vectors - emb.vectors)
     sample = np.concatenate([n.ravel() for n in noises])
@@ -133,32 +143,29 @@ def test_gaussian_monte_carlo_variance():
 
 
 def test_gaussian_seed_contract():
-    emb = random_embeddings(6, 4, seed=6)
-    params = PrivacyParams(0.5, 0.1)
-    a, _ = gaussian_perturb(emb, params, 1.0, seed=1)
-    b, _ = gaussian_perturb(emb, params, 1.0, seed=2)
+    perturber = _pair_perturber(1.0, 4)
+    a, _ = perturber.perturb("gaussian", 0.5, seed=1)
+    b, _ = perturber.perturb("gaussian", 0.5, seed=2)
     assert not np.array_equal(a.vectors, b.vectors)
 
 
 def test_gaussian_epsilon_range():
-    emb = random_embeddings(4, 2, seed=7)
     with pytest.raises(ValueError, match="proven only"):
-        gaussian_perturb(emb, PrivacyParams(1.5, 0.1), 1.0, seed=0)
-    out, report = gaussian_perturb(
-        emb, PrivacyParams(1.5, 0.1), 1.0, seed=0, strict=False
-    )
+        _pair_perturber(1.0, 2).perturb("gaussian", 1.5, seed=0)
+    out, report = _pair_perturber(1.0, 2, strict=False).perturb("gaussian", 1.5, seed=0)
     assert not report.proven_dp
-    assert out.vectors.shape == emb.vectors.shape
+    assert out.vectors.shape == (2, 2)
 
 
 def test_laplace_monte_carlo_variance():
     # per-coordinate Laplace of scale b has variance 2 b^2
     d = 500
-    emb = _pair_set(1.0, d)
     Delta, eps = 3.0, 1.5
+    perturber = _pair_perturber(Delta, d)
+    emb = perturber.emb
     noises = []
     for seed in range(1000):
-        out, _ = laplacian_perturb(emb, eps, Delta, seed=seed)
+        out, _ = perturber.perturb("laplacian", eps, seed=seed)
         noises.append(out.vectors - emb.vectors)
     sample = np.concatenate([n.ravel() for n in noises])
     assert sample.var() == pytest.approx(2.0 * (Delta / eps) ** 2, rel=0.02)
@@ -166,13 +173,15 @@ def test_laplace_monte_carlo_variance():
 
 def test_laplace_identity_and_validation():
     emb = random_embeddings(4, 3, seed=8)
-    out, _ = laplacian_perturb(emb, 1.0, 0.0, seed=3)
+    out, _ = _edgeless_perturber(emb, delta=0.1).perturb("laplacian", 1.0, seed=3)
     assert np.array_equal(out.vectors, emb.vectors)
+    perturber = _pair_perturber(1.0, 3)
     with pytest.raises(ValueError):
-        laplacian_perturb(emb, 0.0, 1.0, seed=3)
-    a, _ = laplacian_perturb(emb, 1.0, 1.0, seed=3)
-    b, _ = laplacian_perturb(emb, 1.0, 1.0, seed=3)
+        perturber.perturb("laplacian", 0.0, seed=3)
+    a, _ = perturber.perturb("laplacian", 1.0, seed=3)
+    b, _ = perturber.perturb("laplacian", 1.0, seed=3)
     assert np.array_equal(a.vectors, b.vectors)
+    assert not np.array_equal(a.vectors, perturber.emb.vectors)
 
 
 def test_covariance_shape_trace():
@@ -216,31 +225,30 @@ def test_mahalanobis_anisotropic_covariance():
 
 def test_mahalanobis_perturb_api():
     emb = random_embeddings(30, 5, seed=10)
-    out, report = mahalanobis_perturb(emb, epsilon=5.0, lambda_=1.0, seed=4)
+    perturber = Perturber(emb, delta=0.1, lambda_=1.0)
+    out, report = perturber.perturb("mahalanobis", 5.0, seed=4)
     assert out.words == emb.words
     assert not np.array_equal(out.vectors, emb.vectors)
-    again, _ = mahalanobis_perturb(emb, epsilon=5.0, lambda_=1.0, seed=4)
+    again, _ = Perturber(emb, delta=0.1, lambda_=1.0).perturb("mahalanobis", 5.0, seed=4)
     assert np.array_equal(out.vectors, again.vectors)
     with pytest.raises(ValueError):
-        mahalanobis_perturb(emb, epsilon=0.0, lambda_=1.0, seed=4)
+        perturber.perturb("mahalanobis", 0.0, seed=4)
     with pytest.raises(ValueError):
-        mahalanobis_perturb(emb, epsilon=1.0, lambda_=2.0, seed=4)
+        Perturber(emb, delta=0.1, lambda_=2.0)
     single = EmbeddingSet(("only",), np.ones((1, 3)))
-    with pytest.raises(ValueError, match="covariance"):
-        mahalanobis_perturb(single, epsilon=1.0, lambda_=1.0, seed=4)
+    with pytest.raises(ValueError, match="need at least 2 words, got 1"):
+        Perturber(single, delta=0.1, lambda_=1.0)
 
 
-def _jaccard(emb, params, ns, seed, strict=True, eta0=DEFAULT_ETA0):
-    return jaccard_mechanism_perturb(
-        emb, params, ns, eta0, DEFAULT_ALPHA1, DEFAULT_ALPHA2, seed, strict=strict
-    )
+def _jaccard(emb, epsilon, m_density, seed, strict=True, eta0=DEFAULT_ETA0):
+    perturber = Perturber(emb, delta=0.1, eta0=eta0, m_density=m_density, strict=strict)
+    return perturber.perturb("jaccard", epsilon, seed)
 
 
 def test_jaccard_all_identical_vectors_is_identity():
     # every density is 0 (all dense) and the sensitivity is 0, so no noise
     emb = EmbeddingSet(("a", "b", "c"), np.ones((3, 4)) * 2.5)
-    ns = knn(emb, 2)
-    out, report = _jaccard(emb, PrivacyParams(0.5, 0.1), ns, seed=1)
+    out, report = _jaccard(emb, 0.5, 2, seed=1)
     assert np.array_equal(out.vectors, emb.vectors)
     assert report.zero_noise_words == 3
     assert report.extra["dense_words"] == 3
@@ -248,9 +256,8 @@ def test_jaccard_all_identical_vectors_is_identity():
 
 def test_jaccard_single_category_collapse():
     emb = random_embeddings(10, 4, seed=11)
-    ns = knn(emb, 3)
     # eta0 below every density: everything lands in the sparse bin
-    out, report = _jaccard(emb, PrivacyParams(0.5, 0.1), ns, seed=2, eta0=1e-9)
+    out, report = _jaccard(emb, 0.5, 3, seed=2, eta0=1e-9)
     assert report.extra["dense_words"] == 0
     assert report.extra["sparse_words"] == 10
     Delta = report.global_sensitivity
@@ -268,10 +275,10 @@ def test_jaccard_two_cluster_category_variances():
     ns = knn(emb, 2)
     eta = ns.distances.mean(axis=1)
     eta0 = float((eta[:3].max() + eta[3:].min()) / 2)
-    params = PrivacyParams(0.9, 0.1)
+    perturber = Perturber(emb, delta=0.1, eta0=eta0, m_density=2)
     dense_noise, sparse_noise = [], []
     for seed in range(1000):
-        out, report = _jaccard(emb, params, ns, seed=seed, eta0=eta0)
+        out, report = perturber.perturb("jaccard", 0.9, seed=seed)
         noise = out.vectors - emb.vectors
         dense_noise.append(noise[:3].ravel())
         sparse_noise.append(noise[3:].ravel())
@@ -287,28 +294,26 @@ def test_jaccard_two_cluster_category_variances():
 
 def test_jaccard_epsilon_range():
     emb = random_embeddings(6, 3, seed=14)
-    ns = knn(emb, 2)
     with pytest.raises(ValueError, match="proven only"):
-        _jaccard(emb, PrivacyParams(2.0, 0.1), ns, seed=0)
-    _, report = _jaccard(emb, PrivacyParams(2.0, 0.1), ns, seed=0, strict=False)
+        _jaccard(emb, 2.0, 2, seed=0)
+    _, report = _jaccard(emb, 2.0, 2, seed=0, strict=False)
     assert not report.proven_dp
 
 
 def test_mechanism_config_validation():
-    # each knob is checked by the mechanism that reads it
+    # each knob is checked when the Perturber is built, whatever mechanism
+    # runs later
     emb = random_embeddings(6, 3, seed=14)
-    params = PrivacyParams(0.5, 0.1)
     with pytest.raises(ValueError, match="unknown mechanism"):
         Perturber(emb, delta=0.1).perturb("bogus", 0.5, seed=0)
     with pytest.raises(ValueError, match="lambda"):
-        mahalanobis_perturb(emb, epsilon=1.0, lambda_=1.5, seed=0)
-    ns = knn(emb, 2)
+        Perturber(emb, delta=0.1, lambda_=1.5)
     with pytest.raises(ValueError, match="eta0"):
-        jaccard_mechanism_perturb(emb, params, ns, 0.0, 1.835, 1.276, seed=0)
-    with pytest.raises(ValueError, match="alpha"):
-        jaccard_mechanism_perturb(emb, params, ns, 6.0, -1.0, 1.276, seed=0)
-    with pytest.raises(ValueError, match="alpha"):
-        jaccard_mechanism_perturb(emb, params, ns, 6.0, 1.835, -1.0, seed=0)
+        Perturber(emb, delta=0.1, eta0=0.0)
+    with pytest.raises(ValueError, match="alpha1"):
+        Perturber(emb, delta=0.1, alpha1=-1.0)
+    with pytest.raises(ValueError, match="alpha2"):
+        Perturber(emb, delta=0.1, alpha2=-1.0)
 
 
 def test_perturber_rejects_m_density_below_one():
@@ -332,12 +337,12 @@ def test_perturber_rejects_m_below_one():
 def test_laplacian_and_mahalanobis_need_a_finite_epsilon(epsilon):
     # at epsilon = inf the Laplace scale and the Gamma radius are 0: the
     # release would be the input
-    emb = random_embeddings(6, 3, seed=14)
+    perturber = Perturber(random_embeddings(6, 3, seed=14), delta=0.1)
     message = "epsilon must be finite and > 0"
     with pytest.raises(ValueError, match=message):
-        laplacian_perturb(emb, epsilon, 1.0, seed=0)
+        perturber.perturb("laplacian", epsilon, seed=0)
     with pytest.raises(ValueError, match=message):
-        mahalanobis_perturb(emb, epsilon, 1.0, seed=0)
+        perturber.perturb("mahalanobis", epsilon, seed=0)
 
 
 _BAD_BEFORE_THE_KNN = (
@@ -359,14 +364,14 @@ _BAD_BEFORE_THE_KNN = (
 def test_perturber_rejects_a_bad_epsilon_before_the_knn(
     monkeypatch, kind, epsilon, strict, knobs
 ):
-    # the shared kNN costs O(n^2 d); an epsilon or a jaccard knob the
-    # mechanism rejects must not pay for it, and the error is the mechanism's own
+    # the shared kNN costs O(n^2 d); an epsilon the mechanism rejects must
+    # not pay for it, nor a jaccard knob, which the Perturber rejects when it
+    # is built
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran the kNN before epsilon was checked")
 
     monkeypatch.setattr(mechanisms, "knn", must_not_run)
-    perturber = Perturber(random_embeddings(6, 3, seed=14), delta=0.1, m=2, tau=0.1,
-                          strict=strict, **knobs)
+    emb = random_embeddings(6, 3, seed=14)
     if knobs:
         [(knob, value)] = knobs.items()
         message = f"{knob} must be > 0, got {value}"
@@ -378,8 +383,13 @@ def test_perturber_rejects_a_bad_epsilon_before_the_knn(
         message = f"epsilon must be finite and > 0, got {epsilon}"
     else:
         message = f"epsilon must be finite and >= 0, got {epsilon}"
-    with pytest.raises(ValueError) as error:
-        perturber.perturb(kind, epsilon, seed=0)
+    if knobs:  # rejected when the Perturber is built
+        with pytest.raises(ValueError) as error:
+            Perturber(emb, delta=0.1, m=2, tau=0.1, strict=strict, **knobs)
+    else:
+        perturber = Perturber(emb, delta=0.1, m=2, tau=0.1, strict=strict)
+        with pytest.raises(ValueError) as error:
+            perturber.perturb(kind, epsilon, seed=0)
     assert str(error.value).startswith(message)
 
 
@@ -399,23 +409,25 @@ def test_zero_noise_words_counts_the_unchanged_words(kind):
     assert report.zero_noise_words == unchanged
     assert (0 < unchanged < emb.n) if kind == "nadp" else unchanged == 0
     # a zero sensitivity leaves every word of the scaled mechanisms unchanged
-    for perturb in (
-        lambda: gaussian_perturb(emb, PrivacyParams(0.5, 0.05), 0.0, seed=3),
-        lambda: laplacian_perturb(emb, 0.8, 0.0, seed=3),
-    ):
-        out, report = perturb()
+    edgeless = _edgeless_perturber(emb, delta=0.05)
+    for kind, epsilon in (("gaussian", 0.5), ("laplacian", 0.8)):
+        out, report = edgeless.perturb(kind, epsilon, seed=3)
         assert np.array_equal(out.vectors, emb.vectors)
         assert report.zero_noise_words == emb.n
 
 
 def test_word_substream_is_order_independent():
     # noise is keyed by (seed, word index) alone: the same word draws the
-    # same noise no matter what else is in the set
-    emb3 = random_embeddings(3, 4, seed=15)
+    # same noise no matter what else is in the set. The third word c is
+    # a's nearest neighbour, and b's is a, so at m = 1 both sets have the
+    # one edge length |a - b| = 1 as their global sensitivity
+    vecs3 = np.zeros((3, 4))
+    vecs3[1, 0], vecs3[2, 0] = 1.0, -0.5
+    emb3 = EmbeddingSet(("a", "b", "c"), vecs3)
     emb2 = EmbeddingSet(emb3.words[:2], emb3.vectors[:2])
-    params = PrivacyParams(0.5, 0.1)
-    out3, _ = gaussian_perturb(emb3, params, 1.0, seed=42)
-    out2, _ = gaussian_perturb(emb2, params, 1.0, seed=42)
+    out3, report3 = Perturber(emb3, delta=0.1, m=1, tau=0.0).perturb("gaussian", 0.5, 42)
+    out2, report2 = Perturber(emb2, delta=0.1, m=1, tau=0.0).perturb("gaussian", 0.5, 42)
+    assert report3.global_sensitivity == report2.global_sensitivity == 1.0
     assert np.array_equal(out3.vectors[:2], out2.vectors)
 
 
@@ -496,12 +508,11 @@ def test_perturber_partition_matches_a_fresh_graph(m_density):
 
 def test_perturber_computes_the_mahalanobis_square_root_once(monkeypatch):
     # the Perturber keeps the covariance square root after its first
-    # Mahalanobis call; every cell still equals a direct call, which
+    # Mahalanobis call; every cell still equals a fresh Perturber's, which
     # computes its own
-    import nadp.mechanisms as mechanisms
-
     emb = random_embeddings(30, 5, seed=22)
-    direct = [mahalanobis_perturb(emb, eps, 0.7, seed=9) for eps in (1.0, 5.0)]
+    direct = [Perturber(emb, delta=0.05, lambda_=0.7).perturb("mahalanobis", eps, seed=9)
+              for eps in (1.0, 5.0)]
     calls = []
 
     def counted(mat):
