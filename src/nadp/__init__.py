@@ -20,12 +20,7 @@ from .calibration import (
     phi,
     solve_u_star,
 )
-from .components import (
-    ComponentPartition,
-    build_partition,
-    connected_components,
-    sensitivities,
-)
+from .components import ComponentPartition, build_partition, connected_components
 from .embeddings import EmbeddingSet, load_embeddings, save_embeddings, subset
 from .graph import (
     NeighbourGraph,
@@ -76,7 +71,6 @@ __all__ = [
     "privacy_report",
     "rank_queries",
     "save_embeddings",
-    "sensitivities",
     "skewness",
     "solve_u_star",
     "sts_eval",

@@ -123,7 +123,12 @@ def solve_u_star(params: PrivacyParams) -> float:
 
     The bracket is grown geometrically from u = 1 and then bisected to a
     relative width of `_TOL`; monotonicity of g makes this unconditionally
-    convergent. The returned value always satisfies g(u) <= delta.
+    convergent. The returned value satisfies g(u) <= delta for the float
+    evaluation of g, not always for the exact g: at small epsilon the two
+    log terms of g nearly cancel, and the exact g(u*) can exceed delta by a
+    small relative amount. mpmath at 60 digits gives 1.1e-6 at epsilon 1e-8,
+    delta 1e-12, and 4.6e-10 at epsilon 1e-4, delta 1e-12; at epsilon 0.01
+    and 1 the exact g(u*) is below delta. ROADMAP item 2 plans the fix.
     """
     eps, delta = params.epsilon, params.delta
     lo = hi = 1.0

@@ -110,9 +110,11 @@ _DOMAINS = {
     "m_eval": (None, ">= 1"), "tau": ("tau", "in [0, 1]"),
     "lambda_": ("lambda", "in [0, 1]"), "delta": ("delta", "in (0, 1)"),
     "eta0": ("eta0", "> 0"), "alpha1": ("alpha1", "> 0"), "alpha2": ("alpha2", "> 0"),
+    "epsilon": ("epsilon", ">= 0"),
 }
 _IN_DOMAIN = {">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
-              "in (0, 1)": lambda v: 0 < v < 1, "> 0": lambda v: v > 0}
+              "in (0, 1)": lambda v: 0 < v < 1, "> 0": lambda v: v > 0,
+              ">= 0": lambda v: v >= 0}
 # type -> how a type error names it, and the Python types its values may have
 _KINDS = {int: ("an int", int), float: ("a number", (int, float)),
           str: ("a string", str), bool: ("true or false", bool),
@@ -384,6 +386,8 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
     epsilons = _parse_list(params, "epsilons", float)
     if not epsilons:
         raise ValueError("--epsilons is required (comma-separated list)")
+    for eps in epsilons:
+        _check_params({"epsilon": eps}, ("epsilon",), ())
     for kind in mechanisms:
         if kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism {kind!r}")

@@ -7,9 +7,11 @@ receive less noise than sparse ones. A singleton component has sensitivity 0
 (the only neighbouring pair is the trivial one of a word with itself) and its
 words are left unperturbed downstream.
 
-The partition is arrays: it reads the graph's edge array `NeighbourGraph.pairs`
-and holds one component id per word, ranking the components by their
-smallest member; `connected_components` is the grouped view. Edge lengths
+`build_partition` builds the partition from the graph alone, reading its edge
+array `NeighbourGraph.pairs`. The partition holds one component id per word,
+ranking the components by their smallest member, and each component's local
+sensitivity; the global sensitivity is derived from them.
+`connected_components` is the grouped view. Edge lengths
 are gathered in runs that fit `utility._GATHER_BYTES` (1 MiB), so no (E, d)
 array is held. Hop diameters are exact up to 64 members, from uint64 reach
 bitsets, and a double-sweep lower bound above, from breadth-first searches
@@ -21,7 +23,6 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -40,16 +41,19 @@ class ComponentPartition:
     `assignment[v]` is word v's component id; ids rank the components by
     their smallest member. `local_sensitivities[i]` is the largest Euclidean
     edge length inside component i (0 for singletons); `global_sensitivity`
-    is their maximum.
+    is their maximum (0 when there are no components).
     """
 
     assignment: np.ndarray  # (n,) int64, word index -> component id
     local_sensitivities: np.ndarray  # (k,) float64
-    global_sensitivity: float
 
     @property
     def k(self) -> int:
         return len(self.local_sensitivities)
+
+    @property
+    def global_sensitivity(self) -> float:
+        return float(self.local_sensitivities.max()) if self.k else 0.0
 
     def sizes(self) -> list[int]:
         return np.bincount(self.assignment, minlength=self.k).tolist()
@@ -118,74 +122,33 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def sensitivities(
-    components: list[list[int]],
-    graph: NeighbourGraph,
-    emb: EmbeddingSet,
-) -> ComponentPartition:
-    """Attach local sensitivities to a component list.
+def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartition:
+    """The connected components of the graph with their sensitivities.
 
     The local sensitivity of a component is the supremum of ||x - y|| over
     neighbouring pairs inside it, i.e. the maximum over its *edges* only;
     non-adjacent pairs in the same component do not count. Singletons get 0
-    via the trivial self-relation. The error names the first member, in list
-    order, out of range or placed twice; then the cover and edges are checked.
+    via the trivial self-relation.
     """
-    n = graph.n
-    if emb.n != n:
-        raise ValueError(f"graph has {n} vertices but embedding set has {emb.n}")
-    members = np.fromiter(chain.from_iterable(components), dtype=np.int64)
-    bad = np.flatnonzero((members < 0) | (members >= n) | ~_firsts(members))
-    if len(bad):
-        v = members[bad[0]]  # out of range, or in range and placed before
-        if not 0 <= v < n:
-            raise ValueError(f"component member {v} out of range")
-        raise ValueError(f"word index {v} appears in two components")
-    if len(members) < n:
-        raise ValueError("components do not cover every word index")
-    assignment = np.empty(n, dtype=np.int64)
-    sizes = list(map(len, components))
-    assignment[members] = np.repeat(np.arange(len(components)), sizes)
-    return _partition(assignment, len(components), graph, emb)
-
-
-def _partition(
-    assignment: np.ndarray, k: int, graph: NeighbourGraph, emb: EmbeddingSet
-) -> ComponentPartition:
-    """The partition of a cover given as component ids: the crossing-edge
-    check, the edge lengths and the zero-sensitivity warnings."""
+    if emb.n != graph.n:
+        raise ValueError(f"graph has {graph.n} vertices but embedding set has {emb.n}")
+    assignment, k = _component_ids(graph)
     i, j = graph.pairs[:, 0], graph.pairs[:, 1]
-    ci, cj = assignment[i], assignment[j]
-    crossing = np.flatnonzero(ci != cj)
-    if len(crossing):
-        e = crossing[0]  # the first crossing edge in (i, j) order
-        raise ValueError(
-            f"edge ({i[e]}, {j[e]}) crosses components {ci[e]} and {cj[e]}; "
-            "partition does not belong to this graph"
-        )
     # each length is sqrt of one BLAS dot, as np.linalg.norm takes it
     local = np.zeros(k, dtype=np.float64)
     x = emb.vectors
     for run in _chunks(len(i), 2 * 8 * emb.d):
         diff = x[i[run]]
         diff -= x[j[run]]
-        np.maximum.at(local, ci[run], np.sqrt(_dots(diff, diff)))
+        np.maximum.at(local, assignment[i[run]], np.sqrt(_dots(diff, diff)))
     sizes = np.bincount(assignment, minlength=k)
     for cid in np.flatnonzero((sizes > 1) & (local == 0.0)).tolist():
         warnings.warn(
             f"component {cid} has {sizes[cid]} words but zero sensitivity "
             "(duplicate vectors); its words will receive no noise",
-            stacklevel=3,
+            stacklevel=2,
         )
-    global_sensitivity = float(local.max()) if k else 0.0
-    return ComponentPartition(assignment, local, global_sensitivity)
-
-
-def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartition:
-    """The connected components of the graph with their sensitivities."""
-    if emb.n != graph.n:
-        raise ValueError(f"graph has {graph.n} vertices but embedding set has {emb.n}")
-    return _partition(*_component_ids(graph), graph, emb)
+    return ComponentPartition(assignment, local)
 
 
 def _sweep(

@@ -278,7 +278,7 @@ def sentence_centroid(emb: EmbeddingSet, tokens: tuple[str, ...]) -> np.ndarray 
 class STSResult:
     spearman: float
     pearson: float
-    combined: float  # geometric mean; NaN if the correlations disagree in sign
+    combined: float  # signed geometric mean; NaN if the correlations disagree in sign
     scorable: int
     dropped: int
     total: int
@@ -288,9 +288,11 @@ def sts_eval(emb: EmbeddingSet, data: SentencePairDataset) -> STSResult:
     """Cosine similarity of sentence centroids against human ratings.
 
     Pairs where either sentence has no in-vocabulary token are dropped and
-    counted. The combined score is the plain geometric mean of Spearman and
+    counted. The combined score is the geometric mean of Spearman and
     Pearson (the multi-genre class weighting collapses to this for a single
-    dataset file); it is NaN when the product is negative.
+    dataset file), negated when both are negative, so a release whose
+    similarities fall as the ratings rise scores below zero; it is NaN when
+    the two disagree in sign.
     """
     left, right, ratings = [], [], []
     for s1, s2, rating in data.pairs:
@@ -309,7 +311,8 @@ def sts_eval(emb: EmbeddingSet, data: SentencePairDataset) -> STSResult:
     rho = spearman(sims, ratings)
     r = pearson(sims, ratings)
     prod = rho * r
-    combined = math.sqrt(prod) if prod >= 0.0 else float("nan")
+    sign = -1.0 if rho < 0.0 and r < 0.0 else 1.0
+    combined = sign * math.sqrt(prod) if prod >= 0.0 else float("nan")
     return STSResult(
         spearman=rho,
         pearson=r,

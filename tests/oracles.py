@@ -310,7 +310,8 @@ def sts_per_pair(emb, data):
     rho = spearman(sims, ratings)
     r = pearson(sims, ratings)
     prod = rho * r
-    combined = math.sqrt(prod) if prod >= 0.0 else float("nan")
+    sign = -1.0 if rho < 0.0 and r < 0.0 else 1.0
+    combined = sign * math.sqrt(prod) if prod >= 0.0 else float("nan")
     return STSResult(
         spearman=rho,
         pearson=r,

@@ -244,6 +244,10 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
         ("calibrate", ("--epsilon", 1.0, "--m", 0), "m must be >= 1, got 0"),
         ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--m", 0),
          "m must be >= 1, got 0"),
+        ("calibrate", ("--epsilon", -1), "epsilon must be >= 0, got -1.0"),
+        ("calibrate", ("--epsilon", "nan"), "epsilon must be >= 0, got nan"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", "1,-1"),
+         "epsilon must be >= 0, got -1.0"),
     ],
     ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
          "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
@@ -252,7 +256,9 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
          "eval-utility-seeds-empty", "neighbours-k", "eval-privacy-m-eval",
          "perturb-m", "perturb-m-density", "perturb-tau", "perturb-delta",
          "perturb-lambda", "perturb-eta0", "perturb-alpha1", "perturb-alpha2",
-         "perturb-limit", "graph-m", "components-m", "calibrate-m", "eval-utility-m"],
+         "perturb-limit", "graph-m", "components-m", "calibrate-m", "eval-utility-m",
+         "calibrate-epsilon-negative", "calibrate-epsilon-nan",
+         "eval-utility-epsilons-negative"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message
@@ -407,6 +413,7 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypa
         "precision": [lambda v: save_embeddings(emb, tmp_path / "e.txt", precision=v)],
         "tau": [lambda v: build_graph(emb, 2, v)],
         "delta": [lambda v: PrivacyParams(0.5, v)],
+        "epsilon": [lambda v: PrivacyParams(v, 0.5)],
         "lambda_": [knob("lambda_")],
         "eta0": [knob("eta0")],
         "alpha1": [knob("alpha1")],
@@ -424,6 +431,7 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypa
         "in (0, 1)": ([0.0, 1.0, math.nan],
                       [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]),
         "> 0": ([0.0, -1.0, math.nan], [math.nextafter(0.0, 1.0)]),
+        ">= 0": ([math.nextafter(0.0, -1.0), -1.0, math.nan], [0.0]),
     }
     # --repeats alone is checked by the command line only
     assert set(cli._DOMAINS) - set(library) == {"repeats"}

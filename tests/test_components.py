@@ -1,12 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, csgraph
 
 from nadp.components import (
+    ComponentPartition,
     build_partition,
     connected_components,
     partition_report,
-    sensitivities,
 )
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import NeighbourGraph, build_graph
@@ -97,7 +99,7 @@ def test_components_match_scipy_on_a_long_shuffled_path():
 def test_sensitivity_singleton_is_zero():
     emb = EmbeddingSet(("a", "b"), np.array([[0.0], [3.0]]))
     graph = _graph(2, [])
-    part = sensitivities([[0], [1]], graph, emb)
+    part = build_partition(graph, emb)
     assert part.local_sensitivities.tolist() == [0.0, 0.0]
     assert part.global_sensitivity == 0.0
 
@@ -105,7 +107,7 @@ def test_sensitivity_singleton_is_zero():
 def test_sensitivity_single_edge():
     emb = EmbeddingSet(("a", "b"), np.array([[0.0], [3.0]]))
     graph = _graph(2, [(0, 1)])
-    part = sensitivities([[0, 1]], graph, emb)
+    part = build_partition(graph, emb)
     assert part.local_sensitivities.tolist() == [3.0]
 
 
@@ -114,42 +116,30 @@ def test_sensitivity_path_uses_edges_only():
     # edge, so it must not inflate the component sensitivity
     emb = EmbeddingSet(("a", "b", "c"), np.array([[0.0], [1.0], [3.0]]))
     graph = _graph(3, [(0, 1), (1, 2)])
-    part = sensitivities([[0, 1, 2]], graph, emb)
+    part = build_partition(graph, emb)
     assert part.local_sensitivities.tolist() == [2.0]
     assert part.global_sensitivity == 2.0
 
 
+def test_partition_fields_are_the_two_arrays():
+    # k and the global sensitivity are derived from the local sensitivities
+    assert [f.name for f in fields(ComponentPartition)] == [
+        "assignment", "local_sensitivities"]
+
+
 def test_sensitivity_mismatched_partition_rejected():
-    emb = EmbeddingSet(("a", "b", "c"), np.array([[0.0], [1.0], [2.0]]))
     graph = _graph(3, [(0, 1)])
-    with pytest.raises(ValueError, match="cover"):
-        sensitivities([[0, 1]], graph, emb)
-    with pytest.raises(ValueError, match="two components"):
-        sensitivities([[0, 1], [1, 2]], graph, emb)
-    with pytest.raises(ValueError, match="crosses"):
-        sensitivities([[0], [1], [2]], graph, emb)
     with pytest.raises(ValueError, match="vertices"):
-        sensitivities([[0, 1]], graph, EmbeddingSet(("a", "b"), np.eye(2)))
-
-
-def test_sensitivity_names_the_first_crossing_edge():
-    # both edges cross; the message names the first in (i, j) order
-    emb = EmbeddingSet(("a", "b", "c", "d"), np.arange(4.0)[:, None])
-    graph = _graph(4, [(1, 2), (0, 3)])
-    with pytest.raises(ValueError) as err:
-        sensitivities([[0, 1], [2, 3]], graph, emb)
-    assert str(err.value) == (
-        "edge (0, 3) crosses components 0 and 1; "
-        "partition does not belong to this graph"
-    )
+        build_partition(graph, EmbeddingSet(("a", "b"), np.eye(2)))
 
 
 def test_zero_sensitivity_multiword_component_warns():
     emb = EmbeddingSet(("a", "b"), np.array([[1.0], [1.0]]))
     graph = _graph(2, [(0, 1)])
-    with pytest.warns(UserWarning, match="zero sensitivity"):
-        part = sensitivities([[0, 1]], graph, emb)
+    with pytest.warns(UserWarning, match="zero sensitivity") as caught:
+        part = build_partition(graph, emb)
     assert part.local_sensitivities.tolist() == [0.0]
+    assert caught[0].filename == __file__  # the warning names the caller
 
 
 def _members(part) -> list[list[int]]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nadp.utility as utility
-from nadp.components import connected_components, sensitivities
+from nadp.components import build_partition, connected_components
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import build_graph, knn
 
@@ -33,7 +33,7 @@ def _check(emb: EmbeddingSet, m: int, tau: float, neighbour_sets=None):
     assert graph.pairs.tolist() == sorted(list(e) for e in ref_edges)
     components = connected_components(graph)
     assert components == components_by_append(emb.n, ref_edges)
-    part = sensitivities(components, graph, emb)
+    part = build_partition(graph, emb)
     ref = sensitivities_per_edge(components, ref_edges, emb.vectors)
     assert np.array_equal(part.local_sensitivities, ref)
     assert part.global_sensitivity == float(ref.max())

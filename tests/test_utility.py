@@ -234,6 +234,23 @@ def test_sts_hand_computed_pairs(toy_emb):
     assert result.combined == pytest.approx(math.sqrt(sp * pe), abs=1e-12)
 
 
+def test_sts_anti_correlated_release_scores_below_zero(toy_emb):
+    # similarities fall as the ratings rise: both correlations are negative,
+    # and so is the combined score, not the geometric mean of their product
+    data = SentencePairDataset(
+        (
+            (("cat",), ("dog",), 0.0),
+            (("cat",), ("red",), 2.0),
+            (("cat",), ("car",), 5.0),
+        ),
+    )
+    result = sts_eval(toy_emb, data)
+    assert result.spearman == -1.0
+    assert result.pearson < 0.0
+    assert result.combined == -math.sqrt(result.spearman * result.pearson)
+    assert result.combined < -0.9
+
+
 def test_sts_eval_does_not_import_numpy_ma():
     """A plain `np.unique` imports numpy.ma on numpy 2.4, ~20 ms and 1.3 MB
     once per process; grouping the sentences by length needs none of it."""
