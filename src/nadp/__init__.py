@@ -14,14 +14,11 @@ from .calibration import (
     CalibrationResult,
     PrivacyParams,
     calibrate_components,
-    check_dp_condition,
-    classic_gaussian_sigma,
     g,
-    phi,
     solve_u_star,
 )
-from .components import ComponentPartition, build_partition, connected_components
-from .embeddings import EmbeddingSet, load_embeddings, save_embeddings, subset
+from .components import ComponentPartition, build_partition
+from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from .graph import (
     NeighbourGraph,
     NeighbourSets,
@@ -30,12 +27,11 @@ from .graph import (
     rank_queries,
 )
 from .mechanisms import PerturbationReport, Perturber, nadp_perturb
-from .privacy import PrivacyReport, prediction_probability, privacy_report, skewness
+from .privacy import PrivacyReport, privacy_report, skewness
 from .utility import (
     OddManDataset,
     SentencePairDataset,
     SimilarityDataset,
-    odd_man_out,
     sts_eval,
     utility_suite,
     word_similarity_eval,
@@ -58,23 +54,16 @@ __all__ = [
     "build_graph",
     "build_partition",
     "calibrate_components",
-    "check_dp_condition",
-    "classic_gaussian_sigma",
-    "connected_components",
     "g",
     "knn",
     "load_embeddings",
     "nadp_perturb",
-    "odd_man_out",
-    "phi",
-    "prediction_probability",
     "privacy_report",
     "rank_queries",
     "save_embeddings",
     "skewness",
     "solve_u_star",
     "sts_eval",
-    "subset",
     "utility_suite",
     "word_similarity_eval",
 ]

@@ -41,6 +41,12 @@ _MAX_BISECT_STEPS = 500
 _TOL = 1e-12
 
 
+def _require_epsilon(epsilon: float) -> None:
+    """`PrivacyParams`' epsilon check, which the CLI also runs before any load."""
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy level: epsilon >= 0, delta in (0, 1)."""
@@ -49,8 +55,7 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        _require_epsilon(self.epsilon)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -61,11 +66,6 @@ class CalibrationResult:
 
     u_star: float
     sigma_per_component: np.ndarray  # sigma_i = u_star * Delta_i
-
-
-def phi(t: float) -> float:
-    """Standard Gaussian CDF via the complementary error function."""
-    return 0.5 * math.erfc(-t / _SQRT2)
 
 
 def _log_phi(t: float) -> float:
@@ -108,14 +108,6 @@ def g(u: float, epsilon: float) -> float:
     if b >= a:
         return 0.0
     return math.exp(a) * -math.expm1(b - a)
-
-
-def g_prime(u: float, epsilon: float) -> float:
-    """Closed-form derivative of g; negative for all u > 0."""
-    if not u > 0.0:
-        raise ValueError(f"u must be > 0, got {u}")
-    t = 1.0 / (2.0 * u) - epsilon * u
-    return -math.exp(-0.5 * t * t) / (u * u * math.sqrt(2.0 * math.pi))
 
 
 def solve_u_star(params: PrivacyParams) -> float:
@@ -165,9 +157,10 @@ def classic_sigma_formula(epsilon: float, delta: float, Delta: float) -> float:
     """Closed-form scale Delta * sqrt(2*log(1.25/delta)) / epsilon for any
     epsilon > 0.
 
-    It guarantees (epsilon, delta)-DP only for epsilon in (0, 1); the
-    mechanisms evaluate it outside that range only for protocol sweeps, and
-    then report the run as not proven.
+    It guarantees (epsilon, delta)-DP only for epsilon in (0, 1), the range
+    `mechanisms._require_proven_range` decides; the mechanisms evaluate it
+    outside that range only for protocol sweeps, and then report the run as
+    not proven, and `nadp calibrate` reports no classic sigma there.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -176,28 +169,6 @@ def classic_sigma_formula(epsilon: float, delta: float, Delta: float) -> float:
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     return Delta * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def classic_gaussian_sigma(epsilon: float, delta: float, Delta: float) -> float:
-    """`classic_sigma_formula` restricted to epsilon in (0, 1), the range in
-    which the closed form guarantees (epsilon, delta)-DP (use the analytic
-    route, which covers all epsilon >= 0, outside it)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(
-            "closed-form Gaussian calibration is only valid for "
-            f"0 < epsilon < 1, got {epsilon}"
-        )
-    return classic_sigma_formula(epsilon, delta, Delta)
-
-
-def check_dp_condition(Delta: float, sigma: float, params: PrivacyParams) -> bool:
-    """True iff Gaussian noise of scale sigma makes sensitivity Delta
-    (epsilon, delta)-DP, i.e. g(sigma/Delta) <= delta."""
-    if not Delta > 0.0:
-        raise ValueError(f"Delta must be > 0, got {Delta}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    return g(sigma / Delta, params.epsilon) <= params.delta
 
 
 def calibrate_components(

@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .calibration import (
     PrivacyParams,
+    _require_epsilon,
     calibrate_components,
-    classic_gaussian_sigma,
+    classic_sigma_formula,
 )
 from .components import build_partition, partition_report
 from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
@@ -44,6 +45,7 @@ from .mechanisms import (
     DEFAULT_M_DENSITY,
     MECHANISM_KINDS,
     Perturber,
+    _require_proven_range,
 )
 from .privacy import DEFAULT_EVAL_M, privacy_report
 from .utility import (
@@ -284,20 +286,19 @@ def cmd_components(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
+    epsilon = params["epsilon"]
+    _require_epsilon(epsilon)  # inf passes the >= 0 domain main checked
     emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
     graph = _build_graph(params, emb)
     partition = build_partition(graph, emb)
-    privacy = PrivacyParams(epsilon=params["epsilon"], delta=delta)
+    privacy = PrivacyParams(epsilon=epsilon, delta=delta)
     calib = calibrate_components(partition.local_sensitivities, privacy)
-    try:
-        classic = classic_gaussian_sigma(
-            params["epsilon"], delta, partition.global_sensitivity
-        )
-    except ValueError:
-        classic = None  # closed form undefined outside epsilon in (0, 1)
+    classic = None  # the closed form is proven only for epsilon in (0, 1)
+    if _require_proven_range(epsilon, strict=False, kind="gaussian"):
+        classic = classic_sigma_formula(epsilon, delta, partition.global_sensitivity)
     report = {
-        "epsilon": params["epsilon"],
+        "epsilon": epsilon,
         "delta": delta,
         "u_star": calib.u_star,
         "global_sensitivity": partition.global_sensitivity,
@@ -388,6 +389,7 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
         raise ValueError("--epsilons is required (comma-separated list)")
     for eps in epsilons:
         _check_params({"epsilon": eps}, ("epsilon",), ())
+        _require_epsilon(eps)  # inf passes the >= 0 domain
     for kind in mechanisms:
         if kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism {kind!r}")

@@ -10,8 +10,7 @@ words are left unperturbed downstream.
 `build_partition` builds the partition from the graph alone, reading its edge
 array `NeighbourGraph.pairs`. The partition holds one component id per word,
 ranking the components by their smallest member, and each component's local
-sensitivity; the global sensitivity is derived from them.
-`connected_components` is the grouped view. Edge lengths
+sensitivity; the global sensitivity is derived from them. Edge lengths
 are gathered in runs that fit `utility._GATHER_BYTES` (1 MiB), so no (E, d)
 array is held. Hop diameters are exact up to 64 members, from uint64 reach
 bitsets, and a double-sweep lower bound above, from breadth-first searches
@@ -102,16 +101,6 @@ def _member_lists(ids: np.ndarray, k: int) -> list[list[int]]:
     members = np.argsort(ids, kind="stable").tolist()
     ends = np.cumsum(np.bincount(ids, minlength=k)).tolist()
     return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
-
-
-def connected_components(graph: NeighbourGraph) -> list[list[int]]:
-    """Connected components of the undirected graph, canonicalised.
-
-    Components are sorted by their smallest member and members ascend within
-    each component, so the output does not depend on how components are
-    labelled. Isolated vertices form singleton components.
-    """
-    return _member_lists(*_component_ids(graph))
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:

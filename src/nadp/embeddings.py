@@ -1,4 +1,4 @@
-"""Loading, subsetting and saving of plain-text word embeddings.
+"""Loading and saving of plain-text word embeddings.
 
 The on-disk format is the single-space-separated text format used by
 pretrained GloVe releases: one word per line, token first, then the
@@ -380,21 +380,3 @@ def save_embeddings(emb: EmbeddingSet, path: str | Path, precision: int = 6) -> 
             words = emb.words[start : start + _PARSE_CHUNK]
             fh.writelines(f"{word} {text}\n" for word, text in zip(words, texts))
 
-
-def subset(emb: EmbeddingSet, tokens: list[str]) -> tuple[EmbeddingSet, list[str]]:
-    """Restrict `emb` to `tokens`, in request order.
-
-    Returns the restricted set together with the list of requested tokens
-    that were not present (missing tokens are reported, not fatal). The
-    result may be empty.
-    """
-    keep: list[str] = []
-    missing: list[str] = []
-    for tok in tokens:
-        if tok in emb:
-            keep.append(tok)
-        else:
-            missing.append(tok)
-    idx = [emb.index_of(t) for t in keep]
-    vectors = emb.vectors[idx] if idx else np.empty((0, emb.d))
-    return EmbeddingSet(tuple(keep), vectors), missing

@@ -23,7 +23,7 @@ as a row (i, j) with i < j, rows sorted and unique, and every consumer (the
 components, the sensitivities, the reports) reads it. `build_graph` collects
 the kept pairs of each neighbour column as keys i*n + j and sorts them once,
 dropping repeats; the edge lengths are gathered later, in bounded runs, by
-`components.sensitivities`.
+`components.build_partition`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import _overlap, _require_two_words, knn, rank_queries
+from .graph import _overlap, knn, rank_queries
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -54,34 +54,6 @@ class PrivacyReport:
             "probabilities": [float(p) for p in self.probabilities],
             "words": list(words),
         }
-
-
-def prediction_probability(
-    original: EmbeddingSet,
-    perturbed_vector: np.ndarray,
-    word_index: int,
-    m: int,
-) -> float:
-    """Jaccard overlap between the word's clean top-m set and the perturbed
-    vector's top-m set, both ranked over the clean embeddings with the word
-    itself excluded from the candidates."""
-    if not 0 <= word_index < original.n:
-        raise ValueError(f"word_index {word_index} out of range")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    _require_two_words(original.n)
-    k = min(m, original.n - 1)
-    exclude = np.array([word_index])
-    clean, _ = rank_queries(
-        original, original.vectors[word_index].reshape(1, -1), k, exclude
-    )
-    query, _ = rank_queries(
-        original,
-        np.asarray(perturbed_vector, dtype=np.float64).reshape(1, -1),
-        k,
-        exclude,
-    )
-    return float(_overlap(clean, query)[0])
 
 
 def skewness(values: np.ndarray | list[float]) -> float:

@@ -197,7 +197,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`cosine` of each broadcast pair of rows of a and b."""
+    """a . b / (|a| |b|), with |v| = sqrt(v . v), of each broadcast pair of
+    rows of a and b; 0.0 where either norm is 0."""
     # huge rows overflow their dots to inf and tiny ones underflow the norm
     # product to 0, as in one cosine; the zero-norm rule is applied after
     # the division
@@ -206,12 +207,6 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         nb = np.sqrt(_dots(b, b))
         cos = _dots(a, b) / (na * nb)
     return np.where((na == 0.0) | (nb == 0.0), 0.0, cos)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b / (|a| |b|), with |v| = sqrt(v . v); 0.0 when either norm is 0."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(_cosines(a, np.asarray(b, dtype=np.float64)))
 
 
 def _rows(emb: EmbeddingSet, tokens) -> list[int]:
@@ -266,14 +261,6 @@ def _centroids(x: np.ndarray, sentences: list[list[int]]) -> np.ndarray:
     return out
 
 
-def sentence_centroid(emb: EmbeddingSet, tokens: tuple[str, ...]) -> np.ndarray | None:
-    """Mean of the in-vocabulary word vectors; None if nothing is in vocabulary."""
-    rows = _rows(emb, tokens)
-    if not rows:
-        return None
-    return _centroids(emb.vectors, [rows])[0]
-
-
 @dataclass(frozen=True)
 class STSResult:
     spearman: float
@@ -323,39 +310,28 @@ def sts_eval(emb: EmbeddingSet, data: SentencePairDataset) -> STSResult:
     )
 
 
-def _require_odd_man_size(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"need at least 3 tokens, got {n}")
-
-
-def _first_best(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_best(scores: np.ndarray) -> np.ndarray:
     """Per row, what a scan keeping the first score strictly above the best
-    so far (from -inf) keeps, and whether a later score equals it. NaN never
-    wins; when nothing beats -inf the scan keeps position 0, tied if any
-    score is -inf."""
+    so far (from -inf) keeps. NaN never wins; when nothing beats -inf the
+    scan keeps position 0."""
     top = np.fmax.reduce(scores, axis=1, initial=-np.inf)
-    hit = scores == top[:, None]
-    found = top > -np.inf
-    best = np.where(found, np.argmax(hit, axis=1), 0)
-    tie = hit.sum(axis=1) > found
-    return best, tie
+    return np.where(top > -np.inf, np.argmax(scores == top[:, None], axis=1), 0)
 
 
-def _odd_man_picks(
-    x: np.ndarray, instances: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`odd_man_out` of each row of an (instances, n) array of row indices:
-    the position picked and its tie flag.
+def _odd_man_picks(x: np.ndarray, instances: np.ndarray) -> np.ndarray:
+    """The odd-man pick of each row of an (instances, n) array of row
+    indices: the position of the word whose exclusion leaves the highest
+    mean pairwise cosine among the rest, the first such on a tie.
 
     Each drop's score is the mean of the cosines of the pairs (i, j),
     i < j, that miss it, taken in row-major (i, j) order."""
     g, n = instances.shape
-    _require_odd_man_size(n)
+    if n < 3:
+        raise ValueError(f"need at least 3 tokens, got {n}")
     i, j = np.triu_indices(n, 1)
     # per drop, its pairs as flat indices into an n x n cosine matrix
     misses = np.array([(i * n + j)[(i != k) & (j != k)] for k in range(n)])
     best = np.empty(g, dtype=np.intp)
-    tie = np.empty(g, dtype=bool)
     # per instance: its gathered rows, its n x n cosines and its drops' pairs
     item_bytes = 8 * n * (x.shape[1] + n + misses.shape[1])
     for part in _chunks(g, item_bytes):
@@ -365,22 +341,8 @@ def _odd_man_picks(
         # cosines along one contiguous row, pairwise as it sums a 1-d list;
         # a fancy index can return a transposed layout, summed across rows
         drops = np.take(cos, misses, axis=1)
-        best[part], tie[part] = _first_best(np.mean(drops, axis=2))
-    return best, tie
-
-
-def odd_man_out(emb: EmbeddingSet, tokens: tuple[str, ...]) -> tuple[str, bool]:
-    """Pick the odd token: the one whose exclusion leaves the highest mean
-    pairwise cosine among the rest. Returns (token, tie_flag); ties are
-    broken by the order tokens appear in the instance.
-    """
-    _require_odd_man_size(len(tokens))
-    rows = _rows(emb, tokens)
-    if len(rows) < len(tokens):
-        missing = [t for t in tokens if t not in emb]
-        raise KeyError(f"tokens not in vocabulary: {missing}")
-    best, tie = _odd_man_picks(emb.vectors, np.array([rows]))
-    return tokens[int(best[0])], bool(tie[0])
+        best[part] = _first_best(np.mean(drops, axis=2))
+    return best
 
 
 @dataclass(frozen=True)
@@ -406,7 +368,7 @@ def odd_man_eval(emb: EmbeddingSet, data: OddManDataset) -> OddManResult:
         raise ValueError("no fully in-vocabulary instances to evaluate")
     correct = 0
     for group in by_size.values():
-        best, _ = _odd_man_picks(emb.vectors, np.array([r for _, _, r in group]))
+        best = _odd_man_picks(emb.vectors, np.array([r for _, _, r in group]))
         correct += sum(
             tokens[b] == gold for (tokens, gold, _), b in zip(group, best.tolist())
         )

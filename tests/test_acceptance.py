@@ -17,17 +17,16 @@ import pytest
 
 from nadp.calibration import (
     PrivacyParams,
-    check_dp_condition,
-    classic_gaussian_sigma,
+    classic_sigma_formula,
     g,
     solve_u_star,
 )
 from nadp.cli import main as cli_main
-from nadp.components import build_partition, connected_components
+from nadp.components import _component_ids, _member_lists, build_partition
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import NeighbourGraph, build_graph, knn
 from nadp.mechanisms import Perturber, nadp_perturb
-from nadp.privacy import prediction_probability, privacy_report
+from nadp.privacy import privacy_report
 from nadp.utility import SimilarityDataset, word_similarity_eval
 
 from oracles import (
@@ -80,8 +79,8 @@ def test_criterion_2_classic_sigma_consistency():
     for eps in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
         for delta in DELTA_GRID:
             params = PrivacyParams(epsilon=eps, delta=delta)
-            classic = classic_gaussian_sigma(eps, delta, 1.0)
-            ok &= check_dp_condition(1.0, classic, params)
+            classic = classic_sigma_formula(eps, delta, 1.0)
+            ok &= g(classic, eps) <= delta  # private at Delta = 1
             ok &= solve_u_star(params) <= classic  # analytic never looser
     elapsed = time.monotonic() - start
     ok &= elapsed < 1.0
@@ -182,7 +181,7 @@ def test_criterion_4_oracle_equivalence():
             m=2,
             tau=0.0,
         )
-        ok &= connected_components(graph) == components_dfs(n, pairs)
+        ok &= _member_lists(*_component_ids(graph)) == components_dfs(n, pairs)
 
     # correlations against longhand rank arithmetic
     from scipy import stats
@@ -204,7 +203,7 @@ def test_criterion_4_oracle_equivalence():
         )
 
     # odd man out
-    from nadp.utility import odd_man_out
+    from nadp.utility import _odd_man_picks
 
     for _ in range(100):
         n = int(rng.integers(5, 9))
@@ -212,7 +211,8 @@ def test_criterion_4_oracle_equivalence():
             tuple(f"w{i}" for i in range(n)), rng.normal(0.0, 1.0, (n, 5))
         )
         tokens = tuple(emb.words)
-        ok &= odd_man_out(emb, tokens)[0] == odd_man_bruteforce(
+        pick = _odd_man_picks(emb.vectors, np.arange(n)[None, :])[0]
+        ok &= tokens[pick] == odd_man_bruteforce(
             {w: emb.vector(w) for w in tokens}, tokens
         )
 
@@ -225,10 +225,12 @@ def test_criterion_4_oracle_equivalence():
             tuple(f"w{i}" for i in range(n)), rng.normal(0.0, 1.0, (n, d))
         )
         idx = int(rng.integers(0, n))
-        moved = emb.vectors[idx] + rng.normal(0.0, 0.7, d)
-        ok &= prediction_probability(
-            emb, moved, idx, m
-        ) == prediction_probability_bruteforce(emb.vectors, moved, idx, m)
+        moved = np.array(emb.vectors)
+        moved[idx] += rng.normal(0.0, 0.7, d)
+        report = privacy_report(emb, EmbeddingSet(emb.words, moved), m=m)
+        ok &= report.probabilities[idx] == prediction_probability_bruteforce(
+            emb.vectors, moved[idx], idx, m
+        )
 
     elapsed = time.monotonic() - start
     ok &= elapsed < 120.0

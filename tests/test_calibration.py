@@ -10,13 +10,11 @@ from nadp.calibration import (
     PrivacyParams,
     _log_phi,
     calibrate_components,
-    check_dp_condition,
-    classic_gaussian_sigma,
+    classic_sigma_formula,
     g,
-    g_prime,
-    phi,
     solve_u_star,
 )
+from nadp.mechanisms import _require_proven_range
 
 from oracles import g_quadrature, phi_quadrature, solve_u_quadrature
 
@@ -25,20 +23,23 @@ DELTA_GRID = [1e-6, 1.0 / 73404, 1e-3, 0.1]
 
 
 def test_phi_centre_and_known_value():
-    assert phi(0.0) == 0.5
+    assert math.exp(_log_phi(0.0)) == 0.5
     # frozen from adaptive quadrature of the density integral
-    assert phi(1.96) == pytest.approx(0.9750021048517795, abs=1e-12)
+    assert math.exp(_log_phi(1.96)) == pytest.approx(0.9750021048517795, abs=1e-12)
 
 
 def test_phi_symmetry():
     rng = np.random.default_rng(0)
     for t in rng.normal(0.0, 3.0, 50):
-        assert phi(t) + phi(-t) == pytest.approx(1.0, abs=1e-14)
+        total = math.exp(_log_phi(t)) + math.exp(_log_phi(-t))
+        assert total == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phi_against_quadrature():
     for t in np.linspace(-8.0, 8.0, 33):
-        assert phi(float(t)) == pytest.approx(phi_quadrature(float(t)), abs=1e-14)
+        assert math.exp(_log_phi(float(t))) == pytest.approx(
+            phi_quadrature(float(t)), abs=1e-14
+        )
 
 
 def test_log_phi_matches_scipy_log_ndtr():
@@ -125,9 +126,11 @@ def test_g_two_parametrisations_agree():
         eps = float(rng.uniform(0.0, 5.0))
         delta_sens = float(rng.uniform(0.1, 10.0))
         sigma = float(rng.uniform(0.1, 10.0))
-        direct = phi(delta_sens / (2 * sigma) - eps * sigma / delta_sens) - math.exp(
-            eps
-        ) * phi(-delta_sens / (2 * sigma) - eps * sigma / delta_sens)
+        direct = phi_quadrature(
+            delta_sens / (2 * sigma) - eps * sigma / delta_sens
+        ) - math.exp(eps) * phi_quadrature(
+            -delta_sens / (2 * sigma) - eps * sigma / delta_sens
+        )
         assert g(sigma / delta_sens, eps) == pytest.approx(direct, abs=1e-12)
 
 
@@ -136,16 +139,6 @@ def test_g_against_quadrature_deep_tail():
     for eps in (10.0, 20.0, 40.0):
         u = solve_u_star(PrivacyParams(epsilon=eps, delta=1e-6))
         assert g(u, eps) == pytest.approx(g_quadrature(u, eps), abs=1e-12)
-
-
-def test_g_prime_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        eps = float(rng.uniform(0.0, 3.0))
-        u = float(np.exp(rng.uniform(-1.5, 1.5)))
-        h = u * 1e-6
-        fd = (g(u + h, eps) - g(u - h, eps)) / (2 * h)
-        assert g_prime(u, eps) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
@@ -191,32 +184,38 @@ def test_u_star_monotone_in_epsilon():
 
 def test_classic_sigma_hand_value():
     # log(1.25/delta) = 2 by construction, so sigma = sqrt(4) / epsilon
-    sigma = classic_gaussian_sigma(1.0 - 1e-12, 1.25 * math.exp(-2.0), 1.0)
+    sigma = classic_sigma_formula(1.0 - 1e-12, 1.25 * math.exp(-2.0), 1.0)
     assert sigma == pytest.approx(2.0, rel=1e-9)
 
 
 def test_classic_sigma_zero_sensitivity():
-    assert classic_gaussian_sigma(0.5, 0.1, 0.0) == 0.0
+    assert classic_sigma_formula(0.5, 0.1, 0.0) == 0.0
 
 
 def test_classic_sigma_reference_value():
     # frozen from a 30-digit arbitrary-precision evaluation of the formula
-    sigma = classic_gaussian_sigma(0.5, 1.0 / 73404, 1.0)
+    sigma = classic_sigma_formula(0.5, 1.0 / 73404, 1.0)
     assert sigma == pytest.approx(9.5611201269913035, abs=1e-9)
 
 
 def test_classic_sigma_epsilon_range_enforced():
+    # the one check of the range in which the closed form is proven, read by
+    # the gaussian and jaccard mechanisms and by `nadp calibrate`
     for eps in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValueError, match="0 < epsilon < 1"):
-            classic_gaussian_sigma(eps, 0.1, 1.0)
+        with pytest.raises(ValueError, match=r"proven only for epsilon in \(0, 1\)"):
+            _require_proven_range(eps, True, "gaussian")
+        assert not _require_proven_range(eps, False, "gaussian")
+    for eps in (1e-12, 0.5, math.nextafter(1.0, 0.0)):
+        assert _require_proven_range(eps, True, "gaussian")
 
 
 def test_check_dp_condition_at_the_boundary():
     params = PrivacyParams(epsilon=1.0, delta=0.05)
     u = solve_u_star(params)
+    # sigma = u * Delta is private exactly when g(sigma / Delta) <= delta
     for Delta in (0.5, 1.0, 7.0):
-        assert check_dp_condition(Delta, u * Delta, params)
-        assert not check_dp_condition(Delta, 0.99 * u * Delta, params)
+        assert g(u * Delta / Delta, params.epsilon) <= params.delta
+        assert g(0.99 * u * Delta / Delta, params.epsilon) > params.delta
 
 
 def test_classic_sigma_satisfies_condition_and_is_never_tighter():
@@ -224,15 +223,16 @@ def test_classic_sigma_satisfies_condition_and_is_never_tighter():
     for eps in [0.1, 0.3, 0.5, 0.7, 0.9]:
         for delta in DELTA_GRID:
             params = PrivacyParams(epsilon=eps, delta=delta)
-            classic = classic_gaussian_sigma(eps, delta, 1.0)
-            assert check_dp_condition(1.0, classic, params)
+            classic = classic_sigma_formula(eps, delta, 1.0)
+            assert g(classic, eps) <= delta  # private at Delta = 1
             assert solve_u_star(params) <= classic
 
 
 def test_check_dp_condition_limits():
     params = PrivacyParams(epsilon=0.5, delta=0.1)
-    assert check_dp_condition(1.0, 1e9, params)
-    assert not check_dp_condition(1.0, 1e-9, params)
+    # at Delta = 1, sigma = u
+    assert g(1e9, params.epsilon) <= params.delta
+    assert g(1e-9, params.epsilon) > params.delta
 
 
 def test_privacy_params_validation():

@@ -13,7 +13,7 @@ import pytest
 
 import nadp
 from nadp import cli, mechanisms
-from nadp.calibration import PrivacyParams
+from nadp.calibration import PrivacyParams, classic_sigma_formula
 from nadp.cli import main
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import DEFAULT_M, DEFAULT_TAU, build_graph, rank_queries
@@ -26,7 +26,7 @@ from nadp.mechanisms import (
     MECHANISM_KINDS,
     Perturber,
 )
-from nadp.privacy import DEFAULT_EVAL_M, prediction_probability, privacy_report
+from nadp.privacy import DEFAULT_EVAL_M, privacy_report
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
 
 from synth import clustered_embeddings
@@ -88,6 +88,22 @@ def test_calibrate_command(emb_file, tmp_path, capsys):
     assert report["classic_sigma"] is None  # epsilon 2 is outside (0, 1)
     printed = capsys.readouterr().out
     assert "u_star" in printed
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+def test_calibrate_classic_sigma_only_in_the_proven_range(emb_file, tmp_path, epsilon):
+    # the closed form is proven for epsilon in (0, 1) alone: at its ends
+    # calibrate reports no classic sigma, inside it the formula's value
+    assert _run("calibrate", "--embeddings", emb_file, "--epsilon", epsilon,
+                "--m", 2, "--tau", 0.1, "--out-dir", tmp_path) == 0
+    report = json.loads((tmp_path / "calibration.json").read_text())
+    expected = None
+    if epsilon == 0.5:
+        expected = classic_sigma_formula(
+            epsilon, report["delta"], report["global_sensitivity"]
+        )
+    assert report["classic_sigma"] == expected
+    assert report["global_sensitivity"] > 0
 
 
 @pytest.mark.parametrize(
@@ -248,6 +264,9 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
         ("calibrate", ("--epsilon", "nan"), "epsilon must be >= 0, got nan"),
         ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", "1,-1"),
          "epsilon must be >= 0, got -1.0"),
+        ("calibrate", ("--epsilon", "inf"), "epsilon must be finite and >= 0, got inf"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", "1,inf"),
+         "epsilon must be finite and >= 0, got inf"),
     ],
     ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
          "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
@@ -258,7 +277,8 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
          "perturb-lambda", "perturb-eta0", "perturb-alpha1", "perturb-alpha2",
          "perturb-limit", "graph-m", "components-m", "calibrate-m", "eval-utility-m",
          "calibrate-epsilon-negative", "calibrate-epsilon-nan",
-         "eval-utility-epsilons-negative"],
+         "eval-utility-epsilons-negative", "calibrate-epsilon-inf",
+         "eval-utility-epsilons-inf"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message
@@ -763,11 +783,9 @@ def test_a_one_word_vocabulary_is_named(tmp_path, capsys, monkeypatch, argv):
     "call, message",
     [
         (lambda one: privacy_report(one, one), "need at least 2 words, got 1"),
-        (lambda one: prediction_probability(one, one.vectors[0], 0, m=1),
-         "need at least 2 words, got 1"),
         (lambda one: Perturber(one, delta=0.5), "need at least 2 words, got 1"),
     ],
-    ids=["privacy_report", "prediction_probability", "Perturber"],
+    ids=["privacy_report", "Perturber"],
 )
 def test_a_one_word_vocabulary_is_named_by_the_library(call, message):
     one = EmbeddingSet(("w0",), np.array([[1.0, 2.0]]))

@@ -6,8 +6,9 @@ from scipy.sparse import coo_matrix, csgraph
 
 from nadp.components import (
     ComponentPartition,
+    _component_ids,
+    _member_lists,
     build_partition,
-    connected_components,
     partition_report,
 )
 from nadp.embeddings import EmbeddingSet
@@ -15,6 +16,12 @@ from nadp.graph import NeighbourGraph, build_graph
 
 from oracles import components_dfs, components_frontier
 from synth import random_embeddings
+
+
+def _components(graph) -> list[list[int]]:
+    """The graph's components as `partition_report` groups them: sorted by
+    their smallest member, members ascending."""
+    return _member_lists(*_component_ids(graph))
 
 
 def _graph(n, edges, m=2, tau=0.0) -> NeighbourGraph:
@@ -25,17 +32,17 @@ def _graph(n, edges, m=2, tau=0.0) -> NeighbourGraph:
 
 def test_triangle_single_component():
     graph = _graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert connected_components(graph) == [[0, 1, 2]]
+    assert _components(graph) == [[0, 1, 2]]
 
 
 def test_disjoint_edges_two_components():
     graph = _graph(4, [(0, 1), (2, 3)])
-    assert connected_components(graph) == [[0, 1], [2, 3]]
+    assert _components(graph) == [[0, 1], [2, 3]]
 
 
 def test_isolated_vertices_are_singletons():
     graph = _graph(5, [(1, 3)])
-    assert connected_components(graph) == [[0], [1, 3], [2], [4]]
+    assert _components(graph) == [[0], [1, 3], [2], [4]]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -46,7 +53,7 @@ def test_components_match_dfs_oracle(seed):
     take = int(rng.integers(0, min(len(possible), 3 * n)))
     chosen = [possible[i] for i in rng.choice(len(possible), take, replace=False)]
     graph = _graph(n, chosen)
-    assert connected_components(graph) == components_dfs(n, set(chosen))
+    assert _components(graph) == components_dfs(n, set(chosen))
 
 
 def test_components_independent_of_start_choice():
@@ -56,7 +63,7 @@ def test_components_independent_of_start_choice():
     n = 60
     edges = {(int(a), int(b)) for a, b in rng.integers(0, n, (80, 2)) if a < b}
     graph = _graph(n, edges)
-    expected = connected_components(graph)
+    expected = _components(graph)
     for seed in range(5):
         assert components_frontier(n, edges, np.random.default_rng(seed)) == expected
 
@@ -78,12 +85,12 @@ def test_components_match_scipy_on_random_graphs(edges_per_vertex):
     n = 5000
     pairs = rng.integers(0, n, (int(edges_per_vertex * n), 2))
     edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
-    assert connected_components(_graph(n, edges)) == _scipy_partition(n, list(edges))
+    assert _components(_graph(n, edges)) == _scipy_partition(n, list(edges))
 
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_components_match_scipy_without_edges(n):
-    assert connected_components(_graph(n, [])) == _scipy_partition(n, [])
+    assert _components(_graph(n, [])) == _scipy_partition(n, [])
 
 
 def test_components_match_scipy_on_a_long_shuffled_path():
@@ -92,7 +99,7 @@ def test_components_match_scipy_on_a_long_shuffled_path():
     n = 100_000
     order = np.random.default_rng(3).permutation(n)
     edges = list(zip(order[:-1].tolist(), order[1:].tolist()))
-    got = connected_components(_graph(n, edges))
+    got = _components(_graph(n, edges))
     assert got == _scipy_partition(n, edges) == [list(range(n))]
 
 
@@ -152,7 +159,8 @@ def test_partition_invariants_on_random_graphs():
     graph = build_graph(emb, m=3, tau=0.1)
     part = build_partition(graph, emb)
     # disjoint cover, one id per canonical component
-    assert _members(part) == connected_components(graph)
+    pairs = set(map(tuple, graph.pairs.tolist()))
+    assert _members(part) == _components(graph) == components_dfs(emb.n, pairs)
     seen = sorted(v for comp in _members(part) for v in comp)
     assert seen == list(range(emb.n))
     # every edge is internal and realises <= the local sensitivity

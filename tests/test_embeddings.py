@@ -9,7 +9,6 @@ from nadp.embeddings import (
     EmbeddingSet,
     load_embeddings,
     save_embeddings,
-    subset,
 )
 
 
@@ -110,34 +109,6 @@ def test_save_unwritable(small_file):
     emb = load_embeddings(small_file)
     with pytest.raises(OSError):
         save_embeddings(emb, "/proc/readonly/nope.txt")
-
-
-def test_subset_identity(small_file):
-    emb = load_embeddings(small_file)
-    sub, missing = subset(emb, list(emb.words))
-    assert sub.words == emb.words
-    assert np.array_equal(sub.vectors, emb.vectors)
-    assert missing == []
-
-
-def test_subset_empty(small_file):
-    emb = load_embeddings(small_file)
-    sub, missing = subset(emb, [])
-    assert sub.n == 0 and missing == []
-    assert sub.d == emb.d
-
-
-def test_subset_partial(small_file):
-    emb = load_embeddings(small_file)
-    sub, missing = subset(emb, ["beta", "unknown"])
-    assert sub.words == ("beta",)
-    assert missing == ["unknown"]
-
-
-def test_subset_preserves_request_order(small_file):
-    emb = load_embeddings(small_file)
-    sub, _ = subset(emb, ["gamma", "alpha"])
-    assert sub.words == ("gamma", "alpha")
 
 
 def test_set_invariants():

@@ -1,6 +1,6 @@
 """The array-backed graph against the set-based code it replaced.
 
-`build_graph`'s sorted pairs, `connected_components`' lists and the local
+`build_graph`'s sorted pairs, `build_partition`'s components and the local
 sensitivities must equal the set-of-tuples edges, the per-vertex grouping
 and the per-edge `np.linalg.norm` loop frozen in `tests/oracles.py`, exactly.
 The inputs mix the cases where a vectorised edge length could drift from
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nadp.utility as utility
-from nadp.components import build_partition, connected_components
+from nadp.components import _member_lists, build_partition
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import build_graph, knn
 
@@ -31,9 +31,9 @@ def _check(emb: EmbeddingSet, m: int, tau: float, neighbour_sets=None):
     ref_edges = build_graph_edge_set(ns.indices, tau)
     assert graph.edges == ref_edges
     assert graph.pairs.tolist() == sorted(list(e) for e in ref_edges)
-    components = connected_components(graph)
-    assert components == components_by_append(emb.n, ref_edges)
     part = build_partition(graph, emb)
+    components = _member_lists(part.assignment, part.k)
+    assert components == components_by_append(emb.n, ref_edges)
     ref = sensitivities_per_edge(components, ref_edges, emb.vectors)
     assert np.array_equal(part.local_sensitivities, ref)
     assert part.global_sensitivity == float(ref.max())

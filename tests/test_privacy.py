@@ -3,16 +3,22 @@ import pytest
 from scipy import stats
 
 from nadp.embeddings import EmbeddingSet
-from nadp.privacy import _overlap, prediction_probability, privacy_report, skewness
+from nadp.privacy import _overlap, privacy_report, skewness
 
 from oracles import jaccard, prediction_probability_bruteforce, skewness_formula
 from synth import random_embeddings, two_far_clusters
 
 
+def _moved(emb: EmbeddingSet, i: int, vector) -> EmbeddingSet:
+    """`emb` with word i's vector replaced."""
+    vectors = np.array(emb.vectors)
+    vectors[i] = vector
+    return EmbeddingSet(emb.words, vectors)
+
+
 def test_prediction_probability_identity_is_one():
     emb = random_embeddings(30, 5, seed=1)
-    for i in (0, 7, 29):
-        assert prediction_probability(emb, emb.vectors[i], i, m=5) == 1.0
+    assert privacy_report(emb, emb, m=5).probabilities.tolist() == [1.0] * emb.n
 
 
 def test_prediction_probability_far_displacement_is_zero():
@@ -21,8 +27,8 @@ def test_prediction_probability_far_displacement_is_zero():
     emb = two_far_clusters(6, 4, seed=2, gap=80.0)
     target = 0  # lives in the first cluster
     displaced = emb.vectors[9] + 0.01  # deep inside the second cluster
-    p = prediction_probability(emb, displaced, target, m=4)
-    assert p == 0.0
+    report = privacy_report(emb, _moved(emb, target, displaced), m=4)
+    assert report.probabilities[target] == 0.0
     assert prediction_probability_bruteforce(emb.vectors, displaced, target, 4) == 0.0
 
 
@@ -31,8 +37,8 @@ def test_prediction_probability_exhaustive_m():
     n = emb.n
     rng = np.random.default_rng(0)
     anywhere = rng.normal(0.0, 10.0, emb.d)
-    p = prediction_probability(emb, anywhere, 4, m=n - 1)
-    assert p >= (n - 2) / n
+    report = privacy_report(emb, _moved(emb, 4, anywhere), m=n - 1)
+    assert report.probabilities[4] >= (n - 2) / n
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -47,15 +53,8 @@ def test_prediction_probability_matches_bruteforce(seed):
     idx = int(rng.integers(0, n))
     perturbed = emb.vectors[idx] + rng.normal(0.0, 0.5, d)
     expected = prediction_probability_bruteforce(emb.vectors, perturbed, idx, m)
-    assert prediction_probability(emb, perturbed, idx, m) == expected
-
-
-def test_prediction_probability_validation():
-    emb = random_embeddings(5, 2, seed=4)
-    with pytest.raises(ValueError):
-        prediction_probability(emb, emb.vectors[0], 9, m=2)
-    with pytest.raises(ValueError):
-        prediction_probability(emb, emb.vectors[0], 0, m=0)
+    report = privacy_report(emb, _moved(emb, idx, perturbed), m=m)
+    assert report.probabilities[idx] == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 10])
@@ -131,9 +130,9 @@ def test_report_matches_single_word_op():
     rng = np.random.default_rng(1)
     pert = EmbeddingSet(emb.words, emb.vectors + rng.normal(0.0, 0.8, emb.vectors.shape))
     report = privacy_report(emb, pert, m=6)
-    for i in (0, 13, 39):
-        assert report.probabilities[i] == prediction_probability(
-            emb, pert.vectors[i], i, m=6
+    for i in range(emb.n):
+        assert report.probabilities[i] == prediction_probability_bruteforce(
+            emb.vectors, pert.vectors[i], i, 6
         )
 
 

@@ -15,15 +15,15 @@ from nadp.utility import (
     SentencePairDataset,
     SimilarityDataset,
     UtilityDatasets,
+    _centroids,
+    _odd_man_picks,
+    _rows,
     aggregate,
-    cosine,
     load_odd_man_dataset,
     load_sentence_pairs,
     load_similarity_dataset,
     odd_man_eval,
-    odd_man_out,
     pearson,
-    sentence_centroid,
     spearman,
     sts_eval,
     suite_rows_to_csv,
@@ -31,7 +31,13 @@ from nadp.utility import (
     word_similarity_eval,
 )
 
-from oracles import odd_man_bruteforce, pearson_bruteforce, spearman_bruteforce
+from oracles import (
+    cosine_per_pair,
+    odd_man_bruteforce,
+    odd_man_out_per_drop,
+    pearson_bruteforce,
+    spearman_bruteforce,
+)
 from synth import random_embeddings
 
 
@@ -54,7 +60,7 @@ def _pairs(emb, ratings_from_cosine=True, flip=False):
     pairs = []
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
-            c = cosine(emb.vectors[i], emb.vectors[j])
+            c = cosine_per_pair(emb.vectors[i], emb.vectors[j])
             pairs.append((words[i], words[j], -c if flip else c))
     return SimilarityDataset(tuple(pairs))
 
@@ -81,7 +87,8 @@ def test_word_similarity_matches_rank_oracle(toy_emb):
         ),
     )
     sims = [
-        cosine(toy_emb.vector(a), toy_emb.vector(b)) for a, b, _ in data.pairs
+        cosine_per_pair(toy_emb.vector(a), toy_emb.vector(b))
+        for a, b, _ in data.pairs
     ]
     ratings = [r for _, _, r in data.pairs]
     expected = spearman_bruteforce(sims, ratings)
@@ -180,10 +187,16 @@ def test_correlations_edge_cases():
     )
 
 
+def _centroid(emb, tokens):
+    """The centroid `sts_eval` takes of one sentence."""
+    return _centroids(emb.vectors, [_rows(emb, tokens)])[0]
+
+
 def test_sentence_centroid_single_word_reduces_to_vector(toy_emb):
-    c = sentence_centroid(toy_emb, ("cat",))
+    c = _centroid(toy_emb, ("cat",))
     assert np.array_equal(c, toy_emb.vector("cat"))
-    assert sentence_centroid(toy_emb, ("nope", "nada")) is None
+    # no row to average: `sts_eval` drops the pair
+    assert _rows(toy_emb, ("nope", "nada")) == []
 
 
 def test_sts_single_word_sentences_reduce_to_word_similarity(toy_emb):
@@ -196,7 +209,7 @@ def test_sts_single_word_sentences_reduce_to_word_similarity(toy_emb):
     )
     result = sts_eval(toy_emb, data)
     sims = [
-        cosine(toy_emb.vector(a[0]), toy_emb.vector(b[0]))
+        cosine_per_pair(toy_emb.vector(a[0]), toy_emb.vector(b[0]))
         for a, b, _ in data.pairs
     ]
     ratings = [r for _, _, r in data.pairs]
@@ -206,8 +219,8 @@ def test_sts_single_word_sentences_reduce_to_word_similarity(toy_emb):
 
 
 def test_sts_centroid_invariant_under_duplication(toy_emb):
-    once = sentence_centroid(toy_emb, ("cat", "car"))
-    twice = sentence_centroid(toy_emb, ("cat", "cat", "car", "car"))
+    once = _centroid(toy_emb, ("cat", "car"))
+    twice = _centroid(toy_emb, ("cat", "cat", "car", "car"))
     assert np.allclose(once, twice)
 
 
@@ -225,7 +238,7 @@ def test_sts_hand_computed_pairs(toy_emb):
     def centroid(ws):
         return np.mean([toy_emb.vector(w) for w in ws], axis=0)
 
-    sims = [cosine(centroid(a), centroid(b)) for a, b, _ in data.pairs]
+    sims = [cosine_per_pair(centroid(a), centroid(b)) for a, b, _ in data.pairs]
     ratings = [r for _, _, r in data.pairs]
     sp = spearman_bruteforce(sims, ratings)
     pe = pearson_bruteforce(sims, ratings)
@@ -293,12 +306,18 @@ def test_sts_drops_out_of_vocabulary_sentences(toy_emb):
     assert result.scorable == 2
 
 
+def _pick(emb, tokens):
+    """The token `odd_man_eval` picks from one instance."""
+    rows = np.array([[emb.index_of(t) for t in tokens]])
+    return tokens[int(_odd_man_picks(emb.vectors, rows)[0])]
+
+
 def test_odd_man_out_orthogonal_vector():
     vecs = np.vstack([np.tile([1.0, 0.02, 0.0], (4, 1)) + 0.01, [0.0, 0.0, 1.0]])
     emb = EmbeddingSet(("a", "b", "c", "d", "odd"), vecs)
     tokens = ("a", "b", "odd", "c", "d")
-    predicted, tie = odd_man_out(emb, tokens)
-    assert predicted == "odd" and not tie
+    assert _pick(emb, tokens) == "odd"
+    assert odd_man_out_per_drop(emb, tokens) == ("odd", False)
     assert odd_man_bruteforce(
         {w: emb.vector(w) for w in tokens}, tokens
     ) == "odd"
@@ -306,9 +325,9 @@ def test_odd_man_out_orthogonal_vector():
 
 def test_odd_man_out_all_identical_flags_tie():
     emb = EmbeddingSet(("a", "b", "c", "d", "e"), np.ones((5, 3)))
-    predicted, tie = odd_man_out(emb, ("c", "a", "b", "d", "e"))
-    assert predicted == "c"  # first in instance order
-    assert tie
+    tokens = ("c", "a", "b", "d", "e")
+    assert _pick(emb, tokens) == "c"  # first in instance order
+    assert odd_man_out_per_drop(emb, tokens) == ("c", True)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -319,8 +338,7 @@ def test_odd_man_out_matches_bruteforce(seed):
         tuple(f"w{i}" for i in range(n)), rng.normal(0.0, 1.0, (n, 4))
     )
     tokens = tuple(emb.words)
-    predicted, _ = odd_man_out(emb, tokens)
-    assert predicted == odd_man_bruteforce(
+    assert _pick(emb, tokens) == odd_man_bruteforce(
         {w: emb.vector(w) for w in tokens}, tokens
     )
 
@@ -332,7 +350,7 @@ def _odd_man_out_nested(emb, tokens):
     for drop in range(len(tokens)):
         rest = [v for i, v in enumerate(vecs) if i != drop]
         sims = [
-            cosine(rest[i], rest[j])
+            cosine_per_pair(rest[i], rest[j])
             for i in range(len(rest))
             for j in range(i + 1, len(rest))
         ]
@@ -367,9 +385,9 @@ def test_odd_man_out_equals_the_nested_loop():
         instances.append((tokens, tokens[int(rng.integers(size))]))
     ties = 0
     for tokens, _ in instances:
-        result = odd_man_out(emb, tokens)
-        assert result == _odd_man_out_nested(emb, tokens)
-        ties += result[1]
+        expected, tie = _odd_man_out_nested(emb, tokens)
+        assert _pick(emb, tokens) == expected
+        ties += tie
     assert ties > 10
     result = odd_man_eval(emb, OddManDataset(tuple(instances)))
     correct = sum(
@@ -383,10 +401,10 @@ def test_odd_man_out_reorder_invariance():
     emb = EmbeddingSet(
         tuple(f"w{i}" for i in range(6)), rng.normal(0.0, 1.0, (6, 5))
     )
-    base, tie = odd_man_out(emb, tuple(emb.words))
-    assert not tie
+    base = _pick(emb, emb.words)
+    assert not odd_man_out_per_drop(emb, emb.words)[1]
     shuffled = tuple(np.random.default_rng(1).permutation(emb.words))
-    assert odd_man_out(emb, shuffled)[0] == base
+    assert _pick(emb, shuffled) == base
 
 
 def test_odd_man_eval_skips_oov(toy_emb):
@@ -398,8 +416,8 @@ def test_odd_man_eval_skips_oov(toy_emb):
     )
     result = odd_man_eval(toy_emb, data)
     assert result.evaluated == 1 and result.skipped == 1
-    with pytest.raises(KeyError):
-        odd_man_out(toy_emb, ("cat", "dog", "zzz"))
+    with pytest.raises(ValueError, match="no fully in-vocabulary instances"):
+        odd_man_eval(toy_emb, OddManDataset(data.instances[1:]))
 
 
 def test_scale_invariance_of_metrics(toy_emb):
@@ -409,7 +427,7 @@ def test_scale_invariance_of_metrics(toy_emb):
         word_similarity_eval(toy_emb, data).spearman
     )
     instance = ("cat", "dog", "car", "bus", "red")
-    assert odd_man_out(scaled, instance) == odd_man_out(toy_emb, instance)
+    assert _pick(scaled, instance) == _pick(toy_emb, instance)
 
 
 def test_aggregate_single_sample():

@@ -1,12 +1,12 @@
 """The batched utility tasks against their frozen per-item definitions.
 
-Every score must be bit-identical: cosines, centroids, odd-man drop scores,
-picks and tie flags, and the eval results built from them. The inputs mix
-the cases where a batched formula could drift from the per-item one: zero
-vectors, exact duplicates, small-integer vectors whose cosines tie,
-magnitudes at which the norm product underflows or overflows, sentences of
-1-40 tokens with repeats, odd-man sets of 5-12 tokens, and out-of-vocabulary
-items, at d = 1, 4 and 300.
+Every score must be bit-identical: cosines, centroids, odd-man picks, and
+the eval results built from them. The inputs mix the cases where a batched
+formula could drift from the per-item one: zero vectors, exact duplicates,
+small-integer vectors whose cosines tie, magnitudes at which the norm
+product underflows or overflows, sentences of 1-40 tokens with repeats,
+odd-man sets of 5-12 tokens, and out-of-vocabulary items, at d = 1, 4 and
+300.
 """
 
 import math
@@ -20,10 +20,7 @@ from nadp.utility import (
     OddManDataset,
     SentencePairDataset,
     SimilarityDataset,
-    cosine,
     odd_man_eval,
-    odd_man_out,
-    sentence_centroid,
     sts_eval,
     word_similarity_eval,
 )
@@ -72,8 +69,6 @@ def test_cosine_equals_the_per_pair_formula(d):
     x = emb.vectors
     first, second = (a.ravel() for a in np.indices((emb.n, emb.n)))
     ref = np.array([cosine_per_pair(x[i], x[j]) for i, j in zip(first, second)])
-    one_by_one = np.array([cosine(x[i], x[j]) for i, j in zip(first, second)])
-    assert np.array_equal(one_by_one, ref, equal_nan=True)
     batched = utility._cosines(x[first], x[second])
     assert np.array_equal(batched, ref, equal_nan=True)
     assert np.isnan(ref).any() and (ref == 0.0).any()
@@ -111,14 +106,17 @@ def _sentences(emb: EmbeddingSet, rng, count: int, oov_rate: float):
 def test_sentence_centroids_equal_the_per_sentence_mean(d):
     emb = _emb(d)
     rng = np.random.default_rng([9, d])
-    for tokens in _sentences(emb, rng, 160, 0.1) + [OOV, (OOV[0], "w3", "w3")]:
-        got = sentence_centroid(emb, tokens)
+    sentences = _sentences(emb, rng, 160, 0.1) + [OOV, (OOV[0], "w3", "w3")]
+    rows = [utility._rows(emb, tokens) for tokens in sentences]
+    # sts_eval's centroids: the sentences with an in-vocabulary token, at once
+    got = iter(utility._centroids(emb.vectors, [r for r in rows if r]))
+    for tokens, r in zip(sentences, rows):
         ref = sentence_centroid_per_sentence(emb, tokens)
-        if ref is None:
-            assert got is None
-        else:
-            assert got.shape == ref.shape
-            assert np.array_equal(got, ref), tokens
+        assert (ref is None) == (not r)
+        if r:
+            c = next(got)
+            assert c.shape == ref.shape
+            assert np.array_equal(c, ref), tokens
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -151,15 +149,18 @@ def _instances(emb: EmbeddingSet, rng, count: int):
 def test_odd_man_equals_the_per_drop_loop(d):
     emb = _emb(d)
     instances = _instances(emb, np.random.default_rng([11, d]), 320)
-    ties = 0
+    # odd_man_eval's picks: the in-vocabulary instances of each size at once
+    by_size = {}
     for tokens, _ in instances:
-        if OOV[1] in tokens:
-            with pytest.raises(KeyError):
-                odd_man_out(emb, tokens)
-            continue
-        got = odd_man_out(emb, tokens)
-        assert got == odd_man_out_per_drop(emb, tokens), tokens
-        ties += got[1]
+        if OOV[1] not in tokens:
+            by_size.setdefault(len(tokens), []).append(tokens)
+    ties = 0
+    for group in by_size.values():
+        rows = np.array([[emb.index_of(t) for t in tokens] for tokens in group])
+        for tokens, b in zip(group, utility._odd_man_picks(emb.vectors, rows)):
+            pick, tie = odd_man_out_per_drop(emb, tokens)
+            assert tokens[b] == pick, tokens
+            ties += tie
     assert ties > 5
     data = OddManDataset(tuple(instances))
     result = odd_man_eval(emb, data)
@@ -176,9 +177,9 @@ def test_first_best_equals_the_scan():
         scores = values[rng.integers(0, len(values), (2000, n))]
         scores[:50] = math.nan
         scores[50:100] = -math.inf
-        best, tie = utility._first_best(scores)
-        for row, b, t in zip(scores, best, tie):
-            assert (int(b), bool(t)) == first_best_scan(row.tolist())
+        best = utility._first_best(scores)
+        for row, b in zip(scores, best):
+            assert int(b) == first_best_scan(row.tolist())[0]
 
 
 def test_one_item_chunks_give_the_same_scores(monkeypatch):
