@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import require
+
 _SQRT2 = math.sqrt(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # below this t, Phi(t) nears the subnormal range and log Phi uses its
@@ -41,12 +43,6 @@ _MAX_BISECT_STEPS = 500
 _TOL = 1e-12
 
 
-def _require_epsilon(epsilon: float) -> None:
-    """`PrivacyParams`' epsilon check, which the CLI also runs before any load."""
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy level: epsilon >= 0, delta in (0, 1)."""
@@ -55,9 +51,9 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _require_epsilon(self.epsilon)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        require("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -155,17 +151,14 @@ def solve_u_star(params: PrivacyParams) -> float:
 
 def classic_sigma_formula(epsilon: float, delta: float, Delta: float) -> float:
     """Closed-form scale Delta * sqrt(2*log(1.25/delta)) / epsilon for any
-    epsilon > 0.
+    finite epsilon > 0, which its callers check first.
 
     It guarantees (epsilon, delta)-DP only for epsilon in (0, 1), the range
-    `mechanisms._require_proven_range` decides; the mechanisms evaluate it
+    `mechanisms.check_epsilon` decides; the mechanisms evaluate it
     outside that range only for protocol sweeps, and then report the run as
     not proven, and `nadp calibrate` reports no classic sigma there.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    require("delta", delta)
     if Delta < 0.0:
         raise ValueError(f"sensitivity must be >= 0, got {Delta}")
     return Delta * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon

@@ -20,13 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    PrivacyParams,
-    _require_epsilon,
-    calibrate_components,
-    classic_sigma_formula,
-)
+from .calibration import PrivacyParams, calibrate_components, classic_sigma_formula
 from .components import build_partition, partition_report
+from .domains import DOMAINS, require
 from .embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from .graph import (
     DEFAULT_M,
@@ -45,7 +41,7 @@ from .mechanisms import (
     DEFAULT_M_DENSITY,
     MECHANISM_KINDS,
     Perturber,
-    _require_proven_range,
+    check_epsilon,
 )
 from .privacy import DEFAULT_EVAL_M, privacy_report
 from .utility import (
@@ -103,20 +99,6 @@ _PARAMS = {
 }
 _DEFAULTS = {key: default for key, (_, _, default, _) in _PARAMS.items()}
 
-# key -> (the name its range error gives it, its domain). Where the library
-# checks the value under that name, both errors read the same; None names
-# the flag.
-_DOMAINS = {
-    "limit": ("limit", ">= 1"), "m": ("m", ">= 1"), "m_density": ("m_density", ">= 1"),
-    "precision": ("precision", ">= 1"), "repeats": (None, ">= 1"), "k": (None, ">= 1"),
-    "m_eval": (None, ">= 1"), "tau": ("tau", "in [0, 1]"),
-    "lambda_": ("lambda", "in [0, 1]"), "delta": ("delta", "in (0, 1)"),
-    "eta0": ("eta0", "> 0"), "alpha1": ("alpha1", "> 0"), "alpha2": ("alpha2", "> 0"),
-    "epsilon": ("epsilon", ">= 0"),
-}
-_IN_DOMAIN = {">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
-              "in (0, 1)": lambda v: 0 < v < 1, "> 0": lambda v: v > 0,
-              ">= 0": lambda v: v >= 0}
 # type -> how a type error names it, and the Python types its values may have
 _KINDS = {int: ("an int", int), float: ("a number", (int, float)),
           str: ("a string", str), bool: ("true or false", bool),
@@ -146,6 +128,13 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     params = dict(_DEFAULTS)
     if args.config is not None:
         manifest = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict) or not isinstance(
+            manifest.get("parameters"), dict
+        ):
+            raise ValueError(
+                f"manifest {args.config} is not a JSON object with a "
+                f"'parameters' object"
+            )
         if manifest.get("command") != args.command:
             raise ValueError(
                 f"manifest {args.config} was written by "
@@ -166,11 +155,13 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 
 def _check_params(params: dict, keys: tuple, required: tuple) -> None:
     """Name the first of `keys` that is required and missing, of the wrong
-    type (a bool only where the type is bool), or outside its domain."""
+    type (a bool only where the type is bool), or outside its domain. A key
+    with a domain is named as the domain table names it, any other by its
+    flag; epsilon, whose domain depends on the mechanism, each command
+    checks with `check_epsilon`."""
     for key in keys:
         flag, kind, _, _ = _PARAMS[key]
-        name, domain = _DOMAINS.get(key, (None, None))
-        name, value = name or flag, params[key]
+        name, value = DOMAINS.get(key, (flag,))[0], params[key]
         if isinstance(kind, tuple):
             what, fits = f"one of {kind}", value in kind
         else:
@@ -182,8 +173,8 @@ def _check_params(params: dict, keys: tuple, required: tuple) -> None:
                 raise ValueError(f"{flag} is required{choices}")
         elif not fits:
             raise ValueError(f"{name} must be {what}, got {value!r}")
-        elif domain and not _IN_DOMAIN[domain](value):
-            raise ValueError(f"{name} must be {domain}, got {value}")
+        elif key in DOMAINS:
+            require(key, value)
 
 
 def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
@@ -287,15 +278,15 @@ def cmd_components(params: dict, out_dir: Path) -> list[str]:
 
 def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
     epsilon = params["epsilon"]
-    _require_epsilon(epsilon)  # inf passes the >= 0 domain main checked
+    check_epsilon("nadp", epsilon, strict=True)
     emb = _load_set(params)
     delta = _resolve_delta(params, emb.n)
     graph = _build_graph(params, emb)
     partition = build_partition(graph, emb)
     privacy = PrivacyParams(epsilon=epsilon, delta=delta)
     calib = calibrate_components(partition.local_sensitivities, privacy)
-    classic = None  # the closed form is proven only for epsilon in (0, 1)
-    if _require_proven_range(epsilon, strict=False, kind="gaussian"):
+    classic = None  # reported only where the closed form is proven
+    if epsilon > 0.0 and check_epsilon("gaussian", epsilon, strict=False):
         classic = classic_sigma_formula(epsilon, delta, partition.global_sensitivity)
     report = {
         "epsilon": epsilon,
@@ -320,6 +311,8 @@ def cmd_calibrate(params: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
+    check_epsilon(params["mechanism"], params["epsilon"],
+                  strict=not params["allow_unproven_epsilon"])
     out_name = params["output"]
     report_name = params["report"] or "perturb_report.json"
     _require_distinct_files(params, out_dir, {
@@ -387,12 +380,9 @@ def cmd_eval_utility(params: dict, out_dir: Path) -> list[str]:
     epsilons = _parse_list(params, "epsilons", float)
     if not epsilons:
         raise ValueError("--epsilons is required (comma-separated list)")
-    for eps in epsilons:
-        _check_params({"epsilon": eps}, ("epsilon",), ())
-        _require_epsilon(eps)  # inf passes the >= 0 domain
     for kind in mechanisms:
-        if kind not in MECHANISM_KINDS:
-            raise ValueError(f"unknown mechanism {kind!r}")
+        for eps in epsilons:
+            check_epsilon(kind, eps, strict=not params["allow_unproven_epsilon"])
     seeds = _parse_list(params, "seeds", int)
     if seeds == []:
         raise ValueError("--seeds must list at least one seed")

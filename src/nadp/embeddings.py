@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .domains import require
+
 
 class EmbeddingFormatError(ValueError):
     """Raised when an embedding file violates the expected text format."""
@@ -66,9 +68,6 @@ class EmbeddingSet:
 
     def index_of(self, word: str) -> int:
         return self._index[word]
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self._index[word]]
 
 
 # rows parsed per numpy call when loading, and formatted per set of
@@ -173,8 +172,8 @@ def load_embeddings(
     within one line a wrong field count comes first, then an unparsable
     coordinate, then a non-finite one, then a duplicate token.
     """
-    if limit is not None and limit <= 0:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit is not None:
+        require("limit", limit)
     path = Path(path)
     bound = _row_bound(path, limit)
     if word_filter is not None:
@@ -364,8 +363,7 @@ def save_embeddings(emb: EmbeddingSet, path: str | Path, precision: int = 6) -> 
     of 2**52 / 10**precision or more is formatted one row at a time by
     Python's own ``%``-format instead.
     """
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    require("precision", precision)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for start in range(0, emb.n, _PARSE_CHUNK):

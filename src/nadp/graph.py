@@ -33,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .domains import require
 from .embeddings import EmbeddingSet
 
 DEFAULT_M = 2
@@ -281,8 +282,7 @@ def rank_queries(
 def knn(emb: EmbeddingSet, m: int) -> NeighbourSets:
     """Exact top-m Euclidean neighbours of every word, self excluded: the
     self query of `rank_queries`, with each word excluded from its own row."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    require("m", m)
     n = emb.n
     _require_two_words(n)
     indices, distances = rank_queries(emb, emb.vectors, min(m, n - 1), np.arange(n))
@@ -316,8 +316,7 @@ def build_graph(
     ends. The Jaccard test uses the same top-m sets as the membership
     condition, one neighbour column at a time.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    require("tau", tau)
     ns = neighbour_sets if neighbour_sets is not None else knn(emb, m)
     if ns.m != m or ns.n != emb.n:
         raise ValueError("neighbour_sets do not match the embedding set and m")

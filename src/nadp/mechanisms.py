@@ -12,7 +12,8 @@
   distance), each with its own closed-form Gaussian sigma.
 
 `Perturber` runs all five from one clean set and its knobs, which it checks
-when it is built; it is the only entry point of the four baselines, whose
+when it is built, at each epsilon that `check_epsilon` passes for the
+mechanism; it is the only entry point of the four baselines, whose
 implementations are the runners of its registry `_MECHANISMS`. `nadp_perturb`
 also runs alone, on a partition the caller builds.
 
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .calibration import PrivacyParams, calibrate_components, classic_sigma_formula
 from .components import ComponentPartition, build_partition
+from .domains import DOMAINS, require
 from .embeddings import EmbeddingSet
 from .graph import (
     DEFAULT_M,
@@ -121,24 +123,6 @@ def _word_substreams(seed: int) -> Callable[[int], np.random.Generator]:
         return rng
 
     return substream
-
-
-def _require_proven_range(epsilon: float, strict: bool, kind: str) -> bool:
-    if 0.0 < epsilon < 1.0:
-        return True
-    if strict:
-        raise ValueError(
-            f"the {kind} mechanism's closed-form calibration is proven only "
-            f"for epsilon in (0, 1), got {epsilon}; pass strict=False "
-            "(--allow-unproven-epsilon on the command line) to run the formula "
-            "outside that range anyway"
-        )
-    return False
-
-
-def _require_finite_epsilon(epsilon: float) -> None:
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
 def _add_noise(
@@ -244,10 +228,11 @@ class Perturber:
     """Shared-state dispatcher over the five mechanisms for one clean set,
     and the one entry point of the four baselines.
 
-    Its fields are the clean set and the knobs, each checked once, when the
-    Perturber is built. The neighbour graph, component partition and
-    density neighbour sets are computed lazily once, from a single kNN
-    pass, and reused across (mechanism, epsilon, seed) calls, which is what
+    Its fields are the clean set and the knobs, each checked against its
+    domain once, when the Perturber is built; epsilon is checked per call,
+    before any work. The neighbour graph, component partition and density
+    neighbour sets are computed lazily once, from a single kNN pass, and
+    reused across (mechanism, epsilon, seed) calls, which is what
     benchmark sweeps need; so is the Mahalanobis covariance square root, on
     the first Mahalanobis call.
     """
@@ -264,18 +249,13 @@ class Perturber:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.m_density < 1:
-            raise ValueError(f"m_density must be >= 1, got {self.m_density}")
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_}")
-        for name in ("eta0", "alpha1", "alpha2"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        # the graph, the density sets and the covariance all need two words
+        # the graph, the density sets and the covariance all need two words;
+        # named first, as at n = 1 the CLI's default delta, 1/n, is out of
+        # its domain too
         _require_two_words(self.emb.n)
+        for f in fields(self):
+            if f.name in DOMAINS:
+                require(f.name, getattr(self, f.name))
 
     @cached_property
     def _knn(self) -> NeighbourSets:
@@ -304,29 +284,16 @@ class Perturber:
     def perturb(
         self, kind: str, epsilon: float, seed: int
     ) -> tuple[EmbeddingSet, PerturbationReport]:
-        if kind not in _MECHANISMS:
-            raise ValueError(f"unknown mechanism {kind!r}")
-        return _MECHANISMS[kind](self, epsilon, seed)
+        proven = check_epsilon(kind, epsilon, self.strict)
+        return _MECHANISMS[kind](self, epsilon, seed, proven)
 
 
-def _perturber_nadp(p: Perturber, epsilon: float, seed: int):
+def _perturber_nadp(p: Perturber, epsilon: float, seed: int, proven: bool):
     privacy = PrivacyParams(epsilon, p.delta)
     return nadp_perturb(p.emb, p.partition, privacy, seed)
 
 
-def _classic_privacy(
-    p: Perturber, epsilon: float, kind: str
-) -> tuple[PrivacyParams, bool]:
-    """The closed-form mechanisms' checks of epsilon, and whether the closed
-    form is proven at it."""
-    privacy = PrivacyParams(epsilon, p.delta)
-    proven = _require_proven_range(epsilon, p.strict, kind)
-    if not epsilon > 0.0:  # the closed form divides by epsilon
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return privacy, proven
-
-
-def _perturber_gaussian(p: Perturber, epsilon: float, seed: int):
+def _perturber_gaussian(p: Perturber, epsilon: float, seed: int, proven: bool):
     """Classic Gaussian mechanism: one closed-form sigma for every word,
     with Delta the partition's global sensitivity.
 
@@ -334,18 +301,17 @@ def _perturber_gaussian(p: Perturber, epsilon: float, seed: int):
     closed form is proven; strict=False evaluates the same formula anyway,
     so that benchmark sweeps over large epsilon can include this mechanism,
     and flags the report as not proven."""
-    privacy, proven = _classic_privacy(p, epsilon, "gaussian")
     emb = p.emb
     Delta = p.partition.global_sensitivity
-    sigma = float(classic_sigma_formula(privacy.epsilon, privacy.delta, Delta))
+    sigma = float(classic_sigma_formula(epsilon, p.delta, Delta))
     return _add_noise(
         emb,
         seed,
         lambda rng, i: rng.normal(0.0, sigma, emb.d),
         np.full(emb.n, sigma != 0.0),
         kind="gaussian",
-        epsilon=privacy.epsilon,
-        delta=privacy.delta,
+        epsilon=epsilon,
+        delta=p.delta,
         sigma_per_component=(sigma,),
         delta_per_component=(float(Delta),),
         global_sensitivity=float(Delta),
@@ -353,10 +319,9 @@ def _perturber_gaussian(p: Perturber, epsilon: float, seed: int):
     )
 
 
-def _perturber_laplacian(p: Perturber, epsilon: float, seed: int):
+def _perturber_laplacian(p: Perturber, epsilon: float, seed: int, proven: bool):
     """Independent per-coordinate Laplace noise with scale Delta/epsilon,
     with Delta the partition's global sensitivity."""
-    _require_finite_epsilon(epsilon)
     emb = p.emb
     Delta = p.partition.global_sensitivity
     scale = Delta / epsilon
@@ -370,17 +335,17 @@ def _perturber_laplacian(p: Perturber, epsilon: float, seed: int):
         sigma_per_component=(float(scale),),
         delta_per_component=(float(Delta),),
         global_sensitivity=float(Delta),
+        proven_dp=proven,
         extra={"noise": "per-coordinate Laplace, scale Delta/epsilon"},
     )
 
 
-def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
+def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int, proven: bool):
     """Elliptical noise following the covariance structure of the embeddings.
 
     Non-normative construction: this mirrors the usual elliptical recipe
     (Gamma radius, sphere direction, covariance square root); only lambda and
     the epsilon range are fixed by the benchmark protocol."""
-    _require_finite_epsilon(epsilon)
     emb = p.emb
     shape_sqrt = p.shape_sqrt
     return _add_noise(
@@ -389,6 +354,7 @@ def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
         lambda rng, i: mahalanobis_noise(rng, shape_sqrt, epsilon),
         kind="mahalanobis",
         epsilon=epsilon,
+        proven_dp=proven,
         extra={
             "lambda": p.lambda_,
             "noise": "non-normative elliptical construction "
@@ -397,7 +363,7 @@ def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int):
     )
 
 
-def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
+def _perturber_jaccard(p: Perturber, epsilon: float, seed: int, proven: bool):
     """Two-category density baseline.
 
     Words are split by their mean distance eta(x) to their `m_density`
@@ -406,13 +372,12 @@ def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
     alpha_i * sqrt(2*log(1.25/delta)) / epsilon, where Delta is the average
     distance from a word to its furthermost neighbour. `strict` bounds
     epsilon as for the Gaussian mechanism."""
-    privacy, proven = _classic_privacy(p, epsilon, "jaccard")
     emb = p.emb
     neighbour_sets = p.density_sets
     eta = neighbourhood_density(neighbour_sets)
     Delta = float(neighbour_sets.distances[:, -1].mean())
     dense = eta < p.eta0
-    base = classic_sigma_formula(privacy.epsilon, privacy.delta, Delta)
+    base = classic_sigma_formula(epsilon, p.delta, Delta)
     sigma1 = p.alpha1 * base
     sigma2 = p.alpha2 * base
     sigma_of_word = np.where(dense, sigma1, sigma2)
@@ -422,8 +387,8 @@ def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
         lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
         sigma_of_word != 0.0,
         kind="jaccard",
-        epsilon=privacy.epsilon,
-        delta=privacy.delta,
+        epsilon=epsilon,
+        delta=p.delta,
         sigma_per_component=(float(sigma1), float(sigma2)),
         delta_per_component=(float(Delta), float(Delta)),
         global_sensitivity=Delta,
@@ -439,9 +404,11 @@ def _perturber_jaccard(p: Perturber, epsilon: float, seed: int):
     )
 
 
-# kind -> how a Perturber runs that mechanism on its shared state; the order
-# is the order in which the CLI lists the kinds. Each runner checks epsilon
-# before it touches the shared kNN, so a rejected epsilon costs no kNN.
+# kind -> how a Perturber runs that mechanism on its shared state, at an
+# epsilon that `check_epsilon` has already passed and told proven or not; the
+# order is the order in which the CLI lists the kinds. `Perturber.perturb`
+# runs `check_epsilon` first, before the shared kNN, so a rejected epsilon
+# costs no kNN.
 _MECHANISMS = {
     "nadp": _perturber_nadp,
     "gaussian": _perturber_gaussian,
@@ -450,3 +417,35 @@ _MECHANISMS = {
     "jaccard": _perturber_jaccard,
 }
 MECHANISM_KINDS = tuple(_MECHANISMS)
+
+
+def check_epsilon(kind: str, epsilon: float, strict: bool) -> bool:
+    """Raise ValueError unless `kind` is a mechanism that runs at `epsilon`;
+    return whether its (epsilon, delta)-DP guarantee is proven there.
+
+    nadp's exact condition covers every finite epsilon >= 0. laplacian and
+    mahalanobis need a finite epsilon > 0: at inf their noise is 0 and the
+    release would be the input; they prove nothing. The closed form of
+    gaussian and jaccard is proven only for epsilon in (0, 1); with
+    strict=False it runs outside that range, unproven, but never at 0,
+    where it divides by epsilon."""
+    if kind not in _MECHANISMS:
+        raise ValueError(f"unknown mechanism {kind!r}")
+    if kind in ("laplacian", "mahalanobis"):
+        if not (epsilon > 0.0 and math.isfinite(epsilon)):
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+        return False
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if kind == "nadp" or 0.0 < epsilon < 1.0:
+        return True
+    if strict:
+        raise ValueError(
+            f"the {kind} mechanism's closed-form calibration is proven only "
+            f"for epsilon in (0, 1), got {epsilon}; pass strict=False "
+            "(--allow-unproven-epsilon on the command line) to run the formula "
+            "outside that range anyway"
+        )
+    if epsilon == 0.0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return False

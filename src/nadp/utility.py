@@ -439,19 +439,9 @@ def utility_suite(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    rows: list[SuiteRow] = []
-    for task, score in sorted(_evaluate_tasks(emb, datasets).items()):
-        rows.append(
-            SuiteRow(
-                mechanism="none",
-                epsilon=None,
-                task=task,
-                mean=score,
-                stderr=None,
-                repeats=1,
-                values=(score,),
-            )
-        )
+    # (mechanism, epsilon, task -> its scores), the baseline first
+    baseline = _evaluate_tasks(emb, datasets)
+    cells = [("none", None, {task: [score] for task, score in baseline.items()})]
     for mechanism in mechanisms:
         for epsilon in epsilons:
             per_task: dict[str, list[float]] = {}
@@ -459,20 +449,13 @@ def utility_suite(
                 perturbed = perturb_fn(mechanism, epsilon, seed)
                 for task, score in _evaluate_tasks(perturbed, datasets).items():
                     per_task.setdefault(task, []).append(score)
-            for task in sorted(per_task):
-                mean, stderr = aggregate(per_task[task])
-                rows.append(
-                    SuiteRow(
-                        mechanism=mechanism,
-                        epsilon=epsilon,
-                        task=task,
-                        mean=mean,
-                        stderr=stderr,
-                        repeats=len(seeds),
-                        values=tuple(per_task[task]),
-                    )
-                )
-    return rows
+            cells.append((mechanism, epsilon, per_task))
+    return [
+        SuiteRow(mechanism, epsilon, task, *aggregate(values),
+                 repeats=len(values), values=tuple(values))
+        for mechanism, epsilon, per_task in cells
+        for task, values in sorted(per_task.items())
+    ]
 
 
 def suite_rows_to_csv(rows: list[SuiteRow]) -> str:

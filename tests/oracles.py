@@ -272,7 +272,8 @@ def word_similarity_per_pair(emb, data):
     sims, ratings = [], []
     for w1, w2, rating in data.pairs:
         if w1 in emb and w2 in emb:
-            sims.append(cosine_per_pair(emb.vector(w1), emb.vector(w2)))
+            sims.append(cosine_per_pair(emb.vectors[emb.index_of(w1)],
+                                        emb.vectors[emb.index_of(w2)]))
             ratings.append(rating)
     if len(sims) < 2:
         raise ValueError(
@@ -285,7 +286,7 @@ def word_similarity_per_pair(emb, data):
 
 
 def sentence_centroid_per_sentence(emb, tokens):
-    vecs = [emb.vector(t) for t in tokens if t in emb]
+    vecs = [emb.vectors[emb.index_of(t)] for t in tokens if t in emb]
     if not vecs:
         return None
     return np.mean(vecs, axis=0)
@@ -340,7 +341,7 @@ def odd_man_out_per_drop(emb, tokens) -> tuple[str, bool]:
     missing = [t for t in tokens if t not in emb]
     if missing:
         raise KeyError(f"tokens not in vocabulary: {missing}")
-    vecs = [emb.vector(t) for t in tokens]
+    vecs = [emb.vectors[emb.index_of(t)] for t in tokens]
     n = len(vecs)
     cos = {
         (i, j): cosine_per_pair(vecs[i], vecs[j])

@@ -213,7 +213,7 @@ def test_criterion_4_oracle_equivalence():
         tokens = tuple(emb.words)
         pick = _odd_man_picks(emb.vectors, np.arange(n)[None, :])[0]
         ok &= tokens[pick] == odd_man_bruteforce(
-            {w: emb.vector(w) for w in tokens}, tokens
+            {w: emb.vectors[emb.index_of(w)] for w in tokens}, tokens
         )
 
     # prediction probability

@@ -14,7 +14,7 @@ from nadp.calibration import (
     g,
     solve_u_star,
 )
-from nadp.mechanisms import _require_proven_range
+from nadp.mechanisms import check_epsilon
 
 from oracles import g_quadrature, phi_quadrature, solve_u_quadrature
 
@@ -201,12 +201,19 @@ def test_classic_sigma_reference_value():
 def test_classic_sigma_epsilon_range_enforced():
     # the one check of the range in which the closed form is proven, read by
     # the gaussian and jaccard mechanisms and by `nadp calibrate`
-    for eps in (0.0, 1.0, 1.5, -0.2):
+    for eps in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match=r"proven only for epsilon in \(0, 1\)"):
-            _require_proven_range(eps, True, "gaussian")
-        assert not _require_proven_range(eps, False, "gaussian")
+            check_epsilon("gaussian", eps, True)
+    for eps in (1.0, 1.5):
+        assert not check_epsilon("gaussian", eps, False)
+    # unproven or not, the closed form never runs at 0 or below
+    with pytest.raises(ValueError, match=r"epsilon must be > 0, got 0.0"):
+        check_epsilon("gaussian", 0.0, False)
+    for strict in (True, False):
+        with pytest.raises(ValueError, match=r"epsilon must be finite and >= 0"):
+            check_epsilon("gaussian", -0.2, strict)
     for eps in (1e-12, 0.5, math.nextafter(1.0, 0.0)):
-        assert _require_proven_range(eps, True, "gaussian")
+        assert check_epsilon("gaussian", eps, True)
 
 
 def test_check_dp_condition_at_the_boundary():

@@ -15,6 +15,7 @@ import nadp
 from nadp import cli, mechanisms
 from nadp.calibration import PrivacyParams, classic_sigma_formula
 from nadp.cli import main
+from nadp.domains import DOMAINS
 from nadp.embeddings import EmbeddingSet, load_embeddings, save_embeddings
 from nadp.graph import DEFAULT_M, DEFAULT_TAU, build_graph, rank_queries
 from nadp.mechanisms import (
@@ -25,6 +26,7 @@ from nadp.mechanisms import (
     DEFAULT_M_DENSITY,
     MECHANISM_KINDS,
     Perturber,
+    check_epsilon,
 )
 from nadp.privacy import DEFAULT_EVAL_M, privacy_report
 from nadp.utility import UtilityDatasets, load_similarity_dataset, utility_suite
@@ -214,6 +216,13 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
     assert list(out.iterdir()) == []
 
 
+PROVEN_ONLY_AT_2 = (
+    "the gaussian mechanism's closed-form calibration is proven only for epsilon "
+    "in (0, 1), got 2.0; pass strict=False (--allow-unproven-epsilon on the "
+    "command line) to run the formula outside that range anyway"
+)
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -260,13 +269,25 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
         ("calibrate", ("--epsilon", 1.0, "--m", 0), "m must be >= 1, got 0"),
         ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", 1, "--m", 0),
          "m must be >= 1, got 0"),
-        ("calibrate", ("--epsilon", -1), "epsilon must be >= 0, got -1.0"),
-        ("calibrate", ("--epsilon", "nan"), "epsilon must be >= 0, got nan"),
+        ("calibrate", ("--epsilon", -1), "epsilon must be finite and >= 0, got -1.0"),
+        ("calibrate", ("--epsilon", "nan"), "epsilon must be finite and >= 0, got nan"),
         ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", "1,-1"),
-         "epsilon must be >= 0, got -1.0"),
+         "epsilon must be finite and >= 0, got -1.0"),
         ("calibrate", ("--epsilon", "inf"), "epsilon must be finite and >= 0, got inf"),
         ("eval-utility", ("--wordsim", "pairs.tsv", "--epsilons", "1,inf"),
          "epsilon must be finite and >= 0, got inf"),
+        # epsilon's domain is the mechanism's own
+        ("perturb", ("--mechanism", "laplacian", "--epsilon", 0),
+         "epsilon must be finite and > 0, got 0.0"),
+        ("perturb", ("--mechanism", "gaussian", "--epsilon", 2), PROVEN_ONLY_AT_2),
+        ("perturb", ("--mechanism", "nadp", "--epsilon", "inf"),
+         "epsilon must be finite and >= 0, got inf"),
+        ("perturb", ("--mechanism", "mahalanobis", "--epsilon", "inf"),
+         "epsilon must be finite and > 0, got inf"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--mechanisms", "laplacian",
+                          "--epsilons", 0), "epsilon must be finite and > 0, got 0.0"),
+        ("eval-utility", ("--wordsim", "pairs.tsv", "--mechanisms", "nadp,gaussian",
+                          "--epsilons", "0.5,2"), PROVEN_ONLY_AT_2),
     ],
     ids=["perturb-mechanism", "perturb-epsilon", "calibrate-epsilon",
          "eval-utility-epsilons", "eval-utility-datasets", "eval-utility-mechanism",
@@ -278,7 +299,10 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
          "perturb-limit", "graph-m", "components-m", "calibrate-m", "eval-utility-m",
          "calibrate-epsilon-negative", "calibrate-epsilon-nan",
          "eval-utility-epsilons-negative", "calibrate-epsilon-inf",
-         "eval-utility-epsilons-inf"],
+         "eval-utility-epsilons-inf", "perturb-laplacian-epsilon-0",
+         "perturb-gaussian-epsilon-2", "perturb-nadp-epsilon-inf",
+         "perturb-mahalanobis-epsilon-inf", "eval-utility-laplacian-epsilon-0",
+         "eval-utility-gaussian-epsilon-2"],
 )
 def test_missing_argument_fails_before_any_work(
     emb_file, tmp_path, capsys, monkeypatch, command, flags, message
@@ -410,11 +434,12 @@ def test_perturb_files_are_distinct_and_not_inputs(
 
 
 def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypatch):
-    """Each `cli._DOMAINS` row the library also checks: the library call
-    rejects the values just outside the domain and takes those just inside
-    it, and where the row names the value as the library does, the two
-    errors read the same. A Perturber checks its knobs when it is built,
-    before any kNN."""
+    """Each row of the one domain table: the command line and every library
+    entry point that takes the value reject the values just outside the
+    domain and take those just inside it, and where the row names the value
+    as the library does, the errors read the same. A Perturber checks its
+    knobs when it is built, before any kNN. Epsilon, whose domain is each
+    mechanism's own, is checked the same way against nadp's."""
     emb = load_embeddings(emb_file)
 
     def must_not_run(*args, **kwargs):
@@ -427,22 +452,20 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypa
 
     library = {
         "limit": [lambda v: load_embeddings(emb_file, limit=v)],
-        "m": [lambda v: Perturber(emb, delta=0.1, m=v),
-              lambda v: build_graph(emb, v, 0.1)],
-        "m_density": [lambda v: Perturber(emb, delta=0.1, m_density=v)],
+        "m": [knob("m"), lambda v: build_graph(emb, v, 0.1)],
+        "m_density": [knob("m_density")],
         "precision": [lambda v: save_embeddings(emb, tmp_path / "e.txt", precision=v)],
-        "tau": [lambda v: build_graph(emb, 2, v)],
-        "delta": [lambda v: PrivacyParams(0.5, v)],
-        "epsilon": [lambda v: PrivacyParams(v, 0.5)],
+        "tau": [knob("tau"), lambda v: build_graph(emb, 2, v)],
+        "delta": [lambda v: Perturber(emb, delta=v), lambda v: PrivacyParams(0.5, v)],
         "lambda_": [knob("lambda_")],
         "eta0": [knob("eta0")],
         "alpha1": [knob("alpha1")],
         "alpha2": [knob("alpha2")],
         "m_eval": [lambda v: privacy_report(emb, emb, m=v)],
         "k": [lambda v: rank_queries(emb, emb.vectors, v)],
+        "repeats": [],  # the command line's alone
     }
-    same_message = {"limit", "m", "m_density", "precision", "tau", "delta", "lambda_",
-                    "eta0", "alpha1", "alpha2"}
+    assert set(library) == set(DOMAINS)
     # domain -> (values just outside it, values just inside it)
     edges = {
         ">= 1": ([0, -1], [1]),
@@ -451,24 +474,48 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypa
         "in (0, 1)": ([0.0, 1.0, math.nan],
                       [math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)]),
         "> 0": ([0.0, -1.0, math.nan], [math.nextafter(0.0, 1.0)]),
-        ">= 0": ([math.nextafter(0.0, -1.0), -1.0, math.nan], [0.0]),
     }
-    # --repeats alone is checked by the command line only
-    assert set(cli._DOMAINS) - set(library) == {"repeats"}
     for key, calls in library.items():
-        outside, inside = edges[cli._DOMAINS[key][1]]
+        name, domain = DOMAINS[key]
+        outside, inside = edges[domain]
         for value in outside:
             with pytest.raises(ValueError) as cli_error:
                 cli._check_params({key: value}, (key,), ())
+            assert str(cli_error.value) == f"{name} must be {domain}, got {value}"
             for call in calls:
                 with pytest.raises(ValueError) as library_error:
                     call(value)
-                if key in same_message:
+                if not name.startswith("-"):
                     assert str(library_error.value) == str(cli_error.value)
         for value in inside:
             cli._check_params({key: value}, (key,), ())
             for call in calls:
                 call(value)
+    for value in (math.nextafter(0.0, -1.0), -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as cli_error:
+            check_epsilon("nadp", value, strict=True)
+        with pytest.raises(ValueError) as library_error:
+            PrivacyParams(value, 0.5)
+        assert str(library_error.value) == str(cli_error.value)
+    assert check_epsilon("nadp", 0.0, strict=True)
+    PrivacyParams(0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [[], {"command": "graph", "parameters": 5}, {"command": "graph"}],
+    ids=["list", "parameters-5", "no-parameters"],
+)
+def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, manifest):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _run("graph", "--config", config, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest {config} is not a JSON object with a 'parameters' object\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):

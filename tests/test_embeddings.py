@@ -25,7 +25,7 @@ def test_load_basic(small_file):
     emb = load_embeddings(small_file)
     assert emb.n == 3 and emb.d == 2
     assert emb.words == ("alpha", "beta", "gamma")
-    assert np.array_equal(emb.vector("beta"), [-1.5, 2.25])
+    assert np.array_equal(emb.vectors[emb.index_of("beta")], [-1.5, 2.25])
 
 
 def test_load_limit(small_file):

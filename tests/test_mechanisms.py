@@ -62,8 +62,9 @@ def test_nadp_singleton_component_unchanged():
     assert part.local_sensitivities[part.assignment[mid]] == 0.0
     assert part.local_sensitivities[part.assignment[0]] > 0.0
     out, report = nadp_perturb(emb, part, PrivacyParams(1.0, 0.05), seed=5)
-    assert np.array_equal(out.vector("mid"), emb.vector("mid"))
-    assert not np.array_equal(out.vector("a0"), emb.vector("a0"))
+    assert np.array_equal(out.vectors[mid], emb.vectors[mid])
+    a0 = emb.index_of("a0")
+    assert not np.array_equal(out.vectors[a0], emb.vectors[a0])
     assert report.zero_noise_words == 1
 
 
@@ -323,6 +324,19 @@ def test_perturber_rejects_m_density_below_one():
         with pytest.raises(ValueError, match="m_density must be >= 1"):
             Perturber(emb, delta=0.1, m_density=bad)
     Perturber(emb, delta=0.1, m_density=1)
+
+
+def test_perturber_rejects_tau_and_delta_when_built(monkeypatch):
+    # a tau or delta out of its domain is named before the shared kNN runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran the kNN before the knobs were checked")
+
+    monkeypatch.setattr(mechanisms, "knn", must_not_run)
+    emb = random_embeddings(6, 3, seed=14)
+    with pytest.raises(ValueError, match=r"tau must be in \[0, 1\], got 2.0"):
+        Perturber(emb, delta=0.1, tau=2.0)
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got 2.0"):
+        Perturber(emb, delta=2.0)
 
 
 def test_perturber_rejects_m_below_one():

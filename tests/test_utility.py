@@ -86,8 +86,9 @@ def test_word_similarity_matches_rank_oracle(toy_emb):
             ("red", "cat", 2.0),
         ),
     )
+    x = toy_emb.vectors
     sims = [
-        cosine_per_pair(toy_emb.vector(a), toy_emb.vector(b))
+        cosine_per_pair(x[toy_emb.index_of(a)], x[toy_emb.index_of(b)])
         for a, b, _ in data.pairs
     ]
     ratings = [r for _, _, r in data.pairs]
@@ -194,7 +195,7 @@ def _centroid(emb, tokens):
 
 def test_sentence_centroid_single_word_reduces_to_vector(toy_emb):
     c = _centroid(toy_emb, ("cat",))
-    assert np.array_equal(c, toy_emb.vector("cat"))
+    assert np.array_equal(c, toy_emb.vectors[toy_emb.index_of("cat")])
     # no row to average: `sts_eval` drops the pair
     assert _rows(toy_emb, ("nope", "nada")) == []
 
@@ -208,8 +209,9 @@ def test_sts_single_word_sentences_reduce_to_word_similarity(toy_emb):
         ),
     )
     result = sts_eval(toy_emb, data)
+    x = toy_emb.vectors
     sims = [
-        cosine_per_pair(toy_emb.vector(a[0]), toy_emb.vector(b[0]))
+        cosine_per_pair(x[toy_emb.index_of(a[0])], x[toy_emb.index_of(b[0])])
         for a, b, _ in data.pairs
     ]
     ratings = [r for _, _, r in data.pairs]
@@ -236,7 +238,7 @@ def test_sts_hand_computed_pairs(toy_emb):
     result = sts_eval(toy_emb, data)
 
     def centroid(ws):
-        return np.mean([toy_emb.vector(w) for w in ws], axis=0)
+        return np.mean([toy_emb.vectors[toy_emb.index_of(w)] for w in ws], axis=0)
 
     sims = [cosine_per_pair(centroid(a), centroid(b)) for a, b, _ in data.pairs]
     ratings = [r for _, _, r in data.pairs]
@@ -319,7 +321,7 @@ def test_odd_man_out_orthogonal_vector():
     assert _pick(emb, tokens) == "odd"
     assert odd_man_out_per_drop(emb, tokens) == ("odd", False)
     assert odd_man_bruteforce(
-        {w: emb.vector(w) for w in tokens}, tokens
+        {w: emb.vectors[emb.index_of(w)] for w in tokens}, tokens
     ) == "odd"
 
 
@@ -339,13 +341,13 @@ def test_odd_man_out_matches_bruteforce(seed):
     )
     tokens = tuple(emb.words)
     assert _pick(emb, tokens) == odd_man_bruteforce(
-        {w: emb.vector(w) for w in tokens}, tokens
+        {w: emb.vectors[emb.index_of(w)] for w in tokens}, tokens
     )
 
 
 def _odd_man_out_nested(emb, tokens):
     # the pairwise loop recomputed for every dropped token
-    vecs = [emb.vector(t) for t in tokens]
+    vecs = [emb.vectors[emb.index_of(t)] for t in tokens]
     best_idx, best_score, tie = 0, -math.inf, False
     for drop in range(len(tokens)):
         rest = [v for i, v in enumerate(vecs) if i != drop]
