@@ -127,7 +127,10 @@ def _resolve_params(args: argparse.Namespace) -> dict:
     """
     params = dict(_DEFAULTS)
     if args.config is not None:
-        manifest = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"manifest {args.config}: {exc}") from None
         if not isinstance(manifest, dict) or not isinstance(
             manifest.get("parameters"), dict
         ):

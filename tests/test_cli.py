@@ -501,21 +501,28 @@ def test_every_domain_agrees_with_the_library_check(emb_file, tmp_path, monkeypa
     PrivacyParams(0.0, 0.5)
 
 
+_WRONG_SHAPE = " is not a JSON object with a 'parameters' object"
+
+
 @pytest.mark.parametrize(
-    "manifest",
-    [[], {"command": "graph", "parameters": 5}, {"command": "graph"}],
-    ids=["list", "parameters-5", "no-parameters"],
+    "content, message",
+    [
+        (b"[]", _WRONG_SHAPE),
+        (b'{"command": "graph", "parameters": 5}', _WRONG_SHAPE),
+        (b'{"command": "graph"}', _WRONG_SHAPE),
+        (b'{"command": "graph",',
+         ": Expecting property name enclosed in double quotes: line 1 column 21 (char 20)"),
+        (b"\xff\xfe{}", ": 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["list", "parameters-5", "no-parameters", "not-json", "not-utf8"],
 )
-def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, manifest):
+def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, content, message):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(manifest), encoding="utf-8")
+    config.write_bytes(content)
     out = tmp_path / "out"
-    out.mkdir()
     assert _run("graph", "--config", config, "--out-dir", out) == 2
-    assert capsys.readouterr().err == (
-        f"error: manifest {config} is not a JSON object with a 'parameters' object\n"
-    )
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == f"error: manifest {config}{message}\n"
+    assert not out.exists()  # named before the out-dir is made
 
 
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):

@@ -487,3 +487,222 @@ def test_grouped_search_is_bit_identical_to_all_columns(monkeypatch, name):
     grouped = results()
     monkeypatch.setattr(graph, "_GROUP", emb.n)  # every column gathered
     assert results() == grouped
+
+
+# The tests below reach the pruned search: at least graph._MIN_CLUSTERED
+# words, grouped tightly enough that the clusters' lower bounds rule most
+# columns out.
+
+
+def _pruned_set() -> EmbeddingSet:
+    emb = clustered_embeddings(3000, 20, 60, seed=48)
+    assert emb.n >= graph._MIN_CLUSTERED
+    return emb
+
+
+def _record_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, columns) of every `_block_topk` call."""
+    blocks = []
+    block_topk = graph._block_topk
+    monkeypatch.setattr(
+        graph,
+        "_block_topk",
+        lambda q, x, *a: blocks.append((len(q), len(x))) or block_topk(q, x, *a),
+    )
+    return blocks
+
+
+def _count_full_rows(monkeypatch) -> list[int]:
+    rows = []
+    exact_row = graph._exact_row
+    monkeypatch.setattr(
+        graph, "_exact_row", lambda q, *a: rows.append(1) or exact_row(q, *a)
+    )
+    return rows
+
+
+def _norms(queries: np.ndarray, vectors: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The oracles' distances: one np.linalg.norm per (query, word) pair."""
+    return np.array(
+        [[np.linalg.norm(q - vectors[j]) for j in row] for q, row in zip(queries, idx)]
+    )
+
+
+@pytest.mark.parametrize("with_exclude", [True, False])
+def test_pruned_search_matches_bruteforce(monkeypatch, with_exclude):
+    emb = _pruned_set()
+    blocks = _record_blocks(monkeypatch)
+    rng = np.random.default_rng(49)
+    rows = rng.choice(emb.n, 30, replace=False)
+    # queries near words, and far from every cluster
+    queries = np.vstack(
+        [
+            emb.vectors[rows] + rng.normal(0.0, 0.2, (30, 20)),
+            rng.normal(0.0, 20.0, (10, 20)),
+        ]
+    )
+    exclude = rng.integers(0, emb.n, 40) if with_exclude else None
+    for k in (1, 10):
+        ns = knn(emb, k)
+        expected = rank_bruteforce(emb.vectors, emb.vectors[rows], k, rows)
+        assert ns.indices[rows].tolist() == expected
+        assert np.array_equal(
+            ns.distances[rows], _norms(emb.vectors[rows], emb.vectors, ns.indices[rows])
+        )
+        idx, dist = rank_queries(emb, queries, k, exclude)
+        assert idx.tolist() == rank_bruteforce(emb.vectors, queries, k, exclude)
+        assert np.array_equal(dist, _norms(queries, emb.vectors, idx))
+    # the pruning ran: most blocks searched a few clusters' columns
+    assert min(cols for _, cols in blocks) < emb.n // 10
+    work = sum(rows * cols for rows, cols in blocks)
+    assert work < 0.2 * emb.n * (2 * emb.n + 2 * len(queries))
+
+
+def test_isotropic_set_takes_every_column(monkeypatch):
+    emb = random_embeddings(3000, 300, seed=31)
+    assert emb.n >= graph._MIN_CLUSTERED
+    sq = np.einsum("ij,ij->i", emb.vectors, emb.vectors)
+    assert graph._cluster(emb.vectors, sq) is None
+    blocks = _record_blocks(monkeypatch)
+    ns = knn(emb, 3)
+    assert {cols for _, cols in blocks} == {emb.n}
+    rows = np.array([0, 1, 1500, 2999])
+    expected = rank_bruteforce(emb.vectors, emb.vectors[rows], 3, rows)
+    assert ns.indices[rows].tolist() == expected
+
+
+def test_row_reaching_a_pruned_bound_falls_back(monkeypatch):
+    # with every upper bound at 0, blocks keep only the clusters that
+    # overlap their rows, so many rows' k-th distances reach the bound of a
+    # cluster left out; those rows must be computed from their full rows
+    emb = _pruned_set()
+    bounds = graph._bounds
+    monkeypatch.setattr(
+        graph, "_bounds", lambda *a: (bounds(*a)[0], np.zeros(len(a[0])))
+    )
+    full_rows = _count_full_rows(monkeypatch)
+    ns = knn(emb, 10)
+    assert len(full_rows) > 0
+    rows = np.concatenate([np.arange(0, emb.n, 97), [emb.n - 1]])
+    expected = rank_bruteforce(emb.vectors, emb.vectors[rows], 10, rows)
+    assert ns.indices[rows].tolist() == expected
+    assert np.array_equal(
+        ns.distances[rows], _norms(emb.vectors[rows], emb.vectors, ns.indices[rows])
+    )
+
+
+def test_generic_pruned_rows_are_certified(monkeypatch):
+    emb = _pruned_set()
+    full_rows = _count_full_rows(monkeypatch)
+    for k in (1, 10):
+        knn(emb, k)
+    assert full_rows == []
+
+
+def test_prefix_is_bit_identical_on_float_data(monkeypatch):
+    # a set whose m = 2 and m = 10 searches keep different columns
+    emb = clustered_embeddings(3000, 20, 60, seed=49)
+    blocks = _record_blocks(monkeypatch)
+    ns = knn(emb, 10)
+    at_10 = list(blocks)
+    assert np.array_equal(ns.distances, _norms(emb.vectors, emb.vectors, ns.indices))
+    for m in (1, 2, 5):
+        blocks.clear()
+        ref = knn(emb, m)
+        pre = ns.prefix(m)
+        assert np.array_equal(pre.indices, ref.indices)
+        assert _bits(pre.distances) == _bits(ref.distances)
+        if m == 2:
+            assert blocks != at_10
+
+
+def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
+    # a query far from every cluster (a word of a low-epsilon release, say)
+    # may need many clusters and would widen the block of every near query
+    # sharing its nearest centre; such rows are searched over every column
+    # in blocks of _block_rows(n) rows, the blocks of an unpruned search
+    emb = _pruned_set()
+    x = emb.vectors
+    sq = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(52)
+    far = rng.random(emb.n) < 0.4
+    queries = x + np.where(far[:, None], rng.normal(0.0, 100.0, x.shape), 0.0)
+    _set_block_rows(monkeypatch, emb.n, 100)
+    pooled = []
+    for rows, cols, _ in graph._searches(x, sq, queries, None, 10):
+        if cols is None:
+            pooled.append(np.arange(emb.n)[rows])
+    assert len(pooled) >= 3
+    assert [len(rows) for rows in pooled[:-1]] == [100] * (len(pooled) - 1)
+    # nearly all of them far rows
+    assert far[np.concatenate(pooled)].mean() > 0.9
+    idx, dist = rank_queries(emb, queries, 10)
+    sample = np.concatenate([pooled[0][:20], np.flatnonzero(~far)[::100]])
+    assert idx[sample].tolist() == rank_bruteforce(x, queries[sample], 10, None)
+    assert np.array_equal(dist[sample], _norms(queries[sample], x, idx[sample]))
+
+
+@pytest.mark.parametrize("with_exclude", [True, False])
+def test_pruned_blocks_bound_every_column_left_out(with_exclude):
+    # the rounding-safe bounds the certification rests on: every word lies
+    # within its cluster's radius, and every column a block leaves out is
+    # at a direct squared distance of at least the row's floor
+    emb = _pruned_set()
+    x = emb.vectors
+    sq = np.einsum("ij,ij->i", x, x)
+    clusters = graph._cluster(x, sq)
+    assert clusters is not None
+    centres = clusters.centres[clusters.assign]
+    radius = clusters.radius[clusters.assign]
+    assert (np.linalg.norm(x - centres, axis=1) <= radius).all()
+    rng = np.random.default_rng(50)
+    queries = np.vstack([x[::7] + rng.normal(0.0, 0.5, (len(x[::7]), 20))])
+    exclude = rng.integers(0, emb.n, len(queries)) if with_exclude else None
+    pruned = 0
+    for rows, cols, floor in graph._searches(x, sq, queries, exclude, 10):
+        if cols is None:
+            continue
+        out = np.setdiff1d(np.arange(emb.n), cols)
+        direct = ((queries[rows, None, :] - x[out]) ** 2).sum(axis=2)
+        assert (direct.min(axis=1) >= floor).all()
+        pruned += len(rows)
+    assert pruned > 0.9 * len(queries)
+
+
+def test_search_far_from_the_origin_matches_bruteforce():
+    # |q|^2 + |x|^2 rounds to a few units here, so the Gram formula cannot
+    # order the candidates: the Gram/direct error bound must send rows to
+    # their full rows, and those must take every column within it
+    emb = _set(_offset_grid(650, seed=9))
+    queries = _offset_grid(30, seed=10)
+    exclude = np.arange(len(queries)) * 7
+    for k in (1, 3, 10):
+        for excl in (None, exclude):
+            idx, dist = rank_queries(emb, queries, k, excl)
+            assert idx.tolist() == rank_bruteforce(emb.vectors, queries, k, excl)
+            assert np.array_equal(dist, _norms(queries, emb.vectors, idx))
+        ns = knn(emb, k)
+        rows = np.arange(0, emb.n, 13)
+        expected = rank_bruteforce(emb.vectors, emb.vectors[rows], k, rows)
+        assert ns.indices[rows].tolist() == expected
+
+
+@pytest.mark.parametrize("clustered", [True, False])
+def test_non_finite_queries_keep_their_lowest_indices(clustered):
+    # every distance of such a row is inf or NaN: ties, broken by index
+    emb = _pruned_set() if clustered else random_embeddings(300, 8, seed=1)
+    queries = emb.vectors[:4].copy()
+    queries[1, 3] = np.nan
+    queries[2, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        for excl in (None, np.array([5, 0, 1, 2])):
+            idx, dist = rank_queries(emb, queries, 3, excl)
+            assert idx[1].tolist() == ([0, 1, 2] if excl is None else [1, 2, 3])
+            assert np.isnan(dist[1]).all()
+            assert idx[2].tolist() == ([0, 1, 2] if excl is None else [0, 2, 3])
+            assert (dist[2] == np.inf).all()
+            good = [0, 3]
+            expected = rank_bruteforce(
+                emb.vectors, queries[good], 3, None if excl is None else excl[good]
+            )
+            assert idx[good].tolist() == expected
