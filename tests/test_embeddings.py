@@ -1,3 +1,7 @@
+import random
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -412,3 +416,212 @@ def test_save_across_chunk_boundaries_with_non_ascii_tokens(
     save_embeddings(emb, out, precision=precision)
     assert out.read_bytes() == _reference_save(emb, precision).encode("utf-8")
     assert load_embeddings(out).words == words
+
+
+def _plain_coordinate(rnd) -> str:
+    # -?[0-9]{0,7}\.[0-9]{1,8}: the coordinates the block path parses
+    sign = "-" if rnd.random() < 0.5 else ""
+    whole = "".join(rnd.choices("0123456789", k=rnd.randint(0, 7)))
+    frac = "".join(rnd.choices("0123456789", k=rnd.randint(1, 8)))
+    return f"{sign}{whole}.{frac}"
+
+
+# signed zeros, missing integer parts, the extremes of the accept set and
+# GloVe's variable decimals
+PLAIN_EDGES = ["-0.000000", "0.0", "-0.0", ".5", "-.5", "9999999.99999999",
+               "-9999999.99999999", "0.00000001", "-0.00000001", "0.418",
+               "-0.00066023", "0.24968", "-1.1", "00000.50000000"]
+# fields only the line loop reads: exponents, 16 significant digits, a
+# plus sign, no fraction digits, and tabs
+FALLBACK_FIELDS = ["1e-3", "-2.5E+2", "1234567.123456789", "0.1234567890123456",
+                   "+1.0", "1.", "-7.", "\t1.5", "2.25\t"]
+# tokens holding points, which the block path must not take for coordinates
+POINT_TOKENS = ["u.s.", ".", "...", "a.b", "3.14", "-.5"]
+
+
+def _float_lines(rnd, n: int, dim: int, fallback: float) -> list[str]:
+    lines = []
+    for i in range(n):
+        fields = [rnd.choice(FALLBACK_FIELDS) if rnd.random() < fallback
+                  else rnd.choice(PLAIN_EDGES) if rnd.random() < 0.2
+                  else _plain_coordinate(rnd) for _ in range(dim)]
+        token = POINT_TOKENS[i] if i < len(POINT_TOKENS) else f"w{i}"
+        lines.append(f"{token} " + " ".join(fields) + "\n")
+    return lines
+
+
+def _float_reference(lines: list[str]) -> np.ndarray:
+    return np.array([[float(p) for p in line.rstrip("\n").split(" ")[1:]] for line in lines])
+
+
+def test_block_parser_is_bit_identical_to_float():
+    rnd = random.Random(11)
+    edges = PLAIN_EDGES * 2
+    lines = _float_lines(rnd, 400, 7, fallback=0.0)
+    lines += [f"e{i} " + " ".join(edges[i : i + 7]) + "\n" for i in range(len(PLAIN_EDGES))]
+    parsed = embeddings._parse_block("".join(lines).encode("utf-8"))
+    assert parsed is not None
+    tokens, rows = parsed
+    assert tokens == [line.split(" ")[0] for line in lines]
+    # int64 views: -0.0 must stay negative
+    assert np.array_equal(rows.view(np.int64), _float_reference(lines).view(np.int64))
+
+
+@pytest.mark.parametrize("field", FALLBACK_FIELDS + ["1.0x", "1.2.3", "--1.0", "-", ".",
+                                                    "12345678.5", "1.123456789", "", "١.5"])
+def test_block_parser_refuses_what_it_cannot_read_exactly(field):
+    block = f"a 1.5 {field}\nb 2.5 3.5\n".encode("utf-8")
+    assert embeddings._parse_block(block) is None
+
+
+@pytest.mark.parametrize("block", [b"a 1.5\r\nb 2.5\r\n", b"a 1.5\n\nb 2.5\n",
+                                   b"a 1.5\nb 2.5 3.5\n", b"a 1.5\nb", b"a\n",
+                                   b"\xff 1.5\n", b"a 1.5  \n", b"a  1.5\n"])
+def test_block_parser_refuses_malformed_blocks(block):
+    assert embeddings._parse_block(block) is None
+
+
+@pytest.fixture(params=[64, 2**18], ids=lambda b: f"read{b}")
+def read_bytes(request, monkeypatch):
+    # 64-byte reads put about one line in each block
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", request.param)
+    return request.param
+
+
+@pytest.fixture
+def block_outcomes(monkeypatch):
+    # whether the block path took each block, by the block's first token
+    outcomes = {}
+    parse_block = embeddings._parse_block
+
+    def recording(block):
+        parsed = parse_block(block)
+        outcomes[block.split(b" ", 1)[0].decode()] = parsed is not None
+        return parsed
+
+    monkeypatch.setattr(embeddings, "_parse_block", recording)
+    return outcomes
+
+
+def test_load_plain_and_fallback_fields_match_float(tmp_path, chunk, read_bytes, block_outcomes):
+    rnd = random.Random(12)
+    lines = _float_lines(rnd, 300, 5, fallback=0.02)
+    path = tmp_path / "mixed.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    emb = load_embeddings(path)
+    assert emb.words == tuple(line.split(" ")[0] for line in lines)
+    assert np.array_equal(emb.vectors.view(np.int64), _float_reference(lines).view(np.int64))
+    if read_bytes == 64:
+        taken = set(block_outcomes.values())
+        assert taken == {True, False}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_load_and_save_match_with_any_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(embeddings, "_workers", lambda: workers)
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", 256)
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", 3)
+    rows = np.random.default_rng(8).normal(0.0, 5.0, (40, 6))
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), rows)
+    path = tmp_path / "saved.txt"
+    save_embeddings(emb, path, precision=6)
+    assert path.read_bytes() == _reference_save(emb, 6).encode("utf-8")
+    again = load_embeddings(path)
+    assert np.array_equal(again.vectors, _float_reference(path.read_text().splitlines()))
+
+
+def _lines(count: int, bad: dict[int, str]) -> str:
+    # 22-byte lines "wNN D.000000 2.000000" but for `bad`, numbered from 1
+    return "".join(bad.get(i, f"w{i:02d} {i % 10}.000000 2.000000") + "\n"
+                   for i in range(1, count + 1))
+
+
+def test_fallback_block_after_taken_blocks_names_its_line(tmp_path, block_outcomes, monkeypatch):
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", 2 * 22)  # two lines a block
+    path = tmp_path / "bad.txt"
+    path.write_text(_lines(12, {9: "w09 1e0 2.000000", 10: "w10 1.000000 x"}))
+    with pytest.raises(EmbeddingFormatError, match=r"bad\.txt:10: could not convert string 'x'"):
+        load_embeddings(path)
+    assert all(block_outcomes[f"w{i:02d}"] for i in (1, 3, 5, 7))
+    assert not block_outcomes["w09"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({7: "w07 1.000000"}, "expected 2 coordinates, got 1"),
+    # a whole block of three coordinates, which the block path takes
+    ({7: "w07 1.5 2.5 3.5", 8: "w08 1.5 2.5 3.5"}, "expected 2 coordinates, got 3"),
+    ({7: "w01 1.000000 2.000000"}, "duplicate token 'w01'"),
+    ({7: "w07 1.000000 y"}, "could not convert string 'y'"),
+])
+def test_bad_first_line_of_a_later_block_is_named(tmp_path, monkeypatch, bad, message):
+    # blocks hold lines 1-2, 3-4 and 5-6, then start at line 7
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", 2 * 22)
+    path = tmp_path / "bad.txt"
+    path.write_text(_lines(10, bad))
+    with pytest.raises(EmbeddingFormatError, match=rf"bad\.txt:7: {message}"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("read", [4 * 22, 2**18])
+def test_limit_mid_block_leaves_later_lines_unread(tmp_path, monkeypatch, read):
+    monkeypatch.setattr(embeddings, "_COUNT_BYTES", read)
+    path = tmp_path / "tail.txt"
+    # the limit falls inside the first block, before its malformed line 3;
+    # the block path may already have read the malformed line 9
+    path.write_text(_lines(12, {3: "w03 1.000000", 9: "w09 z 2.000000"}))
+    emb = load_embeddings(path, limit=2)
+    assert emb.words == ("w01", "w02")
+    assert np.array_equal(emb.vectors, [[1.0, 2.0], [2.0, 2.0]])
+    # the limit falls inside a block the block path took
+    path.write_text(_lines(12, {9: "w09 z 2.000000"}))
+    emb = load_embeddings(path, limit=6)
+    assert emb.words == tuple(f"w{i:02d}" for i in range(1, 7))
+    assert np.array_equal(emb.vectors[:, 0], np.arange(1.0, 7.0))
+
+
+@pytest.mark.parametrize("word", ["a b", "x\ny", "r\r", " ", "tail "])
+def test_save_rejects_tokens_that_do_not_read_back(tmp_path, word):
+    emb = EmbeddingSet((word, "c"), np.ones((2, 2)))
+    path = tmp_path / "t.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        save_embeddings(emb, path)
+    assert not path.exists()
+
+
+def test_save_holds_a_few_chunks_at_once(tmp_path, monkeypatch):
+    # chunks are formatted ahead of the write by at most one per worker, so
+    # the traced peak is a few chunks' working arrays and text, not the file
+    monkeypatch.setattr(embeddings, "_PARSE_CHUNK", 16)
+    rows = np.random.default_rng(7).normal(0.0, 1.0, (1500, 300))
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(1500)), rows)
+    path = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        save_embeddings(emb, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_text = path.stat().st_size * 16 / 1500
+    assert peak < 32 * chunk_text
+
+
+def test_in_order_draws_each_item_once_in_order(monkeypatch):
+    # more workers than cores and a short switch interval, so that the
+    # workers' draws from the shared iterator interleave
+    monkeypatch.setattr(embeddings, "_workers", lambda: 4)
+    got = []
+
+    def run():
+        with embeddings._in_order(lambda i: (i, i * i), iter(range(10000))) as results:
+            got.extend(results)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert got == [(i, i * i) for i in range(10000)]
