@@ -46,6 +46,7 @@ from .mechanisms import (
 from .privacy import DEFAULT_EVAL_M, privacy_report
 from .utility import (
     UtilityDatasets,
+    _text_lines,
     load_odd_man_dataset,
     load_sentence_pairs,
     load_similarity_dataset,
@@ -184,8 +185,7 @@ def _load_set(params: dict, key: str = "embeddings") -> EmbeddingSet:
     path = params[key]
     word_filter = None
     if key == "embeddings" and params.get("vocab_file"):
-        with open(params["vocab_file"], "r", encoding="utf-8") as fh:
-            word_filter = {line.strip() for line in fh if line.strip()}
+        word_filter = {w.strip() for w in _text_lines(params["vocab_file"]) if w.strip()}
     limit = params["limit"] if key == "embeddings" else None
     return load_embeddings(path, limit=limit, word_filter=word_filter)
 

@@ -7,16 +7,15 @@ calibration downstream needs the headroom.
 
 Both directions run on up to two worker threads. Loading reads blocks of
 whole lines on the workers, which parse them with whole-array numpy calls
-that release the GIL (:func:`_parse_block`), or hand them back to the line
-loop, while the caller's thread keeps the rows in file order. Saving formats
-chunks of rows into finished line bytes on the workers while the caller's
-thread writes them in order. The loaded bits and the saved bytes depend
-neither on the number of workers nor on where blocks and chunks end.
+that release the GIL (:func:`_parse_block`), or failing that line by line,
+while the caller's thread checks and keeps the rows in file order. Saving
+formats chunks of rows into finished line bytes on the workers while the
+caller's thread writes them in order. The loaded bits and the saved bytes
+depend neither on the number of workers nor on where blocks and chunks end.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import os
 import re
@@ -85,12 +84,11 @@ class EmbeddingSet:
         return self._index[word]
 
 
-# rows parsed per loadtxt call by the line loop, and rows formatted per
-# chunk when saving; bounds the coordinate text and working arrays held at
-# once. Saving has up to _MAX_WORKERS + 1 chunks in flight, and the worker
-# threads' heaps keep what they held: on perfbench's release (10k x 300,
-# precision 6) 512-row chunks raised the peak RSS to 208 MB, against
-# 187-189 MB with 64-128 rows.
+# rows formatted per chunk when saving (loading parses whole blocks); bounds
+# the text and working arrays held at once. Saving has up to _MAX_WORKERS + 1
+# chunks in flight, and the worker threads' heaps keep what they held: on
+# perfbench's release (10k x 300, precision 6) 512-row chunks raised the
+# peak RSS to 208 MB, against 187-189 MB with 64-128 rows.
 _PARSE_CHUNK = 128
 
 # bytes read per call from an embedding file, when counting its lines and
@@ -140,6 +138,7 @@ def _in_order(fn, items):
     lock = threading.Lock()
     drawn = itertools.count()
 
+    # fn must not raise: calls draw items as they start, so an error could overtake earlier items
     def call():
         with lock:
             seq, item = next(drawn), next(items, _END)
@@ -165,50 +164,44 @@ def _in_order(fn, items):
         pool.shutdown(cancel_futures=True)
 
 
-# numpy's parse error ends "at row R, column C."; a one-row re-parse always
+# numpy's parse error ends "at row R, column C."; a one-row parse always
 # reports row 0, so only the column is kept beside the file's line number
 _NUMPY_LOCATION = re.compile(r" at row \d+, (column \d+)\.$")
 
-
-def _parse_coords(coords: list[str]) -> np.ndarray:
-    return np.loadtxt(coords, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+_parse_coords = partial(np.loadtxt, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
 
 
-def _parse_rows(path: Path, linenos: list[int], coords: list[str], dim: int) -> np.ndarray:
-    """Parse queued coordinate strings, one row each, checking finiteness.
-
-    Raises EmbeddingFormatError naming the first offending line in file
-    order: a row that does not parse, or failing that a non-finite one.
-    """
+def _parse_rows(coords: list[str], dim: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Parse coordinate strings of `dim` numbers each, a row per string, by
+    one ``loadtxt`` call: the rows before the first string that does not
+    parse or is not finite, and that string's index and message, or None."""
     try:
-        # loadtxt skips an empty string silently, so a chunk holding one goes
+        # loadtxt skips an empty string silently, so a list holding one goes
         # to the row-by-row pass, which rejects it
-        rows = _parse_coords(coords) if all(coords) else None
+        rows = _parse_coords(coords) if coords and all(coords) else None
     except ValueError:
         rows = None
+    bad = None
     if rows is None or rows.shape != (len(coords), dim):
-        # name the line: re-parse one row at a time with the same parser
-        for lineno, text in zip(linenos, coords):
+        # find the string: parse one at a time with the same parser
+        rows = np.empty((len(coords), dim))
+        for i, text in enumerate(coords):
             try:
                 row = _parse_coords([text]) if text else None
             except ValueError as exc:
-                msg = _NUMPY_LOCATION.sub(r" at \1", str(exc))
-                raise EmbeddingFormatError(f"{path}:{lineno}: {msg}") from None
+                bad = i, _NUMPY_LOCATION.sub(r" at \1", str(exc))
+                break
             if row is None or row.shape != (1, dim):
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: could not convert string {text!r} to float64"
-                )
-            if not np.all(np.isfinite(row)):
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite coordinate")
-        raise EmbeddingFormatError(
-            f"{path}:{linenos[0]}: lines {linenos[0]}-{linenos[-1]} parse one by one"
-            f" but not as {len(coords)} rows of {dim} coordinates"
-        )
+                bad = i, f"could not convert string {text!r} to float64"
+                break
+            rows[i] = row
+        if bad is not None:
+            rows = rows[: bad[0]]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise EmbeddingFormatError(f"{path}:{lineno}: non-finite coordinate")
-    return rows
+        i = int(np.argmin(finite))
+        rows, bad = rows[:i], (i, "non-finite coordinate")
+    return rows, bad
 
 
 # ASCII '0' bytes on each side of a block, so that the 8-byte windows of its
@@ -342,9 +335,63 @@ def _parse_block(block: bytes) -> tuple[list[str], np.ndarray] | None:
     return tokens, rows
 
 
-def _parse_or_keep(block: bytes) -> tuple[list[str], np.ndarray] | bytes:
-    """The block parsed by :func:`_parse_block`, or itself for the line loop."""
-    return _parse_block(block) or block
+@dataclass(frozen=True)
+class _Parsed:
+    """A block of whole lines as a worker parsed it: its line count; the
+    line offset in the block, token and coordinates of each row before its
+    first bad line; and that line's offset and message, or None."""
+
+    lines: int
+    offsets: list[int] | range
+    tokens: list[str]
+    rows: np.ndarray
+    error: tuple[int, str] | None
+
+
+def _parse(block: bytes) -> _Parsed:
+    """Parse a block of whole lines by :func:`_parse_block`, or failing that
+    one line at a time: the loader's worker function, the line parser.
+
+    The line parser splits lines at '\\n', '\\r\\n' or '\\r', and a blank one
+    holds no row. Its rows stop before the first line that is not UTF-8, has
+    fewer than two fields or another coordinate count than the block's first
+    row, or holds a coordinate that does not parse or is not finite (see
+    :func:`_parse_rows`). Never raises on bad input: that line is the error.
+    """
+    parsed = _parse_block(block)
+    if parsed is not None:
+        tokens, rows = parsed
+        return _Parsed(len(tokens), range(len(tokens)), tokens, rows, None)
+    lines = block.splitlines()
+    offsets, tokens, coords = [], [], []
+    dim, error = 0, None
+    for offset, raw in enumerate(lines):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            error = offset, str(exc)
+            break
+        if not line:
+            continue
+        fields = line.count(" ") + 1
+        if fields < 2:
+            error = offset, f"expected 'token v1 ... vd', got {fields} fields"
+            break
+        if not dim:
+            dim = fields - 1
+        elif fields - 1 != dim:
+            error = offset, f"expected {dim} coordinates, got {fields - 1}"
+            break
+        token, _, text = line.partition(" ")
+        offsets.append(offset)
+        tokens.append(token)
+        coords.append(text)
+    rows, bad = _parse_rows(coords, dim)
+    if bad is not None:
+        i, message = bad
+        error = offsets[i], message
+        del offsets[i:], tokens[i:]
+    return _Parsed(len(lines), offsets, tokens, rows, error)
 
 
 def _blocks(fh) -> Iterator[bytes]:
@@ -401,13 +448,6 @@ class _Loader:
     def full(self) -> bool:
         return self.limit is not None and len(self.words) >= self.limit
 
-    def _keep(self, token: str) -> bool:
-        self.seen.add(token)
-        keep = self.word_filter is None or token in self.word_filter
-        if keep:
-            self.words.append(token)
-        return keep
-
     def _put(self, rows: np.ndarray, kept: list[bool]) -> None:
         """Append the kept rows to one matrix, sized by the line count and
         grown by doubling past it."""
@@ -422,76 +462,34 @@ class _Loader:
         self.vectors[self.filled : need] = rows
         self.filled = need
 
-    def take(self, lineno: int, tokens: list[str], rows: np.ndarray) -> None:
-        """Keep a parsed block whose first line is `lineno`."""
-        if self.dim is None:
+    def take(self, lineno: int, block: _Parsed) -> None:
+        """Check and keep the rows of a parsed block whose first line is
+        `lineno`, up to the limit, then raise the block's error, if any."""
+
+        def error(offset: int, message: str) -> EmbeddingFormatError:
+            return EmbeddingFormatError(f"{self.path}:{lineno + offset}: {message}")
+
+        tokens, rows = block.tokens, block.rows
+        if tokens and self.dim is None:
             self.dim = rows.shape[1]
-        elif rows.shape[1] != self.dim:
-            # every line of the block has this count, so the first is at fault
-            raise EmbeddingFormatError(
-                f"{self.path}:{lineno}: expected {self.dim} coordinates, got {rows.shape[1]}"
-            )
+        elif tokens and rows.shape[1] != self.dim:
+            # every row of a block has this count, so the first is at fault
+            raise error(block.offsets[0], f"expected {self.dim} coordinates, got {rows.shape[1]}")
         kept = []
-        for i, token in enumerate(tokens):
+        for offset, token in zip(block.offsets, tokens):
             if token in self.seen:
-                raise EmbeddingFormatError(
-                    f"{self.path}:{lineno + i}: duplicate token {token!r}"
-                )
-            kept.append(self._keep(token))
-            if self.full():
-                break
-        self._put(rows[: len(kept)], kept)
-
-    def read_lines(self, lineno: int, block: bytes) -> int:
-        """Check and keep a block line by line, its first line `lineno`,
-        parsing the coordinates with loadtxt. Returns the next line's number.
-        """
-        # rows read but not yet parsed: line number, coordinate text, kept
-        linenos: list[int] = []
-        coords: list[str] = []
-        kept: list[bool] = []
-
-        def flush() -> None:
-            if coords:
-                self._put(_parse_rows(self.path, linenos, coords, self.dim), kept)
-                linenos.clear()
-                coords.clear()
-                kept.clear()
-
-        lines = io.StringIO(block.decode("utf-8"), newline=None)
-        for lineno, line in enumerate(lines, start=lineno):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.count(" ") + 1
-            if fields < 2:
-                flush()
-                raise EmbeddingFormatError(
-                    f"{self.path}:{lineno}: expected 'token v1 ... vd', got {fields} fields"
-                )
-            if self.dim is None:
-                self.dim = fields - 1
-            elif fields - 1 != self.dim:
-                flush()
-                raise EmbeddingFormatError(
-                    f"{self.path}:{lineno}: expected {self.dim} coordinates, got {fields - 1}"
-                )
-            token, _, text = line.partition(" ")
-            linenos.append(lineno)
-            coords.append(text)
-            if token in self.seen:
-                kept.append(False)
-                flush()
-                raise EmbeddingFormatError(
-                    f"{self.path}:{lineno}: duplicate token {token!r}"
-                )
-            kept.append(self._keep(token))
-            if len(coords) >= _PARSE_CHUNK:
-                flush()
-            if self.full():
-                break
-        flush()
-        return lineno + 1
+                raise error(offset, f"duplicate token {token!r}")
+            self.seen.add(token)
+            keep = self.word_filter is None or token in self.word_filter
+            kept.append(keep)
+            if keep:
+                self.words.append(token)
+                if self.full():
+                    break
+        if kept:
+            self._put(rows[: len(kept)], kept)
+        if block.error is not None and not self.full():
+            raise error(*block.error)
 
 
 def load_embeddings(
@@ -508,38 +506,35 @@ def load_embeddings(
     the `limit`-th kept row can raise.
 
     The file is streamed in blocks of whole lines of about `_COUNT_BYTES`,
-    read and parsed on up to `_MAX_WORKERS` threads while this one keeps
-    the rows of earlier blocks. A block of plain fixed-point coordinates takes
-    :func:`_parse_block`'s whole-array path; any other block (exponents,
-    long mantissas, '+', '\\r', blank lines, a wrong field count) is read
-    line by line, its coordinates parsed by numpy's ``loadtxt`` in chunks
-    of `_PARSE_CHUNK` rows. Both give the bits of ``float()``. A first pass
-    counts the file's lines, and every block's rows go straight into one
-    matrix of that many rows, so loading holds the matrix and a few blocks
-    rather than the matrix twice. Rows beyond the count (a stream,
-    or lines ended by '\\r' alone) grow the matrix by doubling; fewer rows
-    than counted cost one copy at the end.
+    read and parsed on up to `_MAX_WORKERS` threads (:func:`_parse`) while
+    this one checks and keeps the rows of earlier blocks. A block of plain
+    fixed-point coordinates takes :func:`_parse_block`'s whole-array path;
+    any other block (exponents, long mantissas, '+', '\\r', blank lines, a
+    wrong field count, bytes that are not UTF-8) is read line by line, its
+    coordinates by one numpy ``loadtxt`` call. Both give the bits of
+    ``float()``. A first pass counts the file's lines, and every block's
+    rows go straight into one matrix of that many rows, so loading holds the
+    matrix and a few blocks rather than the matrix twice. Rows beyond the
+    count (a stream, or lines ended by '\\r' alone) grow the matrix by
+    doubling; fewer rows than counted cost one copy at the end.
 
     Raises EmbeddingFormatError on malformed lines, duplicate tokens, or an
     empty result. The error names the first offending line in file order;
-    within one line a wrong field count comes first, then an unparsable
-    coordinate, then a non-finite one, then a duplicate token.
+    within one line bytes that are not UTF-8 come first, then a wrong field
+    count, then an unparsable coordinate, then a non-finite one, then a
+    duplicate token.
     """
     if limit is not None:
         require("limit", limit)
     path = Path(path)
     loader = _Loader(path, limit, word_filter)
     lineno = 1
-    with path.open("rb") as fh, _in_order(_parse_or_keep, _blocks(fh)) as blocks:
+    with path.open("rb") as fh, _in_order(_parse, _blocks(fh)) as blocks:
         for block in blocks:
-            if isinstance(block, bytes):
-                lineno = loader.read_lines(lineno, block)
-            else:
-                tokens, rows = block
-                loader.take(lineno, tokens, rows)
-                lineno += len(tokens)
+            loader.take(lineno, block)
             if loader.full():
                 break
+            lineno += block.lines
     if not loader.words:
         raise EmbeddingFormatError(f"{path}: no embeddings loaded")
     vectors = loader.vectors

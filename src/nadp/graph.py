@@ -69,9 +69,6 @@ from .utility import _chunks, _dots
 DEFAULT_M = 2
 DEFAULT_TAU = 0.5
 
-# extra argpartition candidates kept per row to absorb distance ties
-_TIE_SLACK = 16
-
 # byte budget of a query block's (rows, n) float64 Gram product, its one
 # full-width working array
 _BLOCK_BYTES = 16 * 2**20
@@ -587,9 +584,9 @@ def rank_queries(
     exceeds `_MAX_SHARE`, are searched over every column in blocks of
     consecutive rows. A block holds as many query rows as keep its (rows,
     columns) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows over
-    10,000 columns, 20 over 100,000). (When k + _TIE_SLACK >= columns /
-    _GROUP every column is a candidate: the distances overwrite the Gram
-    product, and ranking them takes a second such array.)
+    10,000 columns, 20 over 100,000). (When columns // _GROUP <= k + 1
+    every column is a candidate: the distances overwrite the Gram product,
+    and ranking them takes a second such array.)
 
     The Gram formula only selects the k nearest columns of a block's rows,
     with a lower bound on the Gram distance of the others (see
@@ -622,7 +619,8 @@ def rank_queries(
         xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
         if cols is not None and excl is not None:
             excl = np.searchsorted(cols, excl)  # cols hold every excluded word
-        n_cand = min(len(xs) - (excl is not None), k + _TIE_SLACK)
+        # the (k+1)-th candidate bounds the rest; a tie with the k-th fails certification
+        n_cand = min(len(xs) - (excl is not None), k + 1)
         sel, gram_low = _block_topk(queries[rows], xs, sq_xs, excl, k, n_cand)
         top[rows] = sel if cols is None else cols[sel]
         low[rows] = np.minimum(gram_low - err[rows], floor)

@@ -73,20 +73,26 @@ def _parse_rating(path, lineno: int, text: str) -> float:
     return rating
 
 
+def _text_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file; other bytes are an error naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _tab_rows(path, fields: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank line of a tab-separated file;
     a line with another field count is an error naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != fields:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {fields} tab-separated fields"
-                )
-            yield lineno, parts
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise ValueError(f"{path}:{lineno}: expected {fields} tab-separated fields")
+        yield lineno, parts
 
 
 def load_similarity_dataset(path) -> SimilarityDataset:

@@ -525,6 +525,20 @@ def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, content, message):
     assert not out.exists()  # named before the out-dir is made
 
 
+@pytest.mark.parametrize(
+    "command, flag, flags",
+    [("graph", "--vocab-file", ()), ("eval-utility", "--wordsim", ("--epsilons", 1))],
+)
+def test_a_file_that_is_not_utf8_is_named(emb_file, tmp_path, capsys, command, flag, flags):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"w0\n\xff\n")
+    assert _run(command, "--embeddings", emb_file, flag, bad, *flags,
+                "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff"
+    )
+
+
 def test_perturb_manifest_replay_is_byte_identical(emb_file, tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"

@@ -181,28 +181,47 @@ def test_load_is_bit_identical_to_float_reference(tmp_path, chunk):
     assert np.array_equal(emb.vectors.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # a bad float on line 2 comes before a duplicate on line 3
-        "a 1.0 2.0\nb 1.0 x\na 3.0 4.0\n",
-        # a non-finite value on line 2 before a field-count error on line 3
-        "a 1.0 2.0\nb inf 2.0\nc 1.0\n",
-        # a bad float on line 2 before a token-only line 3
-        "a 1.0 2.0\nb 1.0 x\nc\n",
-        # a bad float on line 2 before a parse error later in its chunk
-        "a 1.0 2.0\nb 1.0 x\nc y 2.0\n",
-        # a non-finite value on line 2 before a parse error on line 3
-        "a 1.0 2.0\nb nan 2.0\nc y 2.0\n",
-        # a duplicate token whose own coordinates do not parse
-        "a 1.0 2.0\na 1.0 x\n",
-    ],
-)
+SECOND_LINE_FIRST_AT_FAULT = [
+    # a bad float on line 2 comes before a duplicate on line 3
+    "a 1.0 2.0\nb 1.0 x\na 3.0 4.0\n",
+    # a non-finite value on line 2 before a field-count error on line 3
+    "a 1.0 2.0\nb inf 2.0\nc 1.0\n",
+    # a bad float on line 2 before a token-only line 3
+    "a 1.0 2.0\nb 1.0 x\nc\n",
+    # a bad float on line 2 before a parse error later in its chunk
+    "a 1.0 2.0\nb 1.0 x\nc y 2.0\n",
+    # a non-finite value on line 2 before a parse error on line 3
+    "a 1.0 2.0\nb nan 2.0\nc y 2.0\n",
+    # a duplicate token whose own coordinates do not parse
+    "a 1.0 2.0\na 1.0 x\n",
+]
+
+
+@pytest.mark.parametrize("text", SECOND_LINE_FIRST_AT_FAULT)
 def test_load_names_the_first_offending_line(tmp_path, chunk, text):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(EmbeddingFormatError, match=r"bad\.txt:2: "):
         load_embeddings(path)
+
+
+def test_load_names_a_line_that_is_not_utf8_only_before_the_limit(tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"a 1.5 2.5\n\xff 1.0 2.0\n")
+    assert load_embeddings(path, limit=1).words == ("a",)
+    with pytest.raises(EmbeddingFormatError, match=r"bytes\.txt:2: 'utf-8' codec can't decode"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("block", [text.encode() for text in SECOND_LINE_FIRST_AT_FAULT]
+                         + [b"a 1.0 2.0\n\xff 1.0 2.0\n", b"a 1.0 2.0\rb 1.0 x\r"])
+def test_worker_parser_returns_the_bad_line_and_does_not_raise(block):
+    # an exception on a worker could surface before earlier blocks' rows
+    # are kept, so the first bad line must come back as a value
+    parsed = embeddings._parse(block)
+    assert parsed.error is not None and parsed.error[0] == 1
+    assert parsed.tokens == ["a"] and np.array_equal(parsed.rows, [[1.0, 2.0]])
+    assert list(parsed.offsets) == [0] and parsed.lines == len(block.splitlines())
 
 
 def test_load_validates_filtered_out_rows(tmp_path, chunk):

@@ -4,7 +4,6 @@ import pytest
 from nadp import graph
 from nadp.embeddings import EmbeddingSet
 from nadp.graph import (
-    _TIE_SLACK,
     NeighbourGraph,
     build_graph,
     knn,
@@ -86,10 +85,10 @@ def test_knn_matches_bruteforce_with_heavy_ties():
 
 def _heavy_tie_grid() -> EmbeddingSet:
     # integer grid, so Gram and direct distances agree exactly; points 0..39
-    # share one vector, a duplicate group larger than k + _TIE_SLACK
+    # share one vector, a duplicate group larger than k + 1
     rng = np.random.default_rng(4)
     pts = np.vstack([np.full((40, 3), 1.0), rng.integers(0, 3, (60, 3))])
-    assert 40 > 10 + _TIE_SLACK
+    assert 40 > 10 + 1
     return EmbeddingSet(tuple(f"w{i}" for i in range(len(pts))), pts)
 
 
@@ -350,8 +349,8 @@ def test_search_is_bit_identical_at_any_block_size(monkeypatch, with_exclude):
     assert set(blocks) == {1}
 
 
-# The tests below reach the grouped selection of `_block_topk`: n // _GROUP
-# must exceed k + _TIE_SLACK there, which no fixture above does.
+# The tests below reach the grouped selection of `_block_topk` at every k
+# they use: n // _GROUP must exceed k + 1 there.
 
 
 def _tie_grid_2400() -> EmbeddingSet:
@@ -364,7 +363,7 @@ def _tie_grid_2400() -> EmbeddingSet:
 
 
 def _grouped(emb: EmbeddingSet, k: int) -> bool:
-    return emb.n // graph._GROUP > k + _TIE_SLACK
+    return emb.n // graph._GROUP > k + 1
 
 
 def _count_fallbacks(monkeypatch) -> list[int]:
@@ -388,7 +387,7 @@ def test_grouped_search_matches_bruteforce_on_a_tie_grid(with_exclude):
         exclude = np.concatenate([np.arange(6) * 29 * 13, rng.integers(0, emb.n, 6)])
     expected = rank_bruteforce(emb.vectors, queries, 45, exclude)
     for k in (1, 3, 10, 45):
-        assert _grouped(emb, k) and 80 > k + _TIE_SLACK
+        assert _grouped(emb, k) and 80 > k + 1
         idx, dist = rank_queries(emb, queries, k, exclude)
         assert idx.tolist() == [row[:k] for row in expected]
         direct = np.linalg.norm(queries[:, None, :] - emb.vectors[idx], axis=2)
