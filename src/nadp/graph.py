@@ -15,15 +15,17 @@ product, so `knn(emb, 10).prefix(2)` equals `knn(emb, 2)` bit for bit.
 The search skips the words the triangle inequality rules out. The searched
 words are clustered (a farthest-point traversal and a few Lloyd steps on a
 subsample, then one full assignment), each cluster kept as a centre c and a
-radius r from its members' direct distances, padded for rounding. A query
-row needs the clusters whose rounding-safe lower bound |q - c| - r is not
-above its upper bound on its k-th distance, |q - c| + r of the nearest
-cluster of more than k words. Rows that share a nearest centre form a
-block, which searches the clusters some row of it needs. A row that on its
-own needs more than `_MAX_SHARE` of the columns and twice its chunk's
-median (a query far from every cluster, say), and a block that needs more
-than a quarter of them, are pooled into blocks of consecutive query rows
-over every column. A cluster-level estimate of the share of distances
+radius r from its members' direct distances, padded for rounding. The search
+is planned per cluster: the rounding-safe distances between centres and
+each query's direct distance rho from its nearest centre a bound every
+word of cluster c from below by |a - c| - r_c - rho, and the query's k-th
+distance from above by rho plus the least |a - c| + r_c over the clusters
+of more than k words. So a query needs a prefix of a's clusters taken in
+order of |a - c| - r_c. Queries are ordered by (a, rho), and a block of one
+centre's consecutive queries searches the prefix its last query needs. A
+query or a block that needs more than a quarter of the columns (a query far
+from every cluster, say) is pooled into blocks of `_block_rows(n)` query
+rows over every column. A cluster-level estimate of the share of distances
 still needed selects, where pruning cannot pay (an isotropic set, say, or a
 small one), the one-cluster case: every block is such a block.
 
@@ -40,10 +42,10 @@ cluster its block skipped; any other row is computed from its full row
 (`_exact_row`, the one full-row search), so results equal a full (direct
 distance, index) sort. `knn` is its self query. A block holds as many query
 rows as keep its (rows, columns) 8-byte Gram product within `_BLOCK_BYTES`,
-the clustering's and the bounds' chunks stay within `_CHUNK_BYTES` and the
-direct distances' within `utility._GATHER_BYTES`, and nothing copies the
-searched matrix, so a search's working memory does not grow with the
-vocabulary.
+the clustering's and the centre-to-centre bounds' chunks stay within
+`_CHUNK_BYTES` and the direct distances' within `utility._GATHER_BYTES`, and
+nothing copies the searched matrix, so beyond a few numbers per query a
+search's working memory does not grow with the vocabulary.
 
 The graph itself is one array: `NeighbourGraph.pairs` holds each edge once
 as a row (i, j) with i < j, rows sorted and unique, and every consumer (the
@@ -84,15 +86,13 @@ _KEY_BYTES = 2**19
 # a pruned search clusters its n words into _CLUSTER_SCALE * sqrt(n)
 # clusters, after _LLOYD_STEPS Lloyd steps on _PROBES words per cluster; a
 # search of fewer than _MIN_CLUSTERED words, or one whose estimated share of
-# distances still needed exceeds _MAX_SHARE, takes every column, and so
-# does a query row that alone needs more than _MAX_SHARE of them (and twice
-# its chunk's median). Measured on 2 vCPUs, knn(emb, 10) over 50-word
-# clusters pruned faster than it searched every column from about 1,000
-# words at d = 300 (0.96 of the time at 1,000, 0.66 at 2,048); over
-# 10,000 x 300 sets of looser clusters it stopped paying near an estimate
-# of 0.02-0.05 (0.59 of the time at 0.010, 0.91-0.95 at 0.020, 0.97-0.98
-# at 0.054), while 60 tight clusters, an estimate of about 1/60, took 0.30
-# of the time
+# distances still needed exceeds _MAX_SHARE, takes every column. Measured
+# on 2 vCPUs, knn(emb, 10) over 50-word clusters pruned faster than it
+# searched every column from about 1,000 words at d = 300 (0.96 of the time
+# at 1,000, 0.66 at 2,048); over 10,000 x 300 sets of looser clusters it
+# stopped paying near an estimate of 0.02-0.05 (0.59 of the time at 0.010,
+# 0.91-0.95 at 0.020, 0.97-0.98 at 0.054), while 60 tight clusters, an
+# estimate of about 1/60, took 0.30 of the time
 _CLUSTER_SCALE = 3
 _PROBES = 2
 _LLOYD_STEPS = 2
@@ -100,8 +100,8 @@ _MIN_CLUSTERED = 2048
 _MAX_SHARE = 1 / 32
 
 # byte budget of a pruned search's chunk arrays (points' keys to the
-# centres, query rows and their lower bounds): an eighth of _BLOCK_BYTES, so
-# that they add little to the peak memory a Gram block sets
+# centres, and a chunk of centres' bounds to every centre): an eighth of
+# _BLOCK_BYTES, so that they add little to the peak memory a Gram block sets
 _CHUNK_BYTES = 2**21
 
 
@@ -284,6 +284,7 @@ class _Clusters:
     def __init__(self, centres: np.ndarray, assign: np.ndarray, r2: np.ndarray):
         """`r2[j]` is word j's direct squared distance from its centre
         `centres[assign[j]]`; clusters without words are dropped."""
+        self.r2 = r2
         size = np.bincount(assign, minlength=len(centres))
         used = size > 0
         self.assign = (np.cumsum(used) - 1)[assign]
@@ -415,29 +416,22 @@ def _cluster(x: np.ndarray, sq_x: np.ndarray) -> _Clusters | None:
     return _Clusters(centres, assign, r2)
 
 
-def _bounds(
-    q: np.ndarray, sq_q: np.ndarray, clusters: _Clusters, k: int, rel: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rounding-safe bounds of a chunk of query rows: `lower[i, c]`, the
-    triangle inequality's |q_i - c| - r_c, is at most the distance of every
-    word of cluster c, and `upper[i]` at least the row's k-th distance over
-    the words other than one excluded: |q_i - c| + r_c of the nearest
-    cluster of more than k words (inf when none has)."""
+def _centre_bounds(
+    clusters: _Clusters, part: slice, k: int, rel: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rounding-safe bounds from the centres `part` to every centre c:
+    `gap[a]` holds the lower bounds of |a - c| - r_c in ascending order,
+    `by_gap[a]` their clusters, and `reach[a]` is at least the least |a - c|
+    + r_c over the clusters of more than k words (inf when none has)."""
     centres, sq_c, radius = clusters.centres, clusters.sq_c, clusters.radius
-    lower = _sq_dists(q @ centres.T, sq_q[:, None], sq_c)
-    err = (rel * (np.sqrt(sq_q) + np.sqrt(sq_c.max())) ** 2 + _TINY)[:, None]
-    reach = np.sqrt(lower + err)
-    reach += radius
+    apart = _sq_dists(centres[part] @ centres.T, sq_c[part, None], sq_c)
+    norm_c = np.sqrt(sq_c)
+    err = rel * (norm_c[part, None] + norm_c) ** 2 + _TINY
+    reach = np.sqrt(apart + err) * (1.0 + rel) + radius
     reach[:, clusters.size <= k] = np.inf
-    upper = reach.min(axis=1) * (1.0 + rel)
-    del reach
-    lower -= err
-    np.maximum(lower, 0.0, out=lower)
-    np.sqrt(lower, out=lower)
-    lower -= radius
-    np.maximum(lower, 0.0, out=lower)
-    lower *= 1.0 - rel
-    return lower, upper
+    gap = (np.sqrt(np.maximum(apart - err, 0.0)) * (1.0 - rel) - radius) * (1.0 - rel)
+    by_gap = np.argsort(gap, axis=1)
+    return np.take_along_axis(gap, by_gap, axis=1), by_gap, reach.min(axis=1) * (1.0 + rel)
 
 
 def _searches(
@@ -453,15 +447,16 @@ def _searches(
     squared distance of every column left out (inf when none is).
 
     Without clusters the blocks are consecutive rows over every column.
-    With them, a row needs the clusters whose lower bound is not above its
-    upper bound (see `_bounds`). A row that on its own needs more than
-    `_MAX_SHARE` of the columns and twice the median row of its chunk (a
-    query far from every cluster, say, which would widen the search of
-    every row sharing its block), and a block whose rows together need more
-    than a quarter of the columns (or more rows of x than `_BLOCK_BYTES`
-    holds), are pooled into blocks of `_block_rows(n)` rows over every
-    column. The other blocks hold rows that share a nearest
-    centre and search the clusters some row of theirs needs."""
+    With them, a row of nearest centre a, at a direct distance rho from it,
+    needs the clusters c whose gap[a, c] (a lower bound on |a - c| - r_c) is
+    at most reach[a] + 2 rho (see `_centre_bounds`): a prefix of a's
+    clusters in order of gap, found by one searchsorted. Rows are ordered by
+    (a, rho), and a block of one centre's consecutive rows searches the
+    prefix its last row needs and the clusters of its excluded words. A row
+    or a block that needs more than a quarter of the columns (or more rows
+    of x than `_BLOCK_BYTES` holds) would cost a full block's GEMM and more,
+    so such rows are pooled into blocks of `_block_rows(n)` rows over every
+    column."""
     n, d = x.shape
     step = _block_rows(n)
     clusters = _cluster(x, sq_x)
@@ -469,44 +464,45 @@ def _searches(
         for lo in range(0, len(queries), step):
             yield slice(lo, lo + step), None, np.inf
         return
-    # the searched words' own nearest centres are their clusters
-    near = clusters.assign if queries is x else _nearest(queries, clusters.centres)
-    order = np.argsort(near, kind="stable")
     rel = _rel(d)
-    # a chunk's rows, their bounds and two temporaries of the bounds' size
-    chunk = max(1, _CHUNK_BYTES // (8 * (d + 3 * len(clusters.size))))
+    if queries is x:  # the searched words' own centres are their clusters
+        near, rho = clusters.assign, clusters.r2
+    else:
+        near = _nearest(queries, clusters.centres)
+        rho = _direct_sq(queries, clusters.centres, near[:, None])[:, 0]
+    rho = np.sqrt(rho) * (1.0 + rel) + _TINY_DIST  # padded for its rounding
+    order = np.lexsort((rho, near))
+    size = clusters.size
+    starts = np.searchsorted(near[order], np.arange(len(size) + 1))
+    # centres per chunk: its (centres, C) arrays, eight at most, fit _CHUNK_BYTES
+    span = max(1, _CHUNK_BYTES // (64 * len(size)))
     wide = np.empty(0, dtype=np.int64)  # pooled rows
-    for start in range(0, len(queries), chunk):
-        part = order[start : start + chunk]
-        q_part = queries[part]
-        sq_part = np.einsum("ij,ij->i", q_part, q_part)
-        lower_part, upper = _bounds(q_part, sq_part, clusters, k, rel)
-        needs_part = lower_part <= upper[:, None]
-        need = needs_part @ clusters.size
-        alone = need > max(_MAX_SHARE * n, 2 * np.median(need))
-        wide = np.concatenate([wide, part[alone]])
-        cuts = np.flatnonzero(np.diff(near[part])) + 1
-        for g_lo, g_hi in zip([0, *cuts], [*cuts, len(part)]):
-            group = np.arange(g_lo, g_hi)[~alone[g_lo:g_hi]]
+    for c_lo in range(0, len(size), span):
+        gap, by_gap, reach = _centre_bounds(clusters, slice(c_lo, c_lo + span), k, rel)
+        for g in range(len(gap)):
+            group = order[starts[c_lo + g] : starts[c_lo + g + 1]]
+            bound = (reach[g] + 2.0 * rho[group]) * (1.0 + rel)
+            want = np.searchsorted(gap[g], bound, "right")  # >= 1: a's own gap < 0
+            alone = np.cumsum(size[by_gap[g]])[want - 1] > n // 4
+            wide = np.concatenate([wide, group[alone]])
+            group, want = group[~alone], want[~alone]
             for lo in range(0, len(group), step):
-                block = group[lo : lo + step]
-                rows, lower = part[block], lower_part[block]
-                keep = needs_part[block].any(axis=0)
+                rows, j = group[lo : lo + step], want[lo : lo + step][-1]
+                keep = np.zeros(len(size), dtype=bool)
+                keep[by_gap[g, :j]] = True
                 if exclude is not None:
                     keep[clusters.assign[exclude[rows]]] = True
                 cols = np.flatnonzero(keep[clusters.assign])
-                # k columns or fewer: the rows' bounds were not finite; a
-                # quarter of the columns or more than _BLOCK_BYTES of rows
-                # would cost a full block's GEMM and more
+                # k columns or fewer cannot hold the rows' top k
                 if not k < len(cols) <= n // 4 or 8 * d * len(cols) > _BLOCK_BYTES:
                     wide = np.concatenate([wide, rows])
                     continue
-                floor = np.where(keep, np.inf, lower).min(axis=1)
+                # every cluster left out has a gap of at least gap[g, j]
+                floor = np.maximum((gap[g, j] - rho[rows]) * (1.0 - rel), 0.0)
                 yield rows, cols, floor * floor * (1.0 - rel)
             while len(wide) >= step:
                 yield wide[:step], None, np.inf
                 wide = wide[step:]
-        del q_part, lower_part, needs_part  # before the next chunk's are made
     if len(wide):
         yield wide, None, np.inf
 
@@ -576,13 +572,15 @@ def rank_queries(
     returns, so it does not depend on the block a row was searched in.
 
     From `_MIN_CLUSTERED` words on, the words are clustered, each cluster
-    kept as a centre c and a radius r; queries sharing a nearest centre
-    search only the clusters whose rounding-safe lower bound |q - c| - r is
-    not above some query's upper bound on its k-th distance. Queries that
-    would search much more than the rest (see `_searches`), and every query
-    where the clusters' estimate of the share of distances still needed
-    exceeds `_MAX_SHARE`, are searched over every column in blocks of
-    consecutive rows. A block holds as many query rows as keep its (rows,
+    kept as a centre c and a radius r, and the search is planned per
+    cluster: from the rounding-safe distances between centres and a query's
+    direct distance rho from its nearest centre a, the query searches the
+    clusters whose lower bound |a - c| - r_c - rho is not above its upper
+    bound on its k-th distance, and queries of one centre in order of rho
+    share blocks (see `_searches`). Queries that need more than a quarter of
+    the columns, and every query where the clusters' estimate of the share
+    of distances still needed exceeds `_MAX_SHARE`, are searched over every
+    column. A block holds as many query rows as keep its (rows,
     columns) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows over
     10,000 columns, 20 over 100,000). (When columns // _GROUP <= k + 1
     every column is a candidate: the distances overwrite the Gram product,

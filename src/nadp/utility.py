@@ -74,19 +74,21 @@ def _parse_rating(path, lineno: int, text: str) -> float:
 
 
 def _text_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 text file; other bytes are an error naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    """The lines of a UTF-8 text file, without their ends ('\\n', '\\r\\n' or
+    '\\r'); a line that is not UTF-8 is an error naming it as path:line."""
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def _tab_rows(path, fields: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank line of a tab-separated file;
     a line with another field count is an error naming the line."""
     for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")

@@ -531,11 +531,11 @@ def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, content, message):
 )
 def test_a_file_that_is_not_utf8_is_named(emb_file, tmp_path, capsys, command, flag, flags):
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"w0\n\xff\n")
+    bad.write_bytes(b"w0\tw1\t1\n\xff\n")  # a line either file may hold, then one it may not
     assert _run(command, "--embeddings", emb_file, flag, bad, *flags,
                 "--out-dir", tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith(
-        f"error: {bad}: 'utf-8' codec can't decode byte 0xff"
+        f"error: {bad}:2: 'utf-8' codec can't decode byte 0xff"
     )
 
 

@@ -571,18 +571,29 @@ def test_isotropic_set_takes_every_column(monkeypatch):
 
 
 def test_row_reaching_a_pruned_bound_falls_back(monkeypatch):
-    # with every upper bound at 0, blocks keep only the clusters that
-    # overlap their rows, so many rows' k-th distances reach the bound of a
-    # cluster left out; those rows must be computed from their full rows
+    # with every centre's reach at 0, a row's upper bound on its k-th
+    # distance is its own distance from its centre, so blocks keep only the
+    # clusters near their rows, and many rows' k-th distances reach the
+    # bound of a cluster left out; those rows must be computed from their
+    # full rows
     emb = _pruned_set()
-    bounds = graph._bounds
+    centre_bounds = graph._centre_bounds
+
+    def reach_at_zero(*args):
+        gap, by_gap, reach = centre_bounds(*args)
+        return gap, by_gap, np.zeros_like(reach)
+
+    monkeypatch.setattr(graph, "_centre_bounds", reach_at_zero)
+    full_rows = []  # the rows computed from their full rows, each its own exclusion
+    exact_row = graph._exact_row
     monkeypatch.setattr(
-        graph, "_bounds", lambda *a: (bounds(*a)[0], np.zeros(len(a[0])))
+        graph,
+        "_exact_row",
+        lambda q, x, sq_x, excl, *a: full_rows.append(excl) or exact_row(q, x, sq_x, excl, *a),
     )
-    full_rows = _count_full_rows(monkeypatch)
     ns = knn(emb, 10)
     assert len(full_rows) > 0
-    rows = np.concatenate([np.arange(0, emb.n, 97), [emb.n - 1]])
+    rows = np.concatenate([np.arange(0, emb.n, 97), [emb.n - 1], full_rows])
     expected = rank_bruteforce(emb.vectors, emb.vectors[rows], 10, rows)
     assert ns.indices[rows].tolist() == expected
     assert np.array_equal(
@@ -639,6 +650,51 @@ def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
     sample = np.concatenate([pooled[0][:20], np.flatnonzero(~far)[::100]])
     assert idx[sample].tolist() == rank_bruteforce(x, queries[sample], 10, None)
     assert np.array_equal(dist[sample], _norms(queries[sample], x, idx[sample]))
+
+
+@pytest.mark.parametrize("query", ["self", "perturbed", "perturbed-excluded"])
+def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
+    # blocks of 20 rows split a cluster's rows, and a fifth of the perturbed
+    # rows, moved far, are pooled: every row is still searched exactly once
+    emb = _pruned_set()
+    x = emb.vectors
+    sq = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(53)
+    queries, exclude = x, np.arange(emb.n)
+    if query != "self":
+        far = rng.random(emb.n) < 0.2
+        queries = x + rng.normal(0.0, np.where(far, 100.0, 0.5)[:, None], x.shape)
+        exclude = exclude if query == "perturbed-excluded" else None
+    _set_block_rows(monkeypatch, emb.n, 20)
+    searched = np.zeros(emb.n, dtype=np.int64)
+    full = pooled = 0
+    for rows, cols, _ in graph._searches(x, sq, queries, exclude, 10):
+        rows = np.arange(emb.n)[rows]
+        np.add.at(searched, rows, 1)
+        full += cols is not None and len(rows) == 20  # of a cluster's rows
+        pooled += cols is None
+    assert (searched == 1).all()
+    assert full > 0
+    assert pooled > 0 or query == "self"
+
+
+def test_pruned_floor_is_the_triangle_inequality_bound(monkeypatch):
+    # clusters of 21 words on lines, radius 1, centred at 0 and 5 and, far
+    # off, at (0, +-100); a query at 0.9 has the upper bound reach + rho =
+    # 1.9 on its 3rd distance, so it needs only the first cluster. The
+    # nearest word left out, at 4, is exactly gap - rho = (5 - 1) - 0.9
+    # away, which the floor must reach up to rounding and not pass
+    t = np.linspace(-1.0, 1.0, 21)
+    centres = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 100.0], [0.0, -100.0]])
+    assign = np.repeat(np.arange(4), 21)
+    x = centres[assign] + np.outer(np.tile(t, 4), [1.0, 0.0])
+    r2 = ((x - centres[assign]) ** 2).sum(axis=1)
+    monkeypatch.setattr(graph, "_cluster", lambda *a: graph._Clusters(centres, assign, r2))
+    sq = np.einsum("ij,ij->i", x, x)
+    queries = np.array([[0.9, 0.0]])
+    [(rows, cols, floor)] = graph._searches(x, sq, queries, None, 3)
+    assert cols.tolist() == list(range(21))
+    assert 3.1**2 * (1.0 - 1e-12) <= floor[0] <= ((x[21:] - queries) ** 2).sum(axis=1).min()
 
 
 @pytest.mark.parametrize("with_exclude", [True, False])

@@ -503,6 +503,28 @@ def test_dataset_loaders(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "loader, line, items",
+    [
+        (load_similarity_dataset, b"cat\tdog\t1.5", "pairs"),
+        (load_sentence_pairs, b"a b\tc d\t1.5", "pairs"),
+        (load_odd_man_dataset, b"a b c d e\te", "instances"),
+    ],
+)
+def test_loaders_name_the_line_that_is_not_utf8(tmp_path, loader, line, items):
+    # lines end in '\r\n', '\n' and '\r', and a blank line counts
+    path = tmp_path / "data.tsv"
+    head = line + b"\r\n\n" + line + b"\r"
+    path.write_bytes(head + line + b"\xff\n" + line + b"\n")
+    with pytest.raises(ValueError) as excinfo:
+        loader(path)
+    assert str(excinfo.value).startswith(
+        f"{path}:4: 'utf-8' codec can't decode byte 0xff in position {len(line)}"
+    )
+    path.write_bytes(head + line + b"\n")
+    assert len(getattr(loader(path), items)) == 3
+
+
+@pytest.mark.parametrize(
     "loader, fields",
     [(load_similarity_dataset, "cat\tdog"), (load_sentence_pairs, "a b\tc d")],
 )
