@@ -649,8 +649,11 @@ def _fixed_point_lines(words: tuple[str, ...], rows: np.ndarray, precision: int)
 
 
 def _percent_rows(rows: np.ndarray, precision: int):
-    # one %-format per row; the fallback for magnitudes >= 2**52 / 10**precision
-    fmt = " ".join([f"%.{precision}f"] * rows.shape[1])
+    # one %-format per row, the shortest repr from precision 17 on; below it
+    # the fallback for magnitudes >= 2**52 / 10**precision. .tolist() per row
+    # keeps the Python floats of one row alive
+    spec = "%r" if precision >= 17 else f"%.{precision}f"
+    fmt = " ".join([spec] * rows.shape[1])
     return (fmt % tuple(row.tolist()) for row in rows)
 
 
@@ -658,14 +661,10 @@ def _chunk_lines(emb: EmbeddingSet, precision: int, start: int) -> bytes:
     """The UTF-8 lines of the `_PARSE_CHUNK` rows from `start`."""
     rows = emb.vectors[start : start + _PARSE_CHUNK]
     words = emb.words[start : start + _PARSE_CHUNK]
-    if precision >= 17:
-        # .tolist() per row keeps the Python floats of one row alive
-        texts = (" ".join(map(repr, row.tolist())) for row in rows)
-    else:
-        lines = _fixed_point_lines(words, rows, precision)
-        if lines is not None:
-            return lines
-        texts = _percent_rows(rows, precision)
+    lines = None if precision >= 17 else _fixed_point_lines(words, rows, precision)
+    if lines is not None:
+        return lines
+    texts = _percent_rows(rows, precision)
     return "".join([f"{word} {text}\n" for word, text in zip(words, texts)]).encode("utf-8")
 
 

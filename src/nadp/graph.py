@@ -13,8 +13,8 @@ BLAS dot of the difference q - x with itself (`utility._dots`, the dot
 product, so `knn(emb, 10).prefix(2)` equals `knn(emb, 2)` bit for bit.
 
 The search skips the words the triangle inequality rules out. The searched
-words are clustered (a farthest-point traversal and a few Lloyd steps on a
-subsample, then one full assignment), each cluster kept as a centre c and a
+words are clustered (a farthest-point traversal of a subsample picks the
+centres, then one full assignment), each cluster kept as a centre c and a
 radius r from its members' direct distances, padded for rounding. The search
 is planned per cluster: the rounding-safe distances between centres and
 each query's direct distance rho from its nearest centre a bound every
@@ -40,7 +40,9 @@ its direct k-th distance lies below that bound less a bound on the Gram and
 the direct formulas' difference, and below the lower bound of every
 cluster its block skipped; any other row is computed from its full row
 (`_exact_row`, the one full-row search), so results equal a full (direct
-distance, index) sort. `knn` is its self query. A block holds as many query
+distance, index) sort. An excluded word is a filter: a query that excludes
+one searches its top k + 1 and drops that word, or else its last column.
+`knn` is its self query, each word excluded. A block holds as many query
 rows as keep its (rows, columns) 8-byte Gram product within `_BLOCK_BYTES`,
 the clustering's and the centre-to-centre bounds' chunks stay within
 `_CHUNK_BYTES` and the direct distances' within `utility._GATHER_BYTES`, and
@@ -84,9 +86,10 @@ _GROUP = 16
 _KEY_BYTES = 2**19
 
 # a pruned search clusters its n words into _CLUSTER_SCALE * sqrt(n)
-# clusters, after _LLOYD_STEPS Lloyd steps on _PROBES words per cluster; a
-# search of fewer than _MIN_CLUSTERED words, or one whose estimated share of
-# distances still needed exceeds _MAX_SHARE, takes every column. Measured
+# clusters, picked by a farthest-point traversal of _PROBES words per
+# cluster; a search of fewer than _MIN_CLUSTERED words, or one whose
+# estimated share of distances still needed exceeds _MAX_SHARE, takes every
+# column. Measured
 # on 2 vCPUs, knn(emb, 10) over 50-word clusters pruned faster than it
 # searched every column from about 1,000 words at d = 300 (0.96 of the time
 # at 1,000, 0.66 at 2,048); over 10,000 x 300 sets of looser clusters it
@@ -95,7 +98,6 @@ _KEY_BYTES = 2**19
 # estimate of about 1/60, took 0.30 of the time
 _CLUSTER_SCALE = 3
 _PROBES = 2
-_LLOYD_STEPS = 2
 _MIN_CLUSTERED = 2048
 _MAX_SHARE = 1 / 32
 
@@ -187,22 +189,8 @@ def _sq_dists(gram: np.ndarray, sq_q: np.ndarray, sq_x: np.ndarray) -> np.ndarra
     return np.maximum(gram, 0.0, out=gram)
 
 
-def _row_topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of one full row of squared distances in (distance, index)
-    order: every column within the k-th distance, then a sort of those.
-    NaN sorts last, so a row of NaN keeps its lowest indices."""
-    within = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
-    top = within[np.lexsort((within, d2[within]))[:k]]
-    return top, d2[top]
-
-
 def _block_topk(
-    queries: np.ndarray,
-    x: np.ndarray,
-    sq_x: np.ndarray,
-    exclude: np.ndarray | None,
-    k: int,
-    n_cand: int,
+    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k indices of one query block by (Gram distance, index), and a
     lower bound per row on the Gram distance of every column not selected.
@@ -213,15 +201,15 @@ def _block_topk(
     the k + 2 groups with the smallest minima (plus the n mod `_GROUP` tail
     columns) get Gram distances: the k nearest columns lie in at most k
     groups, so the groups left out hold nothing nearer than the (k+1)-th
-    unless ties reach it. When n // `_GROUP` <= n_cand every column is
-    gathered. The n_cand nearest gathered columns are the candidates. The
-    bound is the next candidate's distance, or less where a column left
-    out might be nearer; `_rerank` certifies the rows."""
+    unless ties reach it. When n // `_GROUP` <= k + 1 every column is
+    gathered. The min(n, k + 1) nearest gathered columns are the candidates:
+    the (k+1)-th bounds the rest, and a tie with the k-th fails
+    certification. The bound is that candidate's distance, or less where a
+    column left out might be nearer; `_rerank` certifies the rows."""
     rows, n = len(queries), x.shape[0]
+    n_cand = min(n, k + 1)
     sq_q = np.einsum("ij,ij->i", queries, queries)
     gram = queries @ x.T
-    if exclude is not None:
-        gram[np.arange(rows), exclude] = -np.inf  # a distance of +inf
     width = n // _GROUP
     dense = width <= n_cand  # every column is a candidate
     if dense:
@@ -269,8 +257,8 @@ def _block_topk(
     err = 4.0 * np.finfo(np.float64).eps * big * big + np.finfo(np.float64).tiny
     bound = (thr + sq_q) - err
     # candidates not selected are >= the next one, gathered non-candidates
-    # >= the candidates' maximum, so >= the next one too; when every column
-    # is a candidate, only the excluded one is left out
+    # >= the candidates' maximum, so >= the next one too; when k = n, none
+    # is left out
     if n_cand > k:
         after = np.take_along_axis(cand_d, order[:, k : k + 1], axis=1)[:, 0]
         bound = np.minimum(after, bound)
@@ -352,12 +340,11 @@ def _cluster(x: np.ndarray, sq_x: np.ndarray) -> _Clusters | None:
     a search still needs: the probes of cluster a, within r_a of its
     centre, need cluster c when |a - c| - r_c - r_a <= 2 r_a. Above
     `_MAX_SHARE`, or below `_MIN_CLUSTERED` words, the search takes every
-    column. Otherwise `_LLOYD_STEPS` Lloyd steps on the subsample move the
-    centres to their probes' means, and one full assignment places every
-    word. A group of words the subsample missed would widen some cluster's
-    radius, so the words beyond twice the distance from their centre that
-    holds three in four of the words get centres of their own, by the same
-    traversal (at most as many again)."""
+    column. Otherwise the picks are the centres, and one full assignment
+    places every word. A group of words the subsample missed would widen
+    some cluster's radius, so the words beyond twice the distance from their
+    centre that holds three in four of the words get centres of their own,
+    by the same traversal (at most as many again)."""
     n, d = x.shape
     if n < _MIN_CLUSTERED or not np.isfinite(sq_x).all():
         return None
@@ -367,32 +354,22 @@ def _cluster(x: np.ndarray, sq_x: np.ndarray) -> _Clusters | None:
     count = int(probes / _PROBES)
     evenly = slice(0, n // probes * probes, n // probes)
     sub, sq_sub = np.ascontiguousarray(x[evenly]), sq_x[evenly]
-    # key[p, j] = |p|^2 - 2 p.j, so that |p - j|^2 = key[p, j] + |j|^2
-    key = sub @ sub.T
-    key *= -2.0
-    key += sq_sub[:, None]
+    d2 = _sq_dists(sub @ sub.T, sq_sub[:, None], sq_sub)
     picks = np.zeros(count, dtype=np.int64)
-    near = key[0].copy()  # each probe's key to its nearest pick
+    near = d2[0].copy()  # each probe's squared distance to its nearest pick
     for t in range(1, count):
-        picks[t] = (near + sq_sub).argmax()
-        np.minimum(near, key[picks[t]], out=near)
-    label = key[picks].argmin(axis=0)
+        picks[t] = near.argmax()
+        np.minimum(near, d2[picks[t]], out=near)
+    label = d2[picks].argmin(axis=0)
     size = np.bincount(label, minlength=count)
     reach = np.zeros(count)
-    np.maximum.at(reach, label, np.sqrt(np.maximum(near + sq_sub, 0.0)))
-    apart = np.sqrt(np.maximum(key[np.ix_(picks, picks)] + sq_sub[picks], 0.0))
+    np.maximum.at(reach, label, np.sqrt(near))
+    apart = np.sqrt(d2[np.ix_(picks, picks)])
     need = apart - reach - reach[:, None] <= 2.0 * reach[:, None]
     if size @ need @ size > _MAX_SHARE * len(sub) ** 2:
         return None
-    del key, apart, need  # the probes' distances, before the full assignment
+    del d2, apart, need  # the probes' distances, before the full assignment
     centres = sub[picks]
-    for _ in range(_LLOYD_STEPS):
-        label = _nearest(sub, centres)
-        size = np.bincount(label, minlength=count)
-        order = np.argsort(label, kind="stable")
-        used = size > 0
-        starts = (np.cumsum(size) - size)[used]
-        centres[used] = np.add.reduceat(sub[order], starts, axis=0) / size[used, None]
     assign = _nearest(x, centres)
     r2 = _direct_sq(x, centres, assign[:, None])[:, 0]
     # words beyond twice the distance that holds three in four of them (a
@@ -434,13 +411,7 @@ def _centre_bounds(
     return np.take_along_axis(gap, by_gap, axis=1), by_gap, reach.min(axis=1) * (1.0 + rel)
 
 
-def _searches(
-    x: np.ndarray,
-    sq_x: np.ndarray,
-    queries: np.ndarray,
-    exclude: np.ndarray | None,
-    k: int,
-):
+def _searches(x: np.ndarray, sq_x: np.ndarray, queries: np.ndarray, k: int):
     """Yield (rows, cols, floor) per block of at most `_block_rows(n)` query
     rows, a slice or an index array: the rows search the columns `cols`
     (every column when None), and `floor` bounds from below the direct
@@ -452,11 +423,10 @@ def _searches(
     at most reach[a] + 2 rho (see `_centre_bounds`): a prefix of a's
     clusters in order of gap, found by one searchsorted. Rows are ordered by
     (a, rho), and a block of one centre's consecutive rows searches the
-    prefix its last row needs and the clusters of its excluded words. A row
-    or a block that needs more than a quarter of the columns (or more rows
-    of x than `_BLOCK_BYTES` holds) would cost a full block's GEMM and more,
-    so such rows are pooled into blocks of `_block_rows(n)` rows over every
-    column."""
+    prefix its last row needs. A row or a block that needs more than a
+    quarter of the columns (or more rows of x than `_BLOCK_BYTES` holds)
+    would cost a full block's GEMM and more, so such rows are pooled into
+    blocks of `_block_rows(n)` rows over every column."""
     n, d = x.shape
     step = _block_rows(n)
     clusters = _cluster(x, sq_x)
@@ -490,8 +460,6 @@ def _searches(
                 rows, j = group[lo : lo + step], want[lo : lo + step][-1]
                 keep = np.zeros(len(size), dtype=bool)
                 keep[by_gap[g, :j]] = True
-                if exclude is not None:
-                    keep[clusters.assign[exclude[rows]]] = True
                 cols = np.flatnonzero(keep[clusters.assign])
                 # k columns or fewer cannot hold the rows' top k
                 if not k < len(cols) <= n // 4 or 8 * d * len(cols) > _BLOCK_BYTES:
@@ -508,28 +476,25 @@ def _searches(
 
 
 def _exact_row(
-    q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, excl: int | None, k: int, err: float
+    q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, err: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k of one query over every column by (direct distance, index):
     direct distances for the columns whose Gram distance is within 3 err of
-    the k-th, err bounding a Gram and a direct distance's difference."""
+    the k-th, err bounding a Gram and a direct distance's difference, then
+    one sort of those. NaN sorts last, so a row of NaN keeps its lowest
+    indices."""
     d2 = _sq_dists(x @ q, q @ q, sq_x)
-    if excl is not None:
-        d2[excl] = np.inf
     kth = np.partition(d2, k - 1)[k - 1]
     band = np.flatnonzero(~(d2 > kth + 3.0 * err))  # every column when NaN
-    if excl is not None:
-        band = band[band != excl]
     dist = np.sqrt(_direct_sq(q[None], x, band[None])[0])
-    top, top_d = _row_topk(dist, k)
-    return band[top], top_d
+    top = np.lexsort((band, dist))[:k]
+    return band[top], dist[top]
 
 
 def _rerank(
     x: np.ndarray,
     sq_x: np.ndarray,
     queries: np.ndarray,
-    exclude: np.ndarray | None,
     top: np.ndarray,
     low: np.ndarray,
     err: np.ndarray,
@@ -551,8 +516,7 @@ def _rerank(
     eps = np.finfo(np.float64).eps
     # written so that a NaN bound certifies nothing
     for r in np.flatnonzero(~(d2.max(axis=1) * (1.0 + 4.0 * eps) + _TINY < low)):
-        excl = None if exclude is None else int(exclude[r])
-        indices[r], distances[r] = _exact_row(queries[r], x, sq_x, excl, k, err[r])
+        indices[r], distances[r] = _exact_row(queries[r], x, sq_x, k, err[r])
     return indices, distances
 
 
@@ -564,12 +528,14 @@ def rank_queries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k words of `emb` for each query vector, nearest first.
 
-    `exclude[q]`, when given, is a word index removed from query q's
-    candidates (used to drop a word from its own ranking). Ties in distance
-    are broken by ascending word index. Returns (indices, distances), each
-    of shape (len(queries), k); each distance is the square root of one
-    BLAS dot of q - x with itself, the value `np.linalg.norm(q - x)`
-    returns, so it does not depend on the block a row was searched in.
+    `exclude`, when given, is a 1-d integer array of one word index in [0,
+    n) per query, removed from that query's ranking (used to drop a word
+    from its own ranking): each query searches its top k + 1, then drops its
+    excluded word, or else its last column. Ties in distance are broken by
+    ascending word index. Returns (indices, distances), each of shape
+    (len(queries), k); each distance is the square root of one BLAS dot of
+    q - x with itself, the value `np.linalg.norm(q - x)` returns, so it does
+    not depend on the block a row was searched in.
 
     From `_MIN_CLUSTERED` words on, the words are clustered, each cluster
     kept as a centre c and a radius r, and the search is planned per
@@ -599,30 +565,38 @@ def rank_queries(
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != emb.d:
         raise ValueError(f"queries must be (q, {emb.d}), got {queries.shape}")
-    n = emb.n
+    n, nq = emb.n, queries.shape[0]
+    if exclude is not None:
+        exclude = np.asarray(exclude)
+        typed = exclude.shape == (nq,) and exclude.dtype.kind in "iu"
+        if not (typed and (exclude >= 0).all() and (exclude < n).all()):
+            raise ValueError(
+                f"exclude must be a 1-d integer array of {nq} words in [0, {n})"
+            )
     limit = n - 1 if exclude is not None else n
     if not 1 <= k <= limit:
         raise ValueError(f"k must be in [1, {limit}], got {k}")
     x = emb.vectors
     sq_x = np.einsum("ij,ij->i", x, x)
-    nq = queries.shape[0]
-    top = np.empty((nq, k), dtype=np.int64)
+    k_search = k if exclude is None else k + 1
+    top = np.empty((nq, k_search), dtype=np.int64)
     low = np.empty(nq, dtype=np.float64)
     # |Gram - direct| of any column of a row: a Gram bound less err bounds
     # the direct distance
     norm_q = np.sqrt(np.einsum("ij,ij->i", queries, queries))
     err = _rel(emb.d) * (norm_q + np.sqrt(sq_x.max())) ** 2 + _TINY
-    for rows, cols, floor in _searches(x, sq_x, queries, exclude, k):
-        excl = None if exclude is None else exclude[rows]
+    for rows, cols, floor in _searches(x, sq_x, queries, k_search):
         xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
-        if cols is not None and excl is not None:
-            excl = np.searchsorted(cols, excl)  # cols hold every excluded word
-        # the (k+1)-th candidate bounds the rest; a tie with the k-th fails certification
-        n_cand = min(len(xs) - (excl is not None), k + 1)
-        sel, gram_low = _block_topk(queries[rows], xs, sq_xs, excl, k, n_cand)
+        sel, gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
         top[rows] = sel if cols is None else cols[sel]
         low[rows] = np.minimum(gram_low - err[rows], floor)
-    return _rerank(x, sq_x, queries, exclude, top, low, err)
+    indices, distances = _rerank(x, sq_x, queries, top, low, err)
+    if exclude is None:
+        return indices, distances
+    # a row's indices are distinct: drop its excluded word, or else its last
+    keep = indices != exclude[:, None]
+    keep[keep.all(axis=1), k] = False
+    return indices[keep].reshape(nq, k), distances[keep].reshape(nq, k)
 
 
 def knn(emb: EmbeddingSet, m: int) -> NeighbourSets:

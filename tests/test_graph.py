@@ -280,6 +280,23 @@ def test_rank_queries_without_exclusion_finds_self():
     assert np.allclose(dist[:, 0], 0.0)
 
 
+@pytest.mark.parametrize(
+    "exclude",
+    [
+        np.array([-1, 0, 1, 2, 3, 4]),  # below the first word
+        np.array([1, 2, 3, 4, 5, 6]),  # past the last word
+        np.arange(5),  # one entry short
+        np.arange(6.0),  # floats
+        np.arange(6)[:, None],  # two dimensions
+        np.arange(6) > 2,  # booleans
+    ],
+)
+def test_rank_queries_rejects_an_exclude_that_is_not_a_word_per_query(exclude):
+    emb = random_embeddings(6, 3, seed=7)
+    with pytest.raises(ValueError, match="exclude must be a 1-d integer array"):
+        rank_queries(emb, emb.vectors, 2, exclude)
+
+
 @pytest.mark.parametrize("block_rows", [7, 1024])
 @pytest.mark.parametrize("with_exclude", [True, False])
 def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
@@ -295,7 +312,7 @@ def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
     if with_exclude:
         # the queries on the duplicate group each drop one of its members
         exclude = np.concatenate([np.arange(6), rng.integers(0, emb.n, 6)])
-    for k in (1, 3, 10, 45):
+    for k in (1, 3, 10, 45, emb.n - 1):
         idx, dist = rank_queries(emb, queries, k, exclude)
         expected = rank_bruteforce(emb.vectors, queries, k, exclude)
         assert idx.tolist() == expected
@@ -366,13 +383,14 @@ def _grouped(emb: EmbeddingSet, k: int) -> bool:
     return emb.n // graph._GROUP > k + 1
 
 
-def _count_fallbacks(monkeypatch) -> list[int]:
-    rows = []
-    row_topk = graph._row_topk
+def _full_rows(monkeypatch) -> list[np.ndarray]:
+    """The query of every row computed from its full row by `_exact_row`."""
+    queries = []
+    exact_row = graph._exact_row
     monkeypatch.setattr(
-        graph, "_row_topk", lambda d2, k: rows.append(k) or row_topk(d2, k)
+        graph, "_exact_row", lambda q, *a: queries.append(q.copy()) or exact_row(q, *a)
     )
-    return rows
+    return queries
 
 
 @pytest.mark.parametrize("with_exclude", [True, False])
@@ -428,7 +446,7 @@ def test_uncertified_row_falls_back_to_its_full_row(monkeypatch):
     # with more columns than it has candidates
     emb = _tie_grid_2400()
     queries = np.array([[3.0, 3.0, 3.0], [0.5, 7.5, 0.5]])
-    fallbacks = _count_fallbacks(monkeypatch)
+    fallbacks = _full_rows(monkeypatch)
     idx, dist = rank_queries(emb, queries, 10)
     assert len(fallbacks) >= 1
     assert idx.tolist() == rank_bruteforce(emb.vectors, queries, 10, None)
@@ -439,7 +457,7 @@ def test_uncertified_row_falls_back_to_its_full_row(monkeypatch):
 def test_generic_rows_are_certified(monkeypatch):
     # without exact ties every row is certified from its gathered columns
     emb = random_embeddings(2000, 8, seed=45)
-    fallbacks = _count_fallbacks(monkeypatch)
+    fallbacks = _full_rows(monkeypatch)
     for k in (1, 10):
         assert _grouped(emb, k)
         knn(emb, k)
@@ -511,15 +529,6 @@ def _record_blocks(monkeypatch) -> list[tuple[int, int]]:
     return blocks
 
 
-def _count_full_rows(monkeypatch) -> list[int]:
-    rows = []
-    exact_row = graph._exact_row
-    monkeypatch.setattr(
-        graph, "_exact_row", lambda q, *a: rows.append(1) or exact_row(q, *a)
-    )
-    return rows
-
-
 def _norms(queries: np.ndarray, vectors: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The oracles' distances: one np.linalg.norm per (query, word) pair."""
     return np.array(
@@ -557,6 +566,36 @@ def test_pruned_search_matches_bruteforce(monkeypatch, with_exclude):
     assert work < 0.2 * emb.n * (2 * emb.n + 2 * len(queries))
 
 
+@pytest.mark.parametrize("clustered", [True, False])
+def test_exclusion_filter_matches_bruteforce(clustered):
+    # a query that excludes a word searches its top k + 1, then drops that
+    # word, or else its last column. 15 copies of one vector, each query
+    # excluding its own copy: the last one has more than k + 1 copies of
+    # lower index ahead of it. Words near the other queries are excluded far
+    # beyond k + 1 or first, and k = n - 1 keeps every word but one
+    base = _pruned_set() if clustered else random_embeddings(300, 20, seed=54)
+    n, k = base.n, 10
+    copies = np.linspace(0, n - 1, 15).astype(np.int64)
+    assert len(copies) - 1 > k + 1
+    x = base.vectors.copy()
+    x[copies] = x[copies[0]]
+    emb = _set(x)
+    assert (graph._cluster(x, np.einsum("ij,ij->i", x, x)) is not None) == clustered
+    rng = np.random.default_rng(55)
+    near = x[rng.choice(n, 10, replace=False)] + rng.normal(0.0, 0.1, (10, 20))
+    order = np.argsort(np.linalg.norm(near[:, None, :] - x, axis=2), axis=1)
+    queries = np.vstack([x[copies], near])
+    exclude = np.concatenate([copies, order[:5, -1], order[5:, 0]])
+    expected = rank_bruteforce(x, queries, n - 1, exclude)
+    for top in (k, n - 1):
+        idx, dist = rank_queries(emb, queries, top, exclude)
+        assert idx.tolist() == [row[:top] for row in expected]
+        assert np.array_equal(dist, _norms(queries, x, idx))
+    ns = knn(emb, k)
+    assert ns.indices[copies].tolist() == [row[:k] for row in expected[: len(copies)]]
+    assert ns.indices[copies[-1]].tolist() == copies[:k].tolist()
+
+
 def test_isotropic_set_takes_every_column(monkeypatch):
     emb = random_embeddings(3000, 300, seed=31)
     assert emb.n >= graph._MIN_CLUSTERED
@@ -584,16 +623,13 @@ def test_row_reaching_a_pruned_bound_falls_back(monkeypatch):
         return gap, by_gap, np.zeros_like(reach)
 
     monkeypatch.setattr(graph, "_centre_bounds", reach_at_zero)
-    full_rows = []  # the rows computed from their full rows, each its own exclusion
-    exact_row = graph._exact_row
-    monkeypatch.setattr(
-        graph,
-        "_exact_row",
-        lambda q, x, sq_x, excl, *a: full_rows.append(excl) or exact_row(q, x, sq_x, excl, *a),
-    )
+    full_rows = _full_rows(monkeypatch)
     ns = knn(emb, 10)
     assert len(full_rows) > 0
-    rows = np.concatenate([np.arange(0, emb.n, 97), [emb.n - 1], full_rows])
+    # each self query is its word's vector, and the set's vectors are distinct
+    fell_back = [np.flatnonzero((emb.vectors == q).all(axis=1)) for q in full_rows]
+    assert all(len(row) == 1 for row in fell_back)
+    rows = np.concatenate([np.arange(0, emb.n, 97), [emb.n - 1], *fell_back])
     expected = rank_bruteforce(emb.vectors, emb.vectors[rows], 10, rows)
     assert ns.indices[rows].tolist() == expected
     assert np.array_equal(
@@ -603,7 +639,7 @@ def test_row_reaching_a_pruned_bound_falls_back(monkeypatch):
 
 def test_generic_pruned_rows_are_certified(monkeypatch):
     emb = _pruned_set()
-    full_rows = _count_full_rows(monkeypatch)
+    full_rows = _full_rows(monkeypatch)
     for k in (1, 10):
         knn(emb, k)
     assert full_rows == []
@@ -639,7 +675,7 @@ def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
     queries = x + np.where(far[:, None], rng.normal(0.0, 100.0, x.shape), 0.0)
     _set_block_rows(monkeypatch, emb.n, 100)
     pooled = []
-    for rows, cols, _ in graph._searches(x, sq, queries, None, 10):
+    for rows, cols, _ in graph._searches(x, sq, queries, 10):
         if cols is None:
             pooled.append(np.arange(emb.n)[rows])
     assert len(pooled) >= 3
@@ -652,7 +688,7 @@ def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
     assert np.array_equal(dist[sample], _norms(queries[sample], x, idx[sample]))
 
 
-@pytest.mark.parametrize("query", ["self", "perturbed", "perturbed-excluded"])
+@pytest.mark.parametrize("query", ["self", "perturbed"])
 def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     # blocks of 20 rows split a cluster's rows, and a fifth of the perturbed
     # rows, moved far, are pooled: every row is still searched exactly once
@@ -660,15 +696,15 @@ def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     x = emb.vectors
     sq = np.einsum("ij,ij->i", x, x)
     rng = np.random.default_rng(53)
-    queries, exclude = x, np.arange(emb.n)
+    queries, k = x, 11  # the top 11 that knn(emb, 10) searches
     if query != "self":
         far = rng.random(emb.n) < 0.2
         queries = x + rng.normal(0.0, np.where(far, 100.0, 0.5)[:, None], x.shape)
-        exclude = exclude if query == "perturbed-excluded" else None
+        k = 10
     _set_block_rows(monkeypatch, emb.n, 20)
     searched = np.zeros(emb.n, dtype=np.int64)
     full = pooled = 0
-    for rows, cols, _ in graph._searches(x, sq, queries, exclude, 10):
+    for rows, cols, _ in graph._searches(x, sq, queries, k):
         rows = np.arange(emb.n)[rows]
         np.add.at(searched, rows, 1)
         full += cols is not None and len(rows) == 20  # of a cluster's rows
@@ -692,13 +728,12 @@ def test_pruned_floor_is_the_triangle_inequality_bound(monkeypatch):
     monkeypatch.setattr(graph, "_cluster", lambda *a: graph._Clusters(centres, assign, r2))
     sq = np.einsum("ij,ij->i", x, x)
     queries = np.array([[0.9, 0.0]])
-    [(rows, cols, floor)] = graph._searches(x, sq, queries, None, 3)
+    [(rows, cols, floor)] = graph._searches(x, sq, queries, 3)
     assert cols.tolist() == list(range(21))
     assert 3.1**2 * (1.0 - 1e-12) <= floor[0] <= ((x[21:] - queries) ** 2).sum(axis=1).min()
 
 
-@pytest.mark.parametrize("with_exclude", [True, False])
-def test_pruned_blocks_bound_every_column_left_out(with_exclude):
+def test_pruned_blocks_bound_every_column_left_out():
     # the rounding-safe bounds the certification rests on: every word lies
     # within its cluster's radius, and every column a block leaves out is
     # at a direct squared distance of at least the row's floor
@@ -712,9 +747,8 @@ def test_pruned_blocks_bound_every_column_left_out(with_exclude):
     assert (np.linalg.norm(x - centres, axis=1) <= radius).all()
     rng = np.random.default_rng(50)
     queries = np.vstack([x[::7] + rng.normal(0.0, 0.5, (len(x[::7]), 20))])
-    exclude = rng.integers(0, emb.n, len(queries)) if with_exclude else None
     pruned = 0
-    for rows, cols, floor in graph._searches(x, sq, queries, exclude, 10):
+    for rows, cols, floor in graph._searches(x, sq, queries, 10):
         if cols is None:
             continue
         out = np.setdiff1d(np.arange(emb.n), cols)
