@@ -3,8 +3,10 @@ eval-privacy, eval-utility, neighbours.
 
 Every command writes its artifact files plus a manifest recording the
 resolved parameters, input file hashes, the seed, and the tool version, so
-any run can be replayed exactly with ``--config <manifest>``. Outputs carry
-no timestamps: a command is a pure function of its files, flags and seed.
+any run can be replayed exactly with ``--config <manifest>``. The manifest is
+the operator's secret, written with mode 0600: its seed regenerates a
+release's noise, which no other artifact records. Outputs carry no
+timestamps: a command is a pure function of its files, flags and seed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import secrets
 import sys
 from dataclasses import asdict, fields
@@ -114,10 +117,17 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_json(path: Path, obj: dict, private: bool = False) -> None:
+    """Write `obj` as sorted, indented JSON; a private file (a manifest, whose
+    seed regenerates a release's noise) gets mode 0600, even if it existed."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if not private:
+        path.write_text(text, encoding="utf-8")
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="utf-8") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(text)
 
 
 def _resolve_params(args: argparse.Namespace) -> dict:
@@ -332,7 +342,7 @@ def cmd_perturb(params: dict, out_dir: Path) -> list[str]:
     _write_json(out_dir / report_name, report.to_dict())
     print(
         f"perturb: mechanism={report.kind} epsilon={report.epsilon} "
-        f"seed={report.seed} zero_noise_words={report.zero_noise_words}"
+        f"zero_noise_words={report.zero_noise_words}"
     )
     if report.zero_noise_words == emb.n:
         print(
@@ -538,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
             "inputs": _input_hashes(params),
             "outputs": outputs,
         }
-        _write_json(out_dir / _manifest_name(args.command), manifest)
+        _write_json(out_dir / _manifest_name(args.command), manifest, private=True)
         return 0
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

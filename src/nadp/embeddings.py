@@ -645,7 +645,13 @@ def _fixed_point_lines(words: tuple[str, ...], rows: np.ndarray, precision: int)
     del whole, frac  # the masked copy below holds as much again
     fields[..., -1] = ord(" ")
     fields[:, -1, -1] = ord("\n")
-    return lines[keep].tobytes()
+    # compress copies the kept runs faster than a boolean index, but through
+    # an 8-byte index per kept byte: 16 lines at a time bound that to ~0.4 MB
+    flat, mask, step = lines.ravel(), keep.ravel(), 16 * lines.shape[1]
+    return b"".join(
+        flat[s : s + step].compress(mask[s : s + step]).tobytes()
+        for s in range(0, flat.size, step)
+    )
 
 
 def _percent_rows(rows: np.ndarray, precision: int):

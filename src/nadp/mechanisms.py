@@ -17,10 +17,13 @@ mechanism; it is the only entry point of the four baselines, whose
 implementations are the runners of its registry `_MECHANISMS`. `nadp_perturb`
 also runs alone, on a partition the caller builds.
 
-All mechanisms add their noise through one path, `_add_noise`, which draws
-each word's noise from one counter-based substream per word index, derived
-from the master seed, so outputs do not depend on iteration order or
-parallelism, and which alone counts the words left without noise.
+All mechanisms add their noise through one path, `_add_noise`, which alone
+counts the words left without noise. It draws the noise of a release from
+one generator, seeded from a SHA-256 key over the seed, the mechanism,
+epsilon, delta, the set's shape and the exact noise scales the release
+uses, so two releases that differ in any of these draw independent noise.
+The report carries none of the key's secret: a release's seed is the
+operator's, and the public report without it cannot regenerate the noise.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ DEFAULT_ALPHA1 = 1.835
 DEFAULT_ALPHA2 = 1.276
 DEFAULT_M_DENSITY = 10
 
-_MASK64 = (1 << 64) - 1
+# noise rows drawn per generator call and mapped per Mahalanobis GEMM: fixed,
+# so a release's bits depend on its inputs alone, never on n
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,7 +69,6 @@ class PerturbationReport:
     """Exact record of the noise scales a perturbation run used."""
 
     kind: str
-    seed: int
     epsilon: float
     delta: float | None = None
     sigma_per_component: tuple[float, ...] = ()
@@ -78,7 +82,6 @@ class PerturbationReport:
     def to_dict(self) -> dict:
         return {
             "mechanism": self.kind,
-            "seed": self.seed,
             "epsilon": self.epsilon,
             "delta": self.delta,
             "sigma_per_component": list(self.sigma_per_component),
@@ -91,60 +94,90 @@ class PerturbationReport:
         }
 
 
-def word_substream(seed: int, word_index: int) -> np.random.Generator:
-    """Counter-based (Philox) generator keyed by (master seed, word index)."""
-    key = np.array([seed & _MASK64, word_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _release_rng(
+    seed: int,
+    kind: str,
+    epsilon: float,
+    delta: float | None,
+    emb: EmbeddingSet,
+    scales: np.ndarray,
+) -> np.random.Generator:
+    """The one generator of a release, seeded from SHA-256 over the seed,
+    the mechanism, epsilon, delta (None where the mechanism has none), the
+    set's shape and `scales`, the exact noise scales the release uses. The
+    scales carry what else shapes the noise (m, tau, lambda and the jaccard
+    knobs): n per-word sigmas, one Laplace scale or the d x d covariance
+    square root. The clean vectors themselves are not hashed."""
+    # imported here, so that `import nadp` loads neither
+    import hashlib
+    import json
 
-
-def _word_substreams(seed: int) -> Callable[[int], np.random.Generator]:
-    """`word_substream(seed, i)` for many words from one bit generator.
-
-    Each call resets a shared Philox to the state a fresh one keyed by
-    (seed, i) starts in, and returns the shared Generator, so the draws are
-    the same; a word's generator is spent once the next word's is taken.
-    A fresh Philox gathers OS entropy for a seed it never uses, which costs
-    more than a 300-d word's normal draws."""
-    bg = np.random.Philox(key=0)
-    rng = np.random.Generator(bg)
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-    def substream(word_index: int) -> np.random.Generator:
-        key[1] = word_index
-        bg.state = state
-        return rng
-
-    return substream
+    scales = np.ascontiguousarray(scales, dtype="<f8")
+    head = [
+        int(seed),
+        kind,
+        float(epsilon),
+        None if delta is None else float(delta),
+        emb.n,
+        emb.d,
+        scales.shape,
+    ]
+    key = hashlib.sha256(json.dumps(head).encode())
+    key.update(scales.data)
+    return np.random.Generator(np.random.SFC64(int.from_bytes(key.digest(), "little")))
 
 
 def _add_noise(
     emb: EmbeddingSet,
     seed: int,
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    scales: np.ndarray,
+    draw: Callable[[np.random.Generator, np.ndarray], np.ndarray],
     noised: np.ndarray | None = None,
     **report_fields,
 ) -> tuple[EmbeddingSet, PerturbationReport]:
-    """The one noise path of every mechanism: add `draw(rng, i)` to each word
-    i that the bool mask `noised` marks (every word when it is None), in word
-    order, with rng the word's own substream. The words the mask leaves out
-    are returned unchanged and counted as the report's zero-noise words."""
+    """The one noise path of every mechanism. One generator per release,
+    keyed by `_release_rng` on `scales` and the report's kind, epsilon and
+    delta, draws the noise of the words that the bool mask `noised` marks
+    (every word when it is None), in word order and `_CHUNK_ROWS` words at a
+    time: `draw(rng, rows)` returns the noise of the word indices `rows`,
+    one row each, and it is added to their rows of the output copy. The
+    words the mask leaves out are returned unchanged and counted as the
+    report's zero-noise words."""
     out = np.array(emb.vectors, dtype=np.float64)
-    words = range(emb.n) if noised is None else np.flatnonzero(noised).tolist()
-    substream = _word_substreams(seed)
-    for i in words:
-        out[i] += draw(substream(i), i)
-    report = PerturbationReport(
-        seed=seed, zero_noise_words=emb.n - len(words), **report_fields
+    rows = np.arange(emb.n) if noised is None else np.flatnonzero(noised)
+    rng = _release_rng(
+        seed,
+        report_fields["kind"],
+        report_fields["epsilon"],
+        report_fields.get("delta"),
+        emb,
+        scales,
     )
+    for start in range(0, rows.size, _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        noise = draw(rng, chunk)
+        if chunk[-1] - chunk[0] == chunk.size - 1:  # a run: add in place
+            out[chunk[0] : chunk[-1] + 1] += noise
+        else:
+            out[chunk] += noise
+    report = PerturbationReport(zero_noise_words=emb.n - rows.size, **report_fields)
     return EmbeddingSet(emb.words, out), report
+
+
+def _add_gaussian_noise(
+    emb: EmbeddingSet, seed: int, sigma_of_word: np.ndarray, **report_fields
+) -> tuple[EmbeddingSet, PerturbationReport]:
+    """Isotropic Gaussian noise of scale `sigma_of_word[i]` on each word i
+    whose scale is nonzero: the draw of nadp, gaussian and jaccard."""
+
+    def draw(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+        z = rng.standard_normal((rows.size, emb.d))
+        z *= sigma_of_word[rows, None]
+        return z
+
+    return _add_noise(
+        emb, seed, sigma_of_word, draw, sigma_of_word != 0.0, **report_fields
+    )
 
 
 def nadp_perturb(
@@ -163,12 +196,10 @@ def nadp_perturb(
         )
     calib = calibrate_components(partition.local_sensitivities, params)
     sigmas = calib.sigma_per_component
-    sigma_of_word = sigmas[partition.assignment]
-    return _add_noise(
+    return _add_gaussian_noise(
         emb,
         seed,
-        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
-        sigma_of_word != 0.0,
+        sigmas[partition.assignment],
         kind="nadp",
         epsilon=params.epsilon,
         delta=params.delta,
@@ -204,18 +235,19 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def mahalanobis_noise(
-    rng: np.random.Generator, shape_sqrt: np.ndarray, epsilon: float
+    rng: np.random.Generator, shape_sqrt: np.ndarray, epsilon: float, rows: int
 ) -> np.ndarray:
-    """One elliptical noise draw: Gamma(d, 1/epsilon) radius times a uniform
-    unit-sphere direction, mapped through the covariance square root."""
+    """`rows` elliptical noise draws, one per row: a Gamma(d, 1/epsilon)
+    radius times a uniform unit-sphere direction, mapped through the
+    symmetric covariance square root by one GEMM."""
     d = shape_sqrt.shape[0]
-    v = rng.normal(0.0, 1.0, d)
-    norm = float(np.linalg.norm(v))
-    while norm == 0.0:  # probability-zero guard
-        v = rng.normal(0.0, 1.0, d)
-        norm = float(np.linalg.norm(v))
-    r = rng.gamma(shape=d, scale=1.0 / epsilon)
-    return r * (shape_sqrt @ (v / norm))
+    v = rng.standard_normal((rows, d))
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    while (zero := norms == 0.0).any():  # probability-zero guard
+        v[zero] = rng.standard_normal((int(zero.sum()), d))
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    v *= (rng.gamma(shape=d, scale=1.0 / epsilon, size=rows) / norms)[:, None]
+    return v @ shape_sqrt.T
 
 
 def neighbourhood_density(neighbour_sets: NeighbourSets) -> np.ndarray:
@@ -304,11 +336,10 @@ def _perturber_gaussian(p: Perturber, epsilon: float, seed: int, proven: bool):
     emb = p.emb
     Delta = p.partition.global_sensitivity
     sigma = float(classic_sigma_formula(epsilon, p.delta, Delta))
-    return _add_noise(
+    return _add_gaussian_noise(
         emb,
         seed,
-        lambda rng, i: rng.normal(0.0, sigma, emb.d),
-        np.full(emb.n, sigma != 0.0),
+        np.full(emb.n, sigma),
         kind="gaussian",
         epsilon=epsilon,
         delta=p.delta,
@@ -328,7 +359,8 @@ def _perturber_laplacian(p: Perturber, epsilon: float, seed: int, proven: bool):
     return _add_noise(
         emb,
         seed,
-        lambda rng, i: rng.laplace(0.0, scale, emb.d),
+        np.array([scale]),
+        lambda rng, rows: rng.laplace(0.0, scale, (rows.size, emb.d)),
         np.full(emb.n, scale > 0.0),
         kind="laplacian",
         epsilon=epsilon,
@@ -351,7 +383,8 @@ def _perturber_mahalanobis(p: Perturber, epsilon: float, seed: int, proven: bool
     return _add_noise(
         emb,
         seed,
-        lambda rng, i: mahalanobis_noise(rng, shape_sqrt, epsilon),
+        shape_sqrt,
+        lambda rng, rows: mahalanobis_noise(rng, shape_sqrt, epsilon, rows.size),
         kind="mahalanobis",
         epsilon=epsilon,
         proven_dp=proven,
@@ -380,12 +413,10 @@ def _perturber_jaccard(p: Perturber, epsilon: float, seed: int, proven: bool):
     base = classic_sigma_formula(epsilon, p.delta, Delta)
     sigma1 = p.alpha1 * base
     sigma2 = p.alpha2 * base
-    sigma_of_word = np.where(dense, sigma1, sigma2)
-    return _add_noise(
+    return _add_gaussian_noise(
         emb,
         seed,
-        lambda rng, i: rng.normal(0.0, sigma_of_word[i], emb.d),
-        sigma_of_word != 0.0,
+        np.where(dense, sigma1, sigma2),
         kind="jaccard",
         epsilon=epsilon,
         delta=p.delta,

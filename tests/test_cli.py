@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import fields
@@ -121,7 +122,11 @@ def test_perturb_each_mechanism(emb_file, tmp_path, mechanism):
     assert perturbed.words == original.words
     report = json.loads((out / "perturb_report.json").read_text())
     assert report["mechanism"] == mechanism
-    assert report["seed"] == 11
+    # the seed regenerates the noise: only the private manifest holds it
+    assert "seed" not in report
+    manifest_path = out / "perturb_manifest.json"
+    assert json.loads(manifest_path.read_text())["parameters"]["seed"] == 11
+    assert stat.S_IMODE(manifest_path.stat().st_mode) == 0o600
 
 
 def test_perturb_gaussian_epsilon_validation(emb_file, tmp_path, capsys):
@@ -626,13 +631,23 @@ def test_cli_knobs_reach_the_mechanisms(emb_file, tmp_path):
     assert suite_values()[1:] != suite_values(**KNOBS)[1:]
 
 
-def test_perturb_draws_and_records_seed(emb_file, tmp_path):
+def test_perturb_draws_and_records_seed(emb_file, tmp_path, capsys):
+    # a drawn seed is recorded in the private manifest alone: not in the
+    # public report, nor on stdout
     assert _run("perturb", "--embeddings", emb_file, "--mechanism", "laplacian",
                 "--epsilon", 1.0, "--out-dir", tmp_path) == 0
     manifest = json.loads((tmp_path / "perturb_manifest.json").read_text())
-    assert isinstance(manifest["parameters"]["seed"], int)
+    seed = manifest["parameters"]["seed"]
+    assert isinstance(seed, int)
     report = json.loads((tmp_path / "perturb_report.json").read_text())
-    assert report["seed"] == manifest["parameters"]["seed"]
+    assert "seed" not in report
+    assert str(seed) not in capsys.readouterr().out
+    # a replay into the same directory rewrites the manifest private again
+    manifest_path = tmp_path / "perturb_manifest.json"
+    manifest_path.chmod(0o644)
+    assert _run("perturb", "--config", manifest_path, "--out-dir", tmp_path) == 0
+    assert stat.S_IMODE(manifest_path.stat().st_mode) == 0o600
+    assert json.loads(manifest_path.read_text()) == manifest
 
 
 def test_eval_privacy_command(emb_file, tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,11 +20,10 @@ from nadp.mechanisms import (
     mahalanobis_noise,
     nadp_perturb,
     neighbourhood_density,
-    word_substream,
 )
 
 from oracles import solve_u_quadrature
-from synth import random_embeddings
+from synth import clustered_embeddings, random_embeddings
 
 
 def _pair_set(distance: float, d: int) -> EmbeddingSet:
@@ -197,9 +199,10 @@ def test_mahalanobis_spherical_norm_mean():
     d, eps = 20, 2.0
     rng = np.random.default_rng(12345)
     eye = np.eye(d)
-    norms = np.empty(10**6)
-    for i in range(norms.size):
-        norms[i] = np.linalg.norm(mahalanobis_noise(rng, eye, eps))
+    norms = np.concatenate([
+        np.linalg.norm(mahalanobis_noise(rng, eye, eps, 10**5), axis=1)
+        for _ in range(10)
+    ])
     assert norms.mean() == pytest.approx(d / eps, rel=0.02)
 
 
@@ -214,10 +217,7 @@ def test_mahalanobis_anisotropic_covariance():
     shape = covariance_shape(emb, 1.0)
     w, v = np.linalg.eigh(shape)
     shape_sqrt = (v * np.sqrt(np.clip(w, 0, None))) @ v.T
-    draws = np.empty((200_000, d))
-    sample_rng = np.random.default_rng(11)
-    for i in range(draws.shape[0]):
-        draws[i] = mahalanobis_noise(sample_rng, shape_sqrt, eps)
+    draws = mahalanobis_noise(np.random.default_rng(11), shape_sqrt, eps, 200_000)
     empirical = np.cov(draws, rowvar=False)
     expected = (d + 1) / eps**2 * shape
     err = np.linalg.norm(empirical - expected) / np.linalg.norm(expected)
@@ -430,60 +430,163 @@ def test_zero_noise_words_counts_the_unchanged_words(kind):
         assert report.zero_noise_words == emb.n
 
 
-def test_word_substream_is_order_independent():
-    # noise is keyed by (seed, word index) alone: the same word draws the
-    # same noise no matter what else is in the set. The third word c is
-    # a's nearest neighbour, and b's is a, so at m = 1 both sets have the
-    # one edge length |a - b| = 1 as their global sensitivity
+def _clustered_perturber(**knobs) -> Perturber:
+    # 40 4-d words in six tight clusters: nadp leaves some words alone
+    rng = np.random.default_rng(18)
+    centres = rng.normal(0.0, 5.0, (6, 4))
+    vecs = centres[rng.integers(0, 6, 40)] + rng.normal(0.0, 0.3, (40, 4))
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
+    settings = dict(delta=0.05, m=2, tau=0.1, m_density=3, strict=False)
+    return Perturber(emb, **{**settings, **knobs})
+
+
+def _reference_rng(seed, kind, epsilon, delta, emb, scales):
+    # the documented key, built independently of the library: SHA-256 over
+    # the JSON head [seed, kind, epsilon, delta, n, d, scales' shape] and
+    # the scales' float64 bytes, seeding one SFC64 generator
+    scales = np.asarray(scales, dtype="<f8")
+    head = [seed, kind, epsilon, delta, emb.n, emb.d, list(scales.shape)]
+    key = hashlib.sha256(json.dumps(head).encode() + scales.tobytes())
+    return np.random.Generator(np.random.SFC64(int.from_bytes(key.digest(), "little")))
+
+
+@pytest.mark.parametrize("seed", [21, -5])
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_mechanisms_draw_one_matrix_per_release(kind, seed):
+    # one generator per release, keyed on everything that shapes the noise,
+    # draws the noised words' rows in word order: the Gaussian draws equal
+    # one standard-normal matrix scaled per row, the Laplace draw one Laplace
+    # matrix, and the Mahalanobis draw (40 words, so one chunk) a per-word
+    # loop of elliptical draws
+    perturber = _clustered_perturber()
+    emb = perturber.emb
+    out, report = perturber.perturb(kind, 0.8, seed)
+    sigmas = report.sigma_per_component
+    expected = np.array(emb.vectors)
+    if kind == "mahalanobis":
+        shape_sqrt = _sqrt_psd(covariance_shape(emb, perturber.lambda_))
+        rng = _reference_rng(seed, kind, 0.8, None, emb, shape_sqrt)
+        v = rng.standard_normal((emb.n, emb.d))
+        r = rng.gamma(emb.d, 1.0 / 0.8, emb.n)
+        for i in range(emb.n):
+            expected[i] += r[i] * (shape_sqrt @ (v[i] / np.linalg.norm(v[i])))
+        # the batched norms and GEMM round differently from the loop's
+        assert np.allclose(out.vectors, expected, rtol=1e-12, atol=1e-12)
+        return
+    if kind == "laplacian":
+        rng = _reference_rng(seed, kind, 0.8, None, emb, sigmas)
+        expected += rng.laplace(0.0, sigmas[0], (emb.n, emb.d))
+    else:
+        if kind == "nadp":
+            sigma_of_word = np.asarray(sigmas)[perturber.partition.assignment]
+            assert 0 < report.zero_noise_words < emb.n
+        elif kind == "jaccard":
+            dense = neighbourhood_density(perturber.density_sets) < perturber.eta0
+            sigma_of_word = np.where(dense, sigmas[0], sigmas[1])
+        else:
+            sigma_of_word = np.full(emb.n, sigmas[0])
+        rng = _reference_rng(seed, kind, 0.8, 0.05, emb, sigma_of_word)
+        rows = np.flatnonzero(sigma_of_word)
+        z = rng.standard_normal((rows.size, emb.d))
+        expected[rows] += sigma_of_word[rows, None] * z
+    assert np.array_equal(out.vectors, expected)
+
+
+@pytest.mark.parametrize("kind", ["nadp", "gaussian", "laplacian"])
+def test_release_bits_do_not_depend_on_the_chunk_rows(kind, monkeypatch):
+    # the Gaussian and Laplace draws read the generator in word order, so
+    # the rows drawn per call leave the release's bits alone
+    perturber = _clustered_perturber()
+    out, _ = perturber.perturb(kind, 0.8, seed=3)
+    for rows in (1, 7, perturber.emb.n):
+        monkeypatch.setattr(mechanisms, "_CHUNK_ROWS", rows)
+        again, _ = perturber.perturb(kind, 0.8, seed=3)
+        assert again.vectors.tobytes() == out.vectors.tobytes()
+
+
+def _noise_directions(out: EmbeddingSet, emb: EmbeddingSet) -> np.ndarray:
+    noise = out.vectors - emb.vectors
+    norms = np.linalg.norm(noise, axis=1, keepdims=True)
+    return np.divide(noise, norms, out=np.zeros_like(noise), where=norms > 0)
+
+
+# one knob per mechanism whose change moves its noise scales
+_SCALE_KNOBS = {
+    "nadp": {"tau": 0.5},
+    "gaussian": {"tau": 0.5},
+    "laplacian": {"tau": 0.5},
+    "mahalanobis": {"lambda_": 0.5},
+    "jaccard": {"eta0": 0.6},
+}
+
+
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_every_key_field_draws_independent_noise(kind):
+    # a repeat call is byte-identical; another seed, epsilon, delta (where
+    # the mechanism uses one) or noise-shaping knob redraws every noised
+    # word's noise, not just its scale, so no twin release cancels it
+    perturber = _clustered_perturber()
+    emb = perturber.emb
+    out, report = perturber.perturb(kind, 0.8, seed=3)
+    assert perturber.perturb(kind, 0.8, seed=3)[0].vectors.tobytes() == (
+        out.vectors.tobytes()
+    )
+    noised = (out.vectors != emb.vectors).any(axis=1)
+    assert noised.sum() > emb.n // 2
+    rescaled = [
+        perturber.perturb(kind, 0.9, seed=3),
+        _clustered_perturber(**_SCALE_KNOBS[kind]).perturb(kind, 0.8, seed=3),
+    ]
+    if report.delta is not None:
+        rescaled.append(_clustered_perturber(delta=0.04).perturb(kind, 0.8, seed=3))
+    assert all(other_report != report for _, other_report in rescaled)
+    direction = _noise_directions(out, emb)
+    for other, _ in [perturber.perturb(kind, 0.8, seed=4), *rescaled]:
+        same = np.isclose(direction, _noise_directions(other, emb)).all(axis=1)
+        assert not same[noised].any()
+
+
+def test_a_subset_of_the_words_draws_other_noise():
+    # n is part of the key: a word's noise depends on the whole release,
+    # not on its index alone. At m = 1 both sets have the one edge length
+    # |a - b| = 1 as their global sensitivity, so the two share every scale
     vecs3 = np.zeros((3, 4))
     vecs3[1, 0], vecs3[2, 0] = 1.0, -0.5
     emb3 = EmbeddingSet(("a", "b", "c"), vecs3)
     emb2 = EmbeddingSet(emb3.words[:2], emb3.vectors[:2])
     out3, report3 = Perturber(emb3, delta=0.1, m=1, tau=0.0).perturb("gaussian", 0.5, 42)
     out2, report2 = Perturber(emb2, delta=0.1, m=1, tau=0.0).perturb("gaussian", 0.5, 42)
-    assert report3.global_sensitivity == report2.global_sensitivity == 1.0
-    assert np.array_equal(out3.vectors[:2], out2.vectors)
+    assert report3.sigma_per_component == report2.sigma_per_component
+    assert (out3.vectors[:2] != out2.vectors).all()
 
 
-def test_word_substreams_are_distinct():
-    a = word_substream(7, 0).normal(size=4)
-    b = word_substream(7, 1).normal(size=4)
-    assert not np.array_equal(a, b)
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_no_public_report_holds_the_seed(kind):
+    report = _clustered_perturber().perturb(kind, 0.8, seed=123456789)[1]
+    public = report.to_dict()
+    assert "seed" not in public
+    assert 123456789 not in public.values()
+    assert "seed" not in {f.name for f in dataclasses.fields(report)}
 
 
-@pytest.mark.parametrize("seed", [21, -5])
-@pytest.mark.parametrize(
-    "kind", ["nadp", "gaussian", "laplacian", "mahalanobis", "jaccard"]
-)
-def test_mechanisms_draw_each_word_from_its_substream(kind, seed):
-    # the loops share one bit generator across words; the release must equal
-    # a loop that builds word_substream(seed, i) afresh for every word
-    rng = np.random.default_rng(18)
-    centres = rng.normal(0.0, 5.0, (6, 4))
-    vecs = centres[rng.integers(0, 6, 40)] + rng.normal(0.0, 0.3, (40, 4))
-    emb = EmbeddingSet(tuple(f"w{i}" for i in range(40)), vecs)
-    perturber = Perturber(emb, delta=0.05, m=2, tau=0.1, m_density=3, strict=False)
-    out, report = perturber.perturb(kind, 0.8, seed)
-    sigmas = report.sigma_per_component
-    if kind == "nadp":
-        sigma_of_word = np.asarray(sigmas)[perturber.partition.assignment]
-        assert 0 < report.zero_noise_words < emb.n
-    elif kind == "jaccard":
-        dense = neighbourhood_density(perturber.density_sets) < perturber.eta0
-        sigma_of_word = np.where(dense, sigmas[0], sigmas[1])
-    else:
-        sigma_of_word = np.full(emb.n, sigmas[0] if sigmas else 0.0)
-    shape_sqrt = _sqrt_psd(covariance_shape(emb, perturber.lambda_))
-    expected = np.array(emb.vectors)
-    for i in range(emb.n):
-        stream = word_substream(seed, i)
-        if kind == "laplacian":
-            expected[i] += stream.laplace(0.0, sigma_of_word[i], emb.d)
-        elif kind == "mahalanobis":
-            expected[i] += mahalanobis_noise(stream, shape_sqrt, 0.8)
-        elif sigma_of_word[i] > 0.0:
-            expected[i] += stream.normal(0.0, sigma_of_word[i], emb.d)
-    assert np.array_equal(out.vectors, expected)
+def test_twin_nadp_releases_do_not_reveal_the_clean_vectors():
+    # two releases with one seed at epsilon 1 and 5: with a shared noise
+    # draw a = x + u_A Delta z and b = x + u_B Delta z, and
+    # (u_B a - u_A b) / (u_B - u_A) gives back x exactly. Independent draws
+    # leave it about 1.9 times the smaller sigma off
+    emb = clustered_embeddings(300, 8, 12, seed=5)
+    partition = build_partition(build_graph(emb, m=2, tau=0.1), emb)
+    a, report_a = nadp_perturb(emb, partition, PrivacyParams(1.0, 1e-4), seed=42)
+    b, report_b = nadp_perturb(emb, partition, PrivacyParams(5.0, 1e-4), seed=42)
+    u_a, u_b = report_a.u_star, report_b.u_star
+    guess = (u_b * a.vectors - u_a * b.vectors) / (u_b - u_a)
+    smaller_sigma = np.asarray(report_b.sigma_per_component)[partition.assignment]
+    noised = smaller_sigma > 0.0
+    assert noised.sum() > 150
+    err = np.sqrt(((guess - emb.vectors) ** 2).mean(axis=1))[noised]
+    ratio = err / smaller_sigma[noised]
+    assert 1.0 < np.median(ratio) < 3.0
+    assert ratio.min() > 0.1
 
 
 def test_shape_and_token_preservation_all_mechanisms():
