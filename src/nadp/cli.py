@@ -31,10 +31,10 @@ from .graph import (
     DEFAULT_M,
     DEFAULT_TAU,
     NeighbourGraph,
+    NeighbourIndex,
     _require_two_words,
     build_graph,
     graph_report,
-    rank_queries,
 )
 from .mechanisms import (
     DEFAULT_ALPHA1,
@@ -448,14 +448,14 @@ def cmd_neighbours(params: dict, out_dir: Path) -> list[str]:
     rows = []
     if found:
         idx = np.array([original.index_of(w) for w in found], dtype=np.int64)
-        clean_idx, _ = rank_queries(
-            original, original.vectors[idx], min(k, original.n - 1), idx
-        )
+        # one index serves both rankings: the words are clustered once
+        index = NeighbourIndex(original)
+        clean_idx, _ = index.query(original.vectors[idx], min(k, original.n - 1), idx)
         # the perturbed query ranks the full vocabulary, the word included:
         # retrieving the word's clean vector is the leak being checked for,
         # whether through the word itself or through an exact duplicate that
         # the (distance, index) order ranks ahead of it
-        pert_idx, _ = rank_queries(original, perturbed.vectors[idx], min(k, original.n))
+        pert_idx, _ = index.query(perturbed.vectors[idx], min(k, original.n))
         same_vector = original.vectors[pert_idx] == original.vectors[idx, None]
         leaks = same_vector.all(axis=2).any(axis=1)
         for word, clean_row, pert_row, leak in zip(found, clean_idx, pert_idx, leaks):

@@ -5,29 +5,33 @@ Euclidean distance, and (b) the Jaccard similarity of their top-m sets meets
 the threshold tau. The graph over this symmetric relation is what the
 component factorisation and the noise calibration operate on.
 
-All searches go through one exact top-k primitive, `rank_queries`, whose
-result is defined by direct distances: |q - x| is the square root of one
-BLAS dot of the difference q - x with itself (`utility._dots`, the dot
-`np.linalg.norm` takes), and each row holds the k words of smallest
-(distance, index). No distance depends on which columns shared a matrix
-product, so `knn(emb, 10).prefix(2)` equals `knn(emb, 2)` bit for bit.
+All searches go through one exact top-k primitive, `NeighbourIndex.query`
+(`rank_queries` builds an index and queries it once), whose result is
+defined by direct distances: |q - x| is the square root of one BLAS dot of
+the difference q - x with itself (`utility._dots`, the dot `np.linalg.norm`
+takes), and each row holds the k words of smallest (distance, index). No
+distance depends on which columns shared a matrix product, so
+`knn(emb, 10).prefix(2)` equals `knn(emb, 2)` bit for bit.
 
 The search skips the words the triangle inequality rules out. The searched
-words are clustered (a farthest-point traversal of a subsample picks the
-centres, then one full assignment), each cluster kept as a centre c and a
-radius r from its members' direct distances, padded for rounding. The search
-is planned per cluster: the rounding-safe distances between centres and
-each query's direct distance rho from its nearest centre a bound every
-word of cluster c from below by |a - c| - r_c - rho, and the query's k-th
-distance from above by rho plus the least |a - c| + r_c over the clusters
-of more than k words. So a query needs a prefix of a's clusters taken in
-order of |a - c| - r_c. Queries are ordered by (a, rho), and a block of one
-centre's consecutive queries searches the prefix its last query needs. A
-query or a block that needs more than a quarter of the columns (a query far
-from every cluster, say) is pooled into blocks of `_block_rows(n)` query
-rows over every column. A cluster-level estimate of the share of distances
-still needed selects, where pruning cannot pay (an isotropic set, say, or a
-small one), the one-cluster case: every block is such a block.
+words are clustered once per `NeighbourIndex` (a farthest-point traversal of
+a subsample picks the centres, then one full assignment), each cluster kept
+as a centre c and a radius r from its members' direct distances, padded for
+rounding; every search of the index reuses them, so a caller that ranks one
+vocabulary twice (the privacy evaluation, `nadp neighbours`) builds one
+index and clusters its words once. The search is planned per cluster: the
+rounding-safe distances between centres and each query's direct distance rho
+from its nearest centre a bound every word of cluster c from below by
+|a - c| - r_c - rho, and the query's k-th distance from above by rho plus the
+least |a - c| + r_c over the clusters of more than k words. So a query needs
+a prefix of a's clusters taken in order of |a - c| - r_c. Queries are
+ordered by (a, rho), and a block of one centre's consecutive queries
+searches the prefix its last query needs. A query or a block that needs more
+than a quarter of the columns (a query far from every cluster, say) is
+pooled into blocks of `_block_rows(n)` query rows over every column. A
+cluster-level estimate of the share of distances still needed selects, where
+pruning cannot pay (an isotropic set, say, or a small one), the one-cluster
+case: every block is such a block.
 
 Within a block, Gram-matrix distances (|q|^2 + |x|^2) - 2 q.x only select:
 one read pass over the block's Gram product keeps each column's key
@@ -265,26 +269,6 @@ def _block_topk(
     return sel, bound
 
 
-class _Clusters:
-    """A partition of the searched words into clusters, each kept as its
-    centre and a radius that bounds its members' distances from it."""
-
-    def __init__(self, centres: np.ndarray, assign: np.ndarray, r2: np.ndarray):
-        """`r2[j]` is word j's direct squared distance from its centre
-        `centres[assign[j]]`; clusters without words are dropped."""
-        self.r2 = r2
-        size = np.bincount(assign, minlength=len(centres))
-        used = size > 0
-        self.assign = (np.cumsum(used) - 1)[assign]
-        self.size = size[used]
-        self.centres = centres[used]
-        self.sq_c = np.einsum("ij,ij->i", self.centres, self.centres)
-        order = np.argsort(self.assign, kind="stable")
-        far = np.maximum.reduceat(r2[order], np.cumsum(self.size) - self.size)
-        # the largest member distance, padded for its rounding
-        self.radius = np.sqrt(far) * (1.0 + _rel(centres.shape[1])) + _TINY_DIST
-
-
 def _rel(d: int) -> float:
     """Rounding allowance of a d-term squared distance, relative to (|q| +
     |x|)^2: 4 (d + 4) u, u the unit roundoff. Gram and direct squared
@@ -330,92 +314,30 @@ def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster(x: np.ndarray, sq_x: np.ndarray) -> _Clusters | None:
-    """Cluster the searched words for a pruned search, or None when pruning
-    cannot pay.
-
-    The centres start as a farthest-point traversal of an evenly spaced
-    subsample of `_PROBES` words per cluster, so every group of probes far
-    from the rest gets one. These clusters estimate the share of distances
-    a search still needs: the probes of cluster a, within r_a of its
-    centre, need cluster c when |a - c| - r_c - r_a <= 2 r_a. Above
-    `_MAX_SHARE`, or below `_MIN_CLUSTERED` words, the search takes every
-    column. Otherwise the picks are the centres, and one full assignment
-    places every word. A group of words the subsample missed would widen
-    some cluster's radius, so the words beyond twice the distance from their
-    centre that holds three in four of the words get centres of their own,
-    by the same traversal (at most as many again)."""
-    n, d = x.shape
-    if n < _MIN_CLUSTERED or not np.isfinite(sq_x).all():
-        return None
-    # the probes' (s, s) distances stay within _BLOCK_BYTES
-    probes = int(_PROBES * _CLUSTER_SCALE * np.sqrt(n))
-    probes = min(probes, math.isqrt(_BLOCK_BYTES // 8))
-    count = int(probes / _PROBES)
-    evenly = slice(0, n // probes * probes, n // probes)
-    sub, sq_sub = np.ascontiguousarray(x[evenly]), sq_x[evenly]
-    d2 = _sq_dists(sub @ sub.T, sq_sub[:, None], sq_sub)
-    picks = np.zeros(count, dtype=np.int64)
-    near = d2[0].copy()  # each probe's squared distance to its nearest pick
-    for t in range(1, count):
-        picks[t] = near.argmax()
-        np.minimum(near, d2[picks[t]], out=near)
-    label = d2[picks].argmin(axis=0)
-    size = np.bincount(label, minlength=count)
-    reach = np.zeros(count)
-    np.maximum.at(reach, label, np.sqrt(near))
-    apart = np.sqrt(d2[np.ix_(picks, picks)])
-    need = apart - reach - reach[:, None] <= 2.0 * reach[:, None]
-    if size @ need @ size > _MAX_SHARE * len(sub) ** 2:
-        return None
-    del d2, apart, need  # the probes' distances, before the full assignment
-    centres = sub[picks]
-    assign = _nearest(x, centres)
-    r2 = _direct_sq(x, centres, assign[:, None])[:, 0]
-    # words beyond twice the distance that holds three in four of them (a
-    # tenth of the words were beyond it on some perfbench seeds, where the
-    # subsample had missed groups of a few words)
-    cover = 4.0 * np.partition(r2, 3 * n // 4)[3 * n // 4]
-    far = np.flatnonzero(r2 > cover)
-    extra = []
-    while len(far) and len(extra) < count:
-        j = far[r2[far].argmax()]
-        gap = _sq_dists(x[far] @ x[j], sq_x[far], sq_x[j])
-        closer = gap < r2[far]
-        assign[far[closer]] = count + len(extra)
-        r2[far[closer]] = gap[closer]
-        extra.append(j)
-        far = far[r2[far] > cover]
-    if extra:
-        centres = np.vstack([centres, x[extra]])
-        moved = np.flatnonzero(assign >= count)
-        r2[moved] = _direct_sq(x[moved], centres, assign[moved, None])[:, 0]
-    return _Clusters(centres, assign, r2)
-
-
 def _centre_bounds(
-    clusters: _Clusters, part: slice, k: int, rel: float
+    index: NeighbourIndex, part: slice, k: int, rel: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rounding-safe bounds from the centres `part` to every centre c:
     `gap[a]` holds the lower bounds of |a - c| - r_c in ascending order,
     `by_gap[a]` their clusters, and `reach[a]` is at least the least |a - c|
     + r_c over the clusters of more than k words (inf when none has)."""
-    centres, sq_c, radius = clusters.centres, clusters.sq_c, clusters.radius
+    centres, sq_c, radius = index.centres, index.sq_c, index.radius
     apart = _sq_dists(centres[part] @ centres.T, sq_c[part, None], sq_c)
     norm_c = np.sqrt(sq_c)
     err = rel * (norm_c[part, None] + norm_c) ** 2 + _TINY
     reach = np.sqrt(apart + err) * (1.0 + rel) + radius
-    reach[:, clusters.size <= k] = np.inf
+    reach[:, index.size <= k] = np.inf
     gap = (np.sqrt(np.maximum(apart - err, 0.0)) * (1.0 - rel) - radius) * (1.0 - rel)
     by_gap = np.argsort(gap, axis=1)
     return np.take_along_axis(gap, by_gap, axis=1), by_gap, reach.min(axis=1) * (1.0 + rel)
 
 
-def _searches(x: np.ndarray, sq_x: np.ndarray, queries: np.ndarray, k: int):
+def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
     """Yield (rows, cols, floor) per block of at most `_block_rows(n)` query
-    rows, a slice or an index array: the rows search the columns `cols`
-    (every column when None), and `floor` bounds from below the direct
-    squared distance of every column left out (inf when none is).
+    rows, a slice or an index array: the rows search the columns `cols` of
+    the index's words (every column when None), and `floor` bounds from
+    below the direct squared distance of every column left out (inf when
+    none is).
 
     Without clusters the blocks are consecutive rows over every column.
     With them, a row of nearest centre a, at a direct distance rho from it,
@@ -427,28 +349,27 @@ def _searches(x: np.ndarray, sq_x: np.ndarray, queries: np.ndarray, k: int):
     quarter of the columns (or more rows of x than `_BLOCK_BYTES` holds)
     would cost a full block's GEMM and more, so such rows are pooled into
     blocks of `_block_rows(n)` rows over every column."""
-    n, d = x.shape
+    n, d = index.emb.vectors.shape
     step = _block_rows(n)
-    clusters = _cluster(x, sq_x)
-    if clusters is None:
+    if index.centres is None:
         for lo in range(0, len(queries), step):
             yield slice(lo, lo + step), None, np.inf
         return
     rel = _rel(d)
-    if queries is x:  # the searched words' own centres are their clusters
-        near, rho = clusters.assign, clusters.r2
+    if queries is index.emb.vectors:  # the words' own centres are their clusters
+        near, rho = index.assign, index.r2
     else:
-        near = _nearest(queries, clusters.centres)
-        rho = _direct_sq(queries, clusters.centres, near[:, None])[:, 0]
+        near = _nearest(queries, index.centres)
+        rho = _direct_sq(queries, index.centres, near[:, None])[:, 0]
     rho = np.sqrt(rho) * (1.0 + rel) + _TINY_DIST  # padded for its rounding
     order = np.lexsort((rho, near))
-    size = clusters.size
+    size = index.size
     starts = np.searchsorted(near[order], np.arange(len(size) + 1))
     # centres per chunk: its (centres, C) arrays, eight at most, fit _CHUNK_BYTES
     span = max(1, _CHUNK_BYTES // (64 * len(size)))
     wide = np.empty(0, dtype=np.int64)  # pooled rows
     for c_lo in range(0, len(size), span):
-        gap, by_gap, reach = _centre_bounds(clusters, slice(c_lo, c_lo + span), k, rel)
+        gap, by_gap, reach = _centre_bounds(index, slice(c_lo, c_lo + span), k, rel)
         for g in range(len(gap)):
             group = order[starts[c_lo + g] : starts[c_lo + g + 1]]
             bound = (reach[g] + 2.0 * rho[group]) * (1.0 + rel)
@@ -460,7 +381,7 @@ def _searches(x: np.ndarray, sq_x: np.ndarray, queries: np.ndarray, k: int):
                 rows, j = group[lo : lo + step], want[lo : lo + step][-1]
                 keep = np.zeros(len(size), dtype=bool)
                 keep[by_gap[g, :j]] = True
-                cols = np.flatnonzero(keep[clusters.assign])
+                cols = np.flatnonzero(keep[index.assign])
                 # k columns or fewer cannot hold the rows' top k
                 if not k < len(cols) <= n // 4 or 8 * d * len(cols) > _BLOCK_BYTES:
                     wide = np.concatenate([wide, rows])
@@ -520,6 +441,137 @@ def _rerank(
     return indices, distances
 
 
+class NeighbourIndex:
+    """The words of `emb` prepared for exact searches: their squared norms
+    and, where pruning pays, their clusters, each kept as a centre and a
+    radius that bounds its members' distances from it (`centres` is None
+    when it cannot pay). Built once, an index serves every search of its
+    words, so they are clustered once however many searches run.
+
+    The centres start as a farthest-point traversal of an evenly spaced
+    subsample of `_PROBES` words per cluster, so every group of probes far
+    from the rest gets one. These clusters estimate the share of distances
+    a search still needs: the probes of cluster a, within r_a of its
+    centre, need cluster c when |a - c| - r_c - r_a <= 2 r_a. Above
+    `_MAX_SHARE`, or below `_MIN_CLUSTERED` words, the search takes every
+    column. Otherwise the picks are the centres, and one full assignment
+    places every word. A group of words the subsample missed would widen
+    some cluster's radius, so the words beyond twice the distance from their
+    centre that holds three in four of the words get centres of their own,
+    by the same traversal (at most as many again)."""
+
+    def __init__(self, emb: EmbeddingSet):
+        self.emb, self.centres = emb, None
+        x, n = emb.vectors, emb.n
+        self.sq_x = sq_x = np.einsum("ij,ij->i", x, x)
+        if n < _MIN_CLUSTERED or not np.isfinite(sq_x).all():
+            return
+        # the probes' (s, s) distances stay within _BLOCK_BYTES
+        probes = int(_PROBES * _CLUSTER_SCALE * np.sqrt(n))
+        probes = min(probes, math.isqrt(_BLOCK_BYTES // 8))
+        count = int(probes / _PROBES)
+        evenly = slice(0, n // probes * probes, n // probes)
+        sub, sq_sub = np.ascontiguousarray(x[evenly]), sq_x[evenly]
+        d2 = _sq_dists(sub @ sub.T, sq_sub[:, None], sq_sub)
+        picks = np.zeros(count, dtype=np.int64)
+        near = d2[0].copy()  # each probe's squared distance to its nearest pick
+        for t in range(1, count):
+            picks[t] = near.argmax()
+            np.minimum(near, d2[picks[t]], out=near)
+        label = d2[picks].argmin(axis=0)
+        size = np.bincount(label, minlength=count)
+        reach = np.zeros(count)
+        np.maximum.at(reach, label, np.sqrt(near))
+        apart = np.sqrt(d2[np.ix_(picks, picks)])
+        need = apart - reach - reach[:, None] <= 2.0 * reach[:, None]
+        if size @ need @ size > _MAX_SHARE * len(sub) ** 2:
+            return
+        del d2, apart, need  # the probes' distances, before the full assignment
+        centres = sub[picks]
+        assign = _nearest(x, centres)
+        r2 = _direct_sq(x, centres, assign[:, None])[:, 0]
+        # words beyond twice the distance that holds three in four of them (a
+        # tenth of the words were beyond it on some perfbench seeds, where the
+        # subsample had missed groups of a few words)
+        cover = 4.0 * np.partition(r2, 3 * n // 4)[3 * n // 4]
+        far = np.flatnonzero(r2 > cover)
+        extra = []
+        while len(far) and len(extra) < count:
+            j = far[r2[far].argmax()]
+            gap = _sq_dists(x[far] @ x[j], sq_x[far], sq_x[j])
+            closer = gap < r2[far]
+            assign[far[closer]] = count + len(extra)
+            r2[far[closer]] = gap[closer]
+            extra.append(j)
+            far = far[r2[far] > cover]
+        if extra:
+            centres = np.vstack([centres, x[extra]])
+            moved = np.flatnonzero(assign >= count)
+            r2[moved] = _direct_sq(x[moved], centres, assign[moved, None])[:, 0]
+        self._keep(centres, assign, r2)
+
+    def _keep(self, centres: np.ndarray, assign: np.ndarray, r2: np.ndarray) -> None:
+        """Keep the clusters: `r2[j]` is word j's direct squared distance
+        from its centre `centres[assign[j]]`; clusters without words are
+        dropped."""
+        self.r2 = r2
+        size = np.bincount(assign, minlength=len(centres))
+        used = size > 0
+        self.assign = (np.cumsum(used) - 1)[assign]
+        self.size = size[used]
+        self.centres = centres[used]
+        self.sq_c = np.einsum("ij,ij->i", self.centres, self.centres)
+        order = np.argsort(self.assign, kind="stable")
+        far = np.maximum.reduceat(r2[order], np.cumsum(self.size) - self.size)
+        # the largest member distance, padded for its rounding
+        self.radius = np.sqrt(far) * (1.0 + _rel(centres.shape[1])) + _TINY_DIST
+
+    def query(
+        self, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`rank_queries` over the index's words."""
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.emb.d:
+            raise ValueError(f"queries must be (q, {self.emb.d}), got {queries.shape}")
+        n, nq = self.emb.n, queries.shape[0]
+        if exclude is not None:
+            exclude = np.asarray(exclude)
+            typed = exclude.shape == (nq,) and exclude.dtype.kind in "iu"
+            if not (typed and (exclude >= 0).all() and (exclude < n).all()):
+                raise ValueError(f"exclude must be a 1-d integer array of {nq} words in [0, {n})")
+        limit = n - 1 if exclude is not None else n
+        if not 1 <= k <= limit:
+            raise ValueError(f"k must be in [1, {limit}], got {k}")
+        x, sq_x = self.emb.vectors, self.sq_x
+        k_search = k if exclude is None else k + 1
+        top = np.empty((nq, k_search), dtype=np.int64)
+        low = np.empty(nq, dtype=np.float64)
+        # |Gram - direct| of any column of a row: a Gram bound less err bounds
+        # the direct distance
+        norm_q = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+        err = _rel(self.emb.d) * (norm_q + np.sqrt(sq_x.max())) ** 2 + _TINY
+        for rows, cols, floor in _searches(self, queries, k_search):
+            xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
+            sel, gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
+            top[rows] = sel if cols is None else cols[sel]
+            low[rows] = np.minimum(gram_low - err[rows], floor)
+        indices, distances = _rerank(x, sq_x, queries, top, low, err)
+        if exclude is None:
+            return indices, distances
+        # a row's indices are distinct: drop its excluded word, or else its last
+        keep = indices != exclude[:, None]
+        keep[keep.all(axis=1), k] = False
+        return indices[keep].reshape(nq, k), distances[keep].reshape(nq, k)
+
+    def self_knn(self, m: int) -> NeighbourSets:
+        """`knn` over the index's words."""
+        require("m", m)
+        n = self.emb.n
+        _require_two_words(n)
+        indices, distances = self.query(self.emb.vectors, min(m, n - 1), np.arange(n))
+        return NeighbourSets(m=m, indices=indices, distances=distances)
+
+
 def rank_queries(
     emb: EmbeddingSet,
     queries: np.ndarray,
@@ -562,51 +614,13 @@ def rank_queries(
     computed from its full row, so the output equals a full (distance,
     index) sort, duplicate vectors included.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != emb.d:
-        raise ValueError(f"queries must be (q, {emb.d}), got {queries.shape}")
-    n, nq = emb.n, queries.shape[0]
-    if exclude is not None:
-        exclude = np.asarray(exclude)
-        typed = exclude.shape == (nq,) and exclude.dtype.kind in "iu"
-        if not (typed and (exclude >= 0).all() and (exclude < n).all()):
-            raise ValueError(
-                f"exclude must be a 1-d integer array of {nq} words in [0, {n})"
-            )
-    limit = n - 1 if exclude is not None else n
-    if not 1 <= k <= limit:
-        raise ValueError(f"k must be in [1, {limit}], got {k}")
-    x = emb.vectors
-    sq_x = np.einsum("ij,ij->i", x, x)
-    k_search = k if exclude is None else k + 1
-    top = np.empty((nq, k_search), dtype=np.int64)
-    low = np.empty(nq, dtype=np.float64)
-    # |Gram - direct| of any column of a row: a Gram bound less err bounds
-    # the direct distance
-    norm_q = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    err = _rel(emb.d) * (norm_q + np.sqrt(sq_x.max())) ** 2 + _TINY
-    for rows, cols, floor in _searches(x, sq_x, queries, k_search):
-        xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
-        sel, gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
-        top[rows] = sel if cols is None else cols[sel]
-        low[rows] = np.minimum(gram_low - err[rows], floor)
-    indices, distances = _rerank(x, sq_x, queries, top, low, err)
-    if exclude is None:
-        return indices, distances
-    # a row's indices are distinct: drop its excluded word, or else its last
-    keep = indices != exclude[:, None]
-    keep[keep.all(axis=1), k] = False
-    return indices[keep].reshape(nq, k), distances[keep].reshape(nq, k)
+    return NeighbourIndex(emb).query(queries, k, exclude)
 
 
 def knn(emb: EmbeddingSet, m: int) -> NeighbourSets:
     """Exact top-m Euclidean neighbours of every word, self excluded: the
     self query of `rank_queries`, with each word excluded from its own row."""
-    require("m", m)
-    n = emb.n
-    _require_two_words(n)
-    indices, distances = rank_queries(emb, emb.vectors, min(m, n - 1), np.arange(n))
-    return NeighbourSets(m=m, indices=indices, distances=distances)
+    return NeighbourIndex(emb).self_knn(m)
 
 
 def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:

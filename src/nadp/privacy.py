@@ -6,9 +6,12 @@ the top-m neighbours of M(x), both ranked over the clean embedding set (the
 adversary is assumed to hold the public embeddings). The word itself is
 excluded from both rankings, so an unperturbed vector scores exactly 1.
 
-Even a probability of 1 leaves a residual 1/m uncertainty about which
-neighbour is the word; that floor is recorded as metadata rather than folded
-into the probabilities.
+Both rankings run on one `NeighbourIndex` of the clean words, so the words
+are clustered once per evaluation.
+
+Even a probability of 1 leaves a residual 1/k uncertainty about which
+neighbour is the word, k = min(m, n - 1) the size of each ranking; that
+floor is recorded as metadata rather than folded into the probabilities.
 
 Aggregate privacy over a vocabulary is summarised by the skewness of the
 probability distribution: the more words sit below the mean probability,
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import _overlap, knn, rank_queries
+from .graph import NeighbourIndex, _overlap
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -38,7 +41,7 @@ class PrivacyReport:
     std: float
     skewness: float
     degenerate: bool  # all probabilities identical (zero variance)
-    residual_uncertainty: float  # 1/m floor, metadata only
+    residual_uncertainty: float  # 1/k floor, k = min(m, n - 1); metadata only
     histogram: np.ndarray  # HISTOGRAM_BINS counts over [0, 1]
 
     def to_dict(self, words: tuple[str, ...]) -> dict:
@@ -81,10 +84,11 @@ def privacy_report(
     """
     if original.words != perturbed.words:
         raise ValueError("original and perturbed vocabularies do not match")
+    index = NeighbourIndex(original)
     # the clean ranking is the kNN self query, which rejects m < 1 and n < 2
-    clean = knn(original, m).indices
+    clean = index.self_knn(m).indices
     n, k = clean.shape
-    query, _ = rank_queries(original, perturbed.vectors, k, np.arange(n))
+    query, _ = index.query(perturbed.vectors, k, np.arange(n))
     probs = _overlap(clean, query)
     std = float(probs.std(ddof=1))
     degenerate = std == 0.0
@@ -97,6 +101,6 @@ def privacy_report(
         std=std,
         skewness=skew,
         degenerate=degenerate,
-        residual_uncertainty=1.0 / m,
+        residual_uncertainty=1.0 / k,
         histogram=hist,
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nadp
-from nadp import cli, mechanisms
+from nadp import cli, graph, mechanisms
 from nadp.calibration import PrivacyParams, classic_sigma_formula
 from nadp.cli import main
 from nadp.domains import DOMAINS
@@ -530,6 +530,19 @@ def test_config_of_the_wrong_shape_is_named(tmp_path, capsys, content, message):
     assert not out.exists()  # named before the out-dir is made
 
 
+def test_config_written_by_another_command_is_named(emb_file, tmp_path, capsys):
+    first = tmp_path / "first"
+    assert _run("graph", "--embeddings", emb_file, "--out-dir", first) == 0
+    config = first / "graph_manifest.json"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("components", "--config", config, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest {config} was written by 'graph', not 'components'\n"
+    )
+    assert not out.exists()  # named before the out-dir is made
+
+
 @pytest.mark.parametrize(
     "command, flag, flags",
     [("graph", "--vocab-file", ()), ("eval-utility", "--wordsim", ("--epsilons", 1))],
@@ -716,6 +729,35 @@ def test_neighbours_command(emb_file, tmp_path, capsys):
         assert row["perturbed_neighbours"][0] == row["word"]
         assert row["leak"] is True
         assert row["word"] not in row["clean_neighbours"]
+
+
+def test_neighbours_builds_one_index_for_both_rankings(emb_file, tmp_path, monkeypatch):
+    emb = load_embeddings(emb_file)
+    built = []
+    init = graph.NeighbourIndex.__init__
+
+    def counted(index, emb):
+        init(index, emb)
+        built.append(index)
+
+    monkeypatch.setattr(graph.NeighbourIndex, "__init__", counted)
+    assert _run("neighbours", "--embeddings", emb_file, "--perturbed", emb_file,
+                "--words", ",".join(emb.words[:4]), "-k", 3, "--out-dir", tmp_path) == 0
+    assert len(built) == 1
+    assert built[0].emb.words == emb.words
+
+
+def test_neighbours_refuses_vocabularies_that_do_not_match(emb_file, tmp_path, capsys):
+    emb = load_embeddings(emb_file)
+    other = EmbeddingSet(emb.words[1:] + ("other",), np.array(emb.vectors))
+    save_embeddings(other, tmp_path / "other.txt", precision=8)
+    out = tmp_path / "out"
+    assert _run("neighbours", "--embeddings", emb_file, "--perturbed",
+                tmp_path / "other.txt", "--words", emb.words[0], "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        "error: original and perturbed vocabularies do not match\n"
+    )
+    assert not (out / "neighbours.json").exists()
 
 
 def test_neighbours_far_displacement_clears_leak_flag(emb_file, tmp_path):

@@ -297,6 +297,24 @@ def test_rank_queries_rejects_an_exclude_that_is_not_a_word_per_query(exclude):
         rank_queries(emb, emb.vectors, 2, exclude)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,)])
+def test_rank_queries_rejects_queries_of_the_wrong_width(shape):
+    emb = random_embeddings(6, 3, seed=7)
+    with pytest.raises(ValueError) as excinfo:
+        rank_queries(emb, np.zeros(shape), 2)
+    assert str(excinfo.value) == f"queries must be (q, 3), got {shape}"
+
+
+@pytest.mark.parametrize("m, n", [(3, 10), (2, 9)])
+def test_build_graph_rejects_neighbour_sets_that_do_not_match(m, n):
+    # sets of another m, or of another vocabulary, are named, not used
+    emb = random_embeddings(10, 3, seed=8)
+    ns = knn(random_embeddings(n, 3, seed=8), m)
+    with pytest.raises(ValueError) as excinfo:
+        build_graph(emb, m=2, tau=0.5, neighbour_sets=ns)
+    assert str(excinfo.value) == "neighbour_sets do not match the embedding set and m"
+
+
 @pytest.mark.parametrize("block_rows", [7, 1024])
 @pytest.mark.parametrize("with_exclude", [True, False])
 def test_rank_queries_external_matches_bruteforce_with_heavy_ties(
@@ -580,7 +598,7 @@ def test_exclusion_filter_matches_bruteforce(clustered):
     x = base.vectors.copy()
     x[copies] = x[copies[0]]
     emb = _set(x)
-    assert (graph._cluster(x, np.einsum("ij,ij->i", x, x)) is not None) == clustered
+    assert (graph.NeighbourIndex(emb).centres is not None) == clustered
     rng = np.random.default_rng(55)
     near = x[rng.choice(n, 10, replace=False)] + rng.normal(0.0, 0.1, (10, 20))
     order = np.argsort(np.linalg.norm(near[:, None, :] - x, axis=2), axis=1)
@@ -599,8 +617,7 @@ def test_exclusion_filter_matches_bruteforce(clustered):
 def test_isotropic_set_takes_every_column(monkeypatch):
     emb = random_embeddings(3000, 300, seed=31)
     assert emb.n >= graph._MIN_CLUSTERED
-    sq = np.einsum("ij,ij->i", emb.vectors, emb.vectors)
-    assert graph._cluster(emb.vectors, sq) is None
+    assert graph.NeighbourIndex(emb).centres is None
     blocks = _record_blocks(monkeypatch)
     ns = knn(emb, 3)
     assert {cols for _, cols in blocks} == {emb.n}
@@ -669,13 +686,12 @@ def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
     # in blocks of _block_rows(n) rows, the blocks of an unpruned search
     emb = _pruned_set()
     x = emb.vectors
-    sq = np.einsum("ij,ij->i", x, x)
     rng = np.random.default_rng(52)
     far = rng.random(emb.n) < 0.4
     queries = x + np.where(far[:, None], rng.normal(0.0, 100.0, x.shape), 0.0)
     _set_block_rows(monkeypatch, emb.n, 100)
     pooled = []
-    for rows, cols, _ in graph._searches(x, sq, queries, 10):
+    for rows, cols, _ in graph._searches(graph.NeighbourIndex(emb), queries, 10):
         if cols is None:
             pooled.append(np.arange(emb.n)[rows])
     assert len(pooled) >= 3
@@ -694,7 +710,6 @@ def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     # rows, moved far, are pooled: every row is still searched exactly once
     emb = _pruned_set()
     x = emb.vectors
-    sq = np.einsum("ij,ij->i", x, x)
     rng = np.random.default_rng(53)
     queries, k = x, 11  # the top 11 that knn(emb, 10) searches
     if query != "self":
@@ -704,7 +719,7 @@ def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     _set_block_rows(monkeypatch, emb.n, 20)
     searched = np.zeros(emb.n, dtype=np.int64)
     full = pooled = 0
-    for rows, cols, _ in graph._searches(x, sq, queries, k):
+    for rows, cols, _ in graph._searches(graph.NeighbourIndex(emb), queries, k):
         rows = np.arange(emb.n)[rows]
         np.add.at(searched, rows, 1)
         full += cols is not None and len(rows) == 20  # of a cluster's rows
@@ -714,7 +729,7 @@ def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     assert pooled > 0 or query == "self"
 
 
-def test_pruned_floor_is_the_triangle_inequality_bound(monkeypatch):
+def test_pruned_floor_is_the_triangle_inequality_bound():
     # clusters of 21 words on lines, radius 1, centred at 0 and 5 and, far
     # off, at (0, +-100); a query at 0.9 has the upper bound reach + rho =
     # 1.9 on its 3rd distance, so it needs only the first cluster. The
@@ -725,10 +740,10 @@ def test_pruned_floor_is_the_triangle_inequality_bound(monkeypatch):
     assign = np.repeat(np.arange(4), 21)
     x = centres[assign] + np.outer(np.tile(t, 4), [1.0, 0.0])
     r2 = ((x - centres[assign]) ** 2).sum(axis=1)
-    monkeypatch.setattr(graph, "_cluster", lambda *a: graph._Clusters(centres, assign, r2))
-    sq = np.einsum("ij,ij->i", x, x)
+    index = graph.NeighbourIndex(_set(x))  # 84 words: not clustered by itself
+    index._keep(centres, assign, r2)
     queries = np.array([[0.9, 0.0]])
-    [(rows, cols, floor)] = graph._searches(x, sq, queries, 3)
+    [(rows, cols, floor)] = graph._searches(index, queries, 3)
     assert cols.tolist() == list(range(21))
     assert 3.1**2 * (1.0 - 1e-12) <= floor[0] <= ((x[21:] - queries) ** 2).sum(axis=1).min()
 
@@ -739,16 +754,15 @@ def test_pruned_blocks_bound_every_column_left_out():
     # at a direct squared distance of at least the row's floor
     emb = _pruned_set()
     x = emb.vectors
-    sq = np.einsum("ij,ij->i", x, x)
-    clusters = graph._cluster(x, sq)
-    assert clusters is not None
-    centres = clusters.centres[clusters.assign]
-    radius = clusters.radius[clusters.assign]
+    index = graph.NeighbourIndex(emb)
+    assert index.centres is not None
+    centres = index.centres[index.assign]
+    radius = index.radius[index.assign]
     assert (np.linalg.norm(x - centres, axis=1) <= radius).all()
     rng = np.random.default_rng(50)
     queries = np.vstack([x[::7] + rng.normal(0.0, 0.5, (len(x[::7]), 20))])
     pruned = 0
-    for rows, cols, floor in graph._searches(x, sq, queries, 10):
+    for rows, cols, floor in graph._searches(index, queries, 10):
         if cols is None:
             continue
         out = np.setdiff1d(np.arange(emb.n), cols)

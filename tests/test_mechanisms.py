@@ -194,6 +194,14 @@ def test_covariance_shape_trace():
         assert np.trace(shape) == pytest.approx(emb.d, rel=1e-12)
 
 
+def test_covariance_shape_of_identical_vectors_is_isotropic():
+    # identical vectors have a zero covariance, whose trace cannot be
+    # normalised to d: the shape falls back to the identity
+    emb = EmbeddingSet(tuple(f"w{i}" for i in range(6)), np.tile([1.0, -2.0, 0.5], (6, 1)))
+    for lam in (0.0, 0.5, 1.0):
+        assert np.array_equal(covariance_shape(emb, lam), np.eye(3))
+
+
 def test_mahalanobis_spherical_norm_mean():
     # lambda = 0 collapses to spherical noise whose radius is Gamma(d, 1/eps)
     d, eps = 20, 2.0

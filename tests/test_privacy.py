@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nadp import graph
 from nadp.embeddings import EmbeddingSet
+from nadp.graph import knn, rank_queries
 from nadp.privacy import _overlap, privacy_report, skewness
 
 from oracles import jaccard, prediction_probability_bruteforce, skewness_formula
-from synth import random_embeddings, two_far_clusters
+from synth import clustered_embeddings, random_embeddings, two_far_clusters
 
 
 def _moved(emb: EmbeddingSet, i: int, vector) -> EmbeddingSet:
@@ -111,6 +113,39 @@ def test_report_identity_perturbation():
     assert report.degenerate
     assert report.histogram[-1] == emb.n
     assert report.residual_uncertainty == pytest.approx(1 / 5)
+
+
+@pytest.mark.parametrize("m, floor", [(10, 1 / 4), (4, 1 / 4), (3, 1 / 3)])
+def test_residual_uncertainty_is_one_over_the_ranking_size(m, floor):
+    # 5 words leave each ranking at most n - 1 = 4 others, whatever m is
+    emb = random_embeddings(5, 3, seed=6)
+    report = privacy_report(emb, emb, m=m)
+    assert report.m == m
+    assert report.residual_uncertainty == floor
+
+
+def test_report_builds_one_index_for_both_rankings(monkeypatch):
+    # the clean words are clustered once, and the clean self query and the
+    # perturbed queries both search that index; the result is the one the
+    # two separate searches give
+    emb = clustered_embeddings(3000, 20, 60, seed=48)
+    rng = np.random.default_rng(1)
+    pert = EmbeddingSet(emb.words, emb.vectors + rng.normal(0.0, 0.3, emb.vectors.shape))
+    built = []
+    init = graph.NeighbourIndex.__init__
+
+    def counted(index, emb):
+        init(index, emb)
+        built.append(index)
+
+    monkeypatch.setattr(graph.NeighbourIndex, "__init__", counted)
+    report = privacy_report(emb, pert, m=10)
+    assert len(built) == 1
+    assert built[0].centres is not None  # the pruned search, clustered once
+    clean = knn(emb, 10).indices
+    query, _ = rank_queries(emb, pert.vectors, 10, np.arange(emb.n))
+    assert len(built) == 3
+    assert np.array_equal(report.probabilities, _overlap(clean, query))
 
 
 def test_report_hand_computed_toy():

@@ -542,3 +542,39 @@ def test_loaders_name_the_line_of_a_bad_rating(tmp_path, loader, fields, rating,
     with pytest.raises(ValueError) as excinfo:
         loader(path)
     assert str(excinfo.value) == f"{path}:2: {message}"
+
+
+def test_suite_scores_sts_and_odd_man_through_the_task_table(toy_emb):
+    # utility_suite reaches sts_eval and odd_man_eval through _evaluate_tasks;
+    # with the release equal to its input, every cell is the baseline score
+    sts = SentencePairDataset(
+        (
+            (("cat", "dog"), ("dog",), 4.8),
+            (("car", "bus"), ("red", "car"), 3.1),
+            (("cat",), ("car",), 0.5),
+        ),
+    )
+    odd = OddManDataset(((("cat", "dog", "red", "bus", "car"), "car"),))
+    data = UtilityDatasets(sts=sts, odd_man=odd)
+    rows = utility_suite(toy_emb, data, lambda k, e, s: toy_emb, ["x"], [1.0], [1])
+    scores = {(r.mechanism, r.task): r.mean for r in rows}
+    for mechanism in ("none", "x"):
+        assert scores[mechanism, "sts"] == sts_eval(toy_emb, sts).combined
+        assert scores[mechanism, "odd_man_out"] == odd_man_eval(toy_emb, odd).accuracy
+    assert {task for _, task in scores} == {"sts", "odd_man_out"}
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (load_similarity_dataset, "cat\tdog\t1.5\n\tdog\t2.0\n", "empty token"),
+        (load_sentence_pairs, "a b\tc d\t1.5\na b\t \t2.0\n", "empty sentence"),
+    ],
+    ids=["wordsim-token", "sts-whitespace-sentence"],
+)
+def test_loaders_name_the_line_of_an_empty_field(tmp_path, loader, text, message):
+    path = tmp_path / "data.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        loader(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"
