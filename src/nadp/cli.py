@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import secrets
+import shutil
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -534,12 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out_dir, made = Path(args.out_dir), []
     try:
         params = _resolve_params(args)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         command, _, keys, required = _COMMANDS[args.command]
         _check_params(params, keys, required)  # before any command reads a file
+        # the directories that mkdir makes, innermost first: a run that fails
+        # removes the outermost again, with all it wrote there
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
         outputs = command(params, out_dir)
         manifest = {
             "command": args.command,
@@ -552,6 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
         return 2
 
 

@@ -13,8 +13,8 @@ ranking the components by their smallest member, and each component's local
 sensitivity; the global sensitivity is derived from them. Edge lengths
 are gathered in runs that fit `utility._GATHER_BYTES` (1 MiB), so no (E, d)
 array is held. Hop diameters are exact up to 64 members, from uint64 reach
-bitsets, and a double-sweep lower bound above, from breadth-first searches
-run level by level.
+bitsets, and a double-sweep lower bound above, from two breadth-first
+searches with one queue each.
 """
 
 from __future__ import annotations
@@ -103,14 +103,6 @@ def _member_lists(ids: np.ndarray, k: int) -> list[list[int]]:
     return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
-def _firsts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first occurrence of each key."""
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
-    return first
-
-
 def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartition:
     """The connected components of the graph with their sensitivities.
 
@@ -140,29 +132,20 @@ def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartit
     return ComponentPartition(assignment, local)
 
 
-def _sweep(
-    starts: np.ndarray, indptr: np.ndarray, nbr: np.ndarray, ids: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Breadth-first searches from `starts`, one per component, all at once,
-    each level in the queue order of a one-word-at-a-time search. Returns the
-    levels past the starts and, per start, the first word of its deepest level."""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    seen[starts] = True
-    far = np.empty_like(indptr)  # component id -> first word of its last level
-    far[ids[starts]] = starts
-    level, depth = starts, 0
-    while True:
-        lo = indptr[level]
-        deg = indptr[level + 1] - lo
-        ends = np.cumsum(deg)
-        reached = nbr[np.arange(ends[-1]) + np.repeat(lo - ends + deg, deg)]
-        reached = reached[~seen[reached]]
-        if not len(reached):
-            return depth, far[ids[starts]]
-        level, depth = reached[_firsts(reached)], depth + 1
-        seen[level] = True
-        lead = level[_firsts(ids[level])]
-        far[ids[lead]] = lead
+def _farthest(start: int, indptr: list[int], nbr: list[int]) -> tuple[int, int]:
+    """A breadth-first search from `start`, each word's neighbours taken in
+    ascending order: the first word of its deepest level in queue order, and
+    that level's depth."""
+    queue, seen = [start], {start}
+    far, depth, end = start, 0, 1  # `end`: where the level being expanded ends
+    for at, v in enumerate(queue):
+        if at == end:
+            far, depth, end = v, depth + 1, len(queue)
+        for w in nbr[indptr[v] : indptr[v + 1]]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return far, depth
 
 
 def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> int:
@@ -191,10 +174,12 @@ def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> i
             break
         reach[rows] = grown
         diameter += 1
-    big = members[first[sizes > _EXACT_MEMBERS]]
-    if len(big):
-        far = _sweep(big, indptr, nbr, ids)[1]
-        diameter = max(diameter, _sweep(far, indptr, nbr, ids)[0])
+    big = members[first[sizes > _EXACT_MEMBERS]].tolist()
+    if big:  # a double sweep: from the smallest member, then from the farthest
+        indptr, nbr = indptr.tolist(), nbr.tolist()
+        for start in big:
+            far = _farthest(start, indptr, nbr)[0]
+            diameter = max(diameter, _farthest(far, indptr, nbr)[1])
     return diameter
 
 

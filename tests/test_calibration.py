@@ -190,6 +190,8 @@ def test_classic_sigma_hand_value():
 
 def test_classic_sigma_zero_sensitivity():
     assert classic_sigma_formula(0.5, 0.1, 0.0) == 0.0
+    with pytest.raises(ValueError, match="sensitivity must be >= 0, got -1.0"):
+        classic_sigma_formula(0.5, 0.1, -1.0)
 
 
 def test_classic_sigma_reference_value():

@@ -204,7 +204,7 @@ def test_perturb_rejects_an_infinite_epsilon(emb_file, tmp_path, capsys, mechani
     assert _run("perturb", "--embeddings", emb_file, "--mechanism", mechanism,
                 "--epsilon", "inf", "--seed", 1, "--out-dir", out) == 2
     assert capsys.readouterr().err == "error: epsilon must be finite and > 0, got inf\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeypatch):
@@ -218,7 +218,7 @@ def test_bad_precision_fails_before_any_work(emb_file, tmp_path, capsys, monkeyp
                 "--epsilon", 1.0, "--seed", 1, "--precision", 0,
                 "--out-dir", out) == 2
     assert capsys.readouterr().err == "error: precision must be >= 1, got 0\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 PROVEN_ONLY_AT_2 = (
@@ -319,7 +319,7 @@ def test_missing_argument_fails_before_any_work(
     out = tmp_path / "out"
     assert _run(command, "--embeddings", emb_file, *flags, "--out-dir", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _replay_edited(emb_file, tmp_path, capsys, monkeypatch, key, value) -> str:
@@ -340,7 +340,7 @@ def _replay_edited(emb_file, tmp_path, capsys, monkeypatch, key, value) -> str:
     capsys.readouterr()
     out = tmp_path / "out"
     assert _run("perturb", "--config", edited, "--out-dir", out) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     return capsys.readouterr().err
 
 
@@ -541,6 +541,33 @@ def test_config_written_by_another_command_is_named(emb_file, tmp_path, capsys):
         f"error: manifest {config} was written by 'graph', not 'components'\n"
     )
     assert not out.exists()  # named before the out-dir is made
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--m", 0), "error: m must be >= 1, got 0\n"),
+        (("--mechanism", "gaussian", "--epsilon", 2), "error: the gaussian mechanism's"),
+        (("--output", "x.json", "--report", "x.json"), "error: --report and --output "),
+        (("--embeddings", "missing.txt"), "error: [Errno 2] No such file or directory"),
+    ],
+    ids=["m-0", "gaussian-epsilon-2", "output-is-report", "missing-embeddings"],
+)
+def test_a_failed_run_removes_the_out_dir_it_made(
+    emb_file, tmp_path, capsys, monkeypatch, flags, message
+):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "new" / "out"
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 1, *flags, "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists() and not out.parent.exists()
+    # an out-dir that was there before stays as it was
+    out.mkdir(parents=True)
+    (out / "kept.txt").write_text("kept")
+    assert _run("perturb", "--embeddings", emb_file, "--mechanism", "nadp",
+                "--epsilon", 1, *flags, "--out-dir", out) == 2
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
 
 @pytest.mark.parametrize(
@@ -959,7 +986,7 @@ def test_bad_list_entry_names_its_flag_before_any_load(
     assert _run("eval-utility", "--embeddings", emb_file, "--wordsim", "pairs.tsv",
                 *flags, "--out-dir", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

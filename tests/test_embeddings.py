@@ -124,6 +124,8 @@ def test_set_invariants():
         EmbeddingSet(("a", "b", "c"), np.ones((2, 2)))
     with pytest.raises(ValueError):
         EmbeddingSet(("a",), np.ones((1, 0)))
+    with pytest.raises(ValueError, match=re.escape("vectors must be 2-d, got shape (2,)")):
+        EmbeddingSet(("a", "b"), np.ones(2))
 
 
 def test_vectors_are_immutable(small_file):
@@ -547,6 +549,14 @@ def test_load_and_save_match_with_any_worker_count(tmp_path, monkeypatch, worker
     assert path.read_bytes() == _reference_save(emb, 6).encode("utf-8")
     again = load_embeddings(path)
     assert np.array_equal(again.vectors, _float_reference(path.read_text().splitlines()))
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (8, embeddings._MAX_WORKERS)])
+def test_workers_without_an_affinity_call(monkeypatch, cpus, workers):
+    # macOS and Windows have no os.sched_getaffinity: the CPU count decides
+    monkeypatch.delattr(embeddings.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(embeddings.os, "cpu_count", lambda: cpus)
+    assert embeddings._workers() == workers
 
 
 def _lines(count: int, bad: dict[int, str]) -> str:

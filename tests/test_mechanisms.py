@@ -214,6 +214,36 @@ def test_mahalanobis_spherical_norm_mean():
     assert norms.mean() == pytest.approx(d / eps, rel=0.02)
 
 
+class _ZeroRowFirst:
+    """A generator whose first normal draw has an all-zero row 1."""
+
+    def __init__(self, seed):
+        self.rng, self.normal_draws = np.random.default_rng(seed), 0
+
+    def standard_normal(self, shape):
+        v = self.rng.standard_normal(shape)
+        if not self.normal_draws:
+            v[1] = 0.0
+        self.normal_draws += 1
+        return v
+
+    def gamma(self, shape, scale, size):
+        return self.rng.gamma(shape=shape, scale=scale, size=size)
+
+
+def test_mahalanobis_redraws_a_zero_direction():
+    stub = _ZeroRowFirst(5)
+    draws = mahalanobis_noise(stub, np.eye(3), 2.0, 4)
+    assert stub.normal_draws == 2
+    # the same stream: row 1 takes the redraw, then the radii
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((4, 3))
+    v[1] = rng.standard_normal((1, 3))
+    radii = rng.gamma(shape=3, scale=0.5, size=4)
+    expected = v / np.linalg.norm(v, axis=1)[:, None] * radii[:, None]
+    assert np.allclose(draws, expected, rtol=1e-12, atol=0.0)
+
+
 def test_mahalanobis_anisotropic_covariance():
     # with lambda = 1 the empirical noise covariance is proportional to the
     # trace-normalised data covariance: E[z z^T] = (d+1)/eps^2 * C

@@ -89,7 +89,7 @@ def _odd_cycle(half, a_side_first, b_below_a, pendants):
     return count, [(label[u], label[v]) for u, v in cycle + hang]
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 63, 64, 65, 130, 500])
+@pytest.mark.parametrize("n", [2, 3, 10, 63, 64, 65, 130, 500, 100_000])
 def test_shuffled_paths(n):
     graph = _graph(n, _shuffled(n, _path(n), seed=n))
     assert _diameter(graph) == max_hop_diameter(graph.n, graph.pairs) == n - 1

@@ -306,6 +306,8 @@ def test_sts_drops_out_of_vocabulary_sentences(toy_emb):
     result = sts_eval(toy_emb, data)
     assert result.dropped == 1
     assert result.scorable == 2
+    with pytest.raises(ValueError, match="need at least 2 scorable pairs, got 1 of 2"):
+        sts_eval(toy_emb, SentencePairDataset(data.pairs[:2]))
 
 
 def _pick(emb, tokens):
@@ -420,6 +422,12 @@ def test_odd_man_eval_skips_oov(toy_emb):
     assert result.evaluated == 1 and result.skipped == 1
     with pytest.raises(ValueError, match="no fully in-vocabulary instances"):
         odd_man_eval(toy_emb, OddManDataset(data.instances[1:]))
+
+
+def test_odd_man_eval_needs_three_tokens(toy_emb):
+    data = OddManDataset(((("cat", "dog"), "dog"), (("car", "bus"), "car")))
+    with pytest.raises(ValueError, match="need at least 3 tokens, got 2"):
+        odd_man_eval(toy_emb, data)
 
 
 def test_scale_invariance_of_metrics(toy_emb):
