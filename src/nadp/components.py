@@ -153,11 +153,10 @@ def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> i
     double-sweep lower bound above."""
     n, ids = graph.n, partition.assignment
     sizes = np.bincount(ids, minlength=partition.k)
-    # CSR over both directions of the pairs, each word's neighbours ascending
+    # both directions of the pairs by (word, neighbour): neighbours ascending
     src, nbr = np.concatenate([graph.pairs, graph.pairs[:, ::-1]]).T
     order = np.argsort(src * n + nbr)
     src, nbr = src[order], nbr[order]
-    indptr = np.searchsorted(src, np.arange(n + 1))
     # a small component's word keeps a bitset of the members it reaches, bit
     # b for the b-th smallest, and each round ORs in its neighbours' bitsets
     members, first = np.argsort(ids, kind="stable"), np.cumsum(sizes) - sizes
@@ -174,10 +173,17 @@ def _max_hop_diameter(partition: ComponentPartition, graph: NeighbourGraph) -> i
             break
         reach[rows] = grown
         diameter += 1
-    big = members[first[sizes > _EXACT_MEMBERS]].tolist()
-    if big:  # a double sweep: from the smallest member, then from the farthest
-        indptr, nbr = indptr.tolist(), nbr.tolist()
-        for start in big:
+    big = members[first[sizes > _EXACT_MEMBERS]]
+    if len(big):  # a double sweep: from the smallest member, then from the farthest
+        # a CSR over the large components' words alone, renumbered in
+        # ascending order, so the queue order is the same
+        at = src[~inner]
+        cut = np.flatnonzero(np.diff(at, prepend=-1))
+        local = np.empty(n, dtype=np.int64)
+        local[at[cut]] = np.arange(len(cut))
+        indptr = np.append(cut, len(at)).tolist()
+        nbr = local[nbr[~inner]].tolist()
+        for start in local[big].tolist():
             far = _farthest(start, indptr, nbr)[0]
             diameter = max(diameter, _farthest(far, indptr, nbr)[1])
     return diameter

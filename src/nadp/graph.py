@@ -37,21 +37,28 @@ Within a block, Gram-matrix distances (|q|^2 + |x|^2) - 2 q.x only select:
 one read pass over the block's Gram product keeps each column's key
 |x|^2/2 - q.x as one minimum per group of `_GROUP` columns, only the columns
 of each row's best groups get Gram distances, and the k nearest by (Gram
-distance, index) are selected, with a lower bound on the Gram distance of
-every column not selected. Each row's k columns are then recomputed as
-direct distances and ordered by (distance, index). A row is certified when
-its direct k-th distance lies below that bound less a bound on the Gram and
-the direct formulas' difference, and below the lower bound of every
-cluster its block skipped; any other row is computed from its full row
-(`_exact_row`, the one full-row search), so results equal a full (direct
-distance, index) sort. An excluded word is a filter: a query that excludes
-one searches its top k + 1 and drops that word, or else its last column.
-`knn` is its self query, each word excluded. A block holds as many query
-rows as keep its (rows, columns) 8-byte Gram product within `_BLOCK_BYTES`,
-the clustering's and the centre-to-centre bounds' chunks stay within
-`_CHUNK_BYTES` and the direct distances' within `utility._GATHER_BYTES`, and
-nothing copies the searched matrix, so beyond a few numbers per query a
-search's working memory does not grow with the vocabulary.
+distance, index) are selected in that order, with their Gram distances and
+a lower bound on the Gram distance of every column not selected. A row is
+certified by its Gram distances alone when consecutive ones lie more than
+four times the bound on the Gram and the direct formulas' difference apart,
+and its k-th plus that bound lies below the bound on the columns left out
+and the lower bound of every cluster its block skipped (`_certified`): its
+direct distances then rise in its Gram order, square roots included. The
+other rows' k columns are recomputed as direct distances and ordered by
+(distance, index), and a row whose direct k-th distance does not lie below
+those bounds is computed from its full row (`_exact_row`, the one full-row
+search), so results equal a full (direct distance, index) sort.
+`NeighbourIndex.ranks` stops there, with the indices, which is all the
+privacy evaluation and `nadp neighbours` read; `query` adds one direct
+distance per word ranked. An excluded word is a filter: a query that
+excludes one searches its top k + 1 and drops that word, or else its last
+column. `knn` is its self query, each word excluded. A block holds as many
+query rows as keep its (rows, columns) 8-byte Gram product within
+`_BLOCK_BYTES`, the clustering's and the centre-to-centre bounds' chunks
+stay within `_CHUNK_BYTES` and the direct distances' within
+`utility._GATHER_BYTES`, and nothing copies the searched matrix, so beyond
+a few numbers per query a search's working memory does not grow with the
+vocabulary.
 
 The graph itself is one array: `NeighbourGraph.pairs` holds each edge once
 as a row (i, j) with i < j, rows sorted and unique, and every consumer (the
@@ -177,6 +184,14 @@ def _require_two_words(n: int) -> None:
         raise ValueError(f"need at least 2 words, got {n}")
 
 
+def _self_k(m: int, n: int) -> int:
+    """The size of each word's top-m set among the n words, min(m, n - 1),
+    once m and the two words a search needs are checked."""
+    require("m", m)
+    _require_two_words(n)
+    return min(m, n - 1)
+
+
 def _block_rows(n: int) -> int:
     """Query rows per block: as many as keep one (rows, n) 8-byte array
     within `_BLOCK_BYTES`, and at least one."""
@@ -195,9 +210,10 @@ def _sq_dists(gram: np.ndarray, sq_q: np.ndarray, sq_x: np.ndarray) -> np.ndarra
 
 def _block_topk(
     queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k indices of one query block by (Gram distance, index), and a
-    lower bound per row on the Gram distance of every column not selected.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k indices of one query block by (Gram distance, index), their
+    Gram distances in that order, and a lower bound per row on the Gram
+    distance of every column not selected.
 
     One read pass over the block's Gram product selects the columns worth a
     distance: column j's key |x_j|^2/2 - q.x_j, half of d^2 - |q|^2, is
@@ -209,7 +225,8 @@ def _block_topk(
     gathered. The min(n, k + 1) nearest gathered columns are the candidates:
     the (k+1)-th bounds the rest, and a tie with the k-th fails
     certification. The bound is that candidate's distance, or less where a
-    column left out might be nearer; `_rerank` certifies the rows."""
+    column left out might be nearer; `NeighbourIndex.ranks` certifies the
+    rows."""
     rows, n = len(queries), x.shape[0]
     n_cand = min(n, k + 1)
     sq_q = np.einsum("ij,ij->i", queries, queries)
@@ -246,6 +263,7 @@ def _block_topk(
     cand_i = np.take_along_axis(cols, cand, axis=1)
     order = np.lexsort((cand_i, cand_d), axis=1)
     sel = np.take_along_axis(cand_i, order[:, :k], axis=1)
+    cand_d = np.take_along_axis(cand_d, order, axis=1)
     # Lower bound on the distance of a column j left out. Let g_j be q.x_j
     # as BLAS computed it, u = eps/2 the unit roundoff and s_j = |x_j|^2 -
     # 2 g_j exactly. Its group was not gathered, so fl(|x_j|^2/2 - g_j) >=
@@ -264,9 +282,8 @@ def _block_topk(
     # >= the candidates' maximum, so >= the next one too; when k = n, none
     # is left out
     if n_cand > k:
-        after = np.take_along_axis(cand_d, order[:, k : k + 1], axis=1)[:, 0]
-        bound = np.minimum(after, bound)
-    return sel, bound
+        bound = np.minimum(cand_d[:, k], bound)
+    return sel, cand_d[:, :k], bound
 
 
 def _rel(d: int) -> float:
@@ -396,9 +413,7 @@ def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
         yield wide, None, np.inf
 
 
-def _exact_row(
-    q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, err: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact_row(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, err: float) -> np.ndarray:
     """Top-k of one query over every column by (direct distance, index):
     direct distances for the columns whose Gram distance is within 3 err of
     the k-th, err bounding a Gram and a direct distance's difference, then
@@ -408,8 +423,31 @@ def _exact_row(
     kth = np.partition(d2, k - 1)[k - 1]
     band = np.flatnonzero(~(d2 > kth + 3.0 * err))  # every column when NaN
     dist = np.sqrt(_direct_sq(q[None], x, band[None])[0])
-    top = np.lexsort((band, dist))[:k]
-    return band[top], dist[top]
+    return band[np.lexsort((band, dist))[:k]]
+
+
+def _certified(gram: np.ndarray, low: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """Whether each row's Gram order is its (direct distance, index) order.
+
+    `gram` holds a row's selected columns' Gram squared distances in
+    (Gram distance, index) order, `low` bounds from below the direct
+    squared distance of every column not selected, and `err` the
+    difference of a Gram and a direct squared distance of the row."""
+    eps = np.finfo(np.float64).eps
+    # Let g_i be a row's Gram distances and D_i the direct ones, |g_i - D_i|
+    # <= err = rel B + tiny, B = (|q| + max|x|)^2 and rel = 2 (d + 4) eps >=
+    # 10 eps (`_rel`). A computed gap fl(g_{i+1} - g_i) > 4 err leaves an
+    # exact gap above 3.9 err, so D_{i+1} - D_i > 1.9 err. Every D_i is at
+    # most 2B, so D_{i+1} > D_i (1 + 0.9 rel) >= D_i (1 + 9 eps); below the
+    # normal range the tiny term gives the same. Then sqrt(D_{i+1}) >
+    # sqrt(D_i) (1 + 4 eps), and square roots rounded to within a factor 1
+    # +- eps/2 stay strictly apart: the direct distances rise in Gram order,
+    # and no index breaks a tie. The largest D_i is at most g_k + err, so
+    # the slack `_rerank` gives the k-th direct distance, (1 + 4 eps) and
+    # tiny, covers the two roundings of g_k + err as well: every column left
+    # out lies strictly farther. Written so that NaN certifies nothing.
+    apart = (np.diff(gram, axis=1) > 4.0 * err[:, None]).all(axis=1)
+    return apart & ((gram[:, -1] + err) * (1.0 + 4.0 * eps) + _TINY < low)
 
 
 def _rerank(
@@ -419,9 +457,9 @@ def _rerank(
     top: np.ndarray,
     low: np.ndarray,
     err: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order each row's k Gram-selected columns `top` by (direct distance,
-    index) and certify them.
+) -> np.ndarray:
+    """Order the k Gram-selected columns `top` of the rows `_certified`
+    rejects by (direct distance, index), and certify them.
 
     `low` bounds from below the direct squared distance of every column
     not in a row's `top`, and `err` the difference of a Gram and a direct
@@ -431,14 +469,12 @@ def _rerank(
     k = top.shape[1]
     d2 = _direct_sq(queries, x, top)
     dist = np.sqrt(d2)
-    order = np.lexsort((top, dist), axis=1)
-    indices = np.take_along_axis(top, order, axis=1)
-    distances = np.take_along_axis(dist, order, axis=1)
+    indices = np.take_along_axis(top, np.lexsort((top, dist), axis=1), axis=1)
     eps = np.finfo(np.float64).eps
     # written so that a NaN bound certifies nothing
     for r in np.flatnonzero(~(d2.max(axis=1) * (1.0 + 4.0 * eps) + _TINY < low)):
-        indices[r], distances[r] = _exact_row(queries[r], x, sq_x, k, err[r])
-    return indices, distances
+        indices[r] = _exact_row(queries[r], x, sq_x, k, err[r])
+    return indices
 
 
 class NeighbourIndex:
@@ -526,10 +562,13 @@ class NeighbourIndex:
         # the largest member distance, padded for its rounding
         self.radius = np.sqrt(far) * (1.0 + _rel(centres.shape[1])) + _TINY_DIST
 
-    def query(
+    def ranks(
         self, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """`rank_queries` over the index's words."""
+    ) -> np.ndarray:
+        """The indices `query` returns, without their distances. A row whose
+        Gram distances certify its order (`_certified`) keeps the order
+        `_block_topk` selected, so only the other rows get direct
+        distances (`_rerank`)."""
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.emb.d:
             raise ValueError(f"queries must be (q, {self.emb.d}), got {queries.shape}")
@@ -545,6 +584,7 @@ class NeighbourIndex:
         x, sq_x = self.emb.vectors, self.sq_x
         k_search = k if exclude is None else k + 1
         top = np.empty((nq, k_search), dtype=np.int64)
+        gram = np.empty((nq, k_search), dtype=np.float64)
         low = np.empty(nq, dtype=np.float64)
         # |Gram - direct| of any column of a row: a Gram bound less err bounds
         # the direct distance
@@ -552,23 +592,32 @@ class NeighbourIndex:
         err = _rel(self.emb.d) * (norm_q + np.sqrt(sq_x.max())) ** 2 + _TINY
         for rows, cols, floor in _searches(self, queries, k_search):
             xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
-            sel, gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
+            sel, gram[rows], gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
             top[rows] = sel if cols is None else cols[sel]
             low[rows] = np.minimum(gram_low - err[rows], floor)
-        indices, distances = _rerank(x, sq_x, queries, top, low, err)
+        bad = np.flatnonzero(~_certified(gram, low, err))
+        if len(bad):
+            top[bad] = _rerank(x, sq_x, queries[bad], top[bad], low[bad], err[bad])
         if exclude is None:
-            return indices, distances
+            return top
         # a row's indices are distinct: drop its excluded word, or else its last
-        keep = indices != exclude[:, None]
+        keep = top != exclude[:, None]
         keep[keep.all(axis=1), k] = False
-        return indices[keep].reshape(nq, k), distances[keep].reshape(nq, k)
+        return top[keep].reshape(nq, k)
+
+    def query(
+        self, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`rank_queries` over the index's words: `ranks`, then one direct
+        distance per word ranked."""
+        queries = np.asarray(queries, dtype=np.float64)
+        indices = self.ranks(queries, k, exclude)
+        return indices, np.sqrt(_direct_sq(queries, self.emb.vectors, indices))
 
     def self_knn(self, m: int) -> NeighbourSets:
         """`knn` over the index's words."""
-        require("m", m)
         n = self.emb.n
-        _require_two_words(n)
-        indices, distances = self.query(self.emb.vectors, min(m, n - 1), np.arange(n))
+        indices, distances = self.query(self.emb.vectors, _self_k(m, n), np.arange(n))
         return NeighbourSets(m=m, indices=indices, distances=distances)
 
 
@@ -605,14 +654,20 @@ def rank_queries(
     and ranking them takes a second such array.)
 
     The Gram formula only selects the k nearest columns of a block's rows,
-    with a lower bound on the Gram distance of the others (see
-    `_block_topk`). Those k then get direct distances and are ordered by
-    (distance, index). A row is kept when its direct k-th distance lies
-    below a rounding-safe lower bound on every other column: that Gram
-    bound less the Gram and the direct formulas' largest difference, and
-    the lower bound of every cluster its block skipped. Any other row is
-    computed from its full row, so the output equals a full (distance,
-    index) sort, duplicate vectors included.
+    in (Gram distance, index) order, with a lower bound on the Gram
+    distance of the others (see `_block_topk`). The rounding-safe lower
+    bound on every other column is that Gram bound less the Gram and the
+    direct formulas' largest difference, and the lower bound of every
+    cluster its block skipped. A row whose Gram distances are apart by
+    more than four such differences, and whose k-th plus one such
+    difference lies below that bound, keeps its Gram order, which is then
+    its (distance, index) order (see `_certified`). The other rows' k
+    columns get direct distances and are ordered by (distance, index); a
+    row is kept when its direct k-th distance lies below the bound, and any
+    other is computed from its full row, so the output equals a full
+    (distance, index) sort, duplicate vectors included. The distances
+    returned are then computed directly, one per word ranked;
+    `NeighbourIndex.ranks` returns the indices alone.
     """
     return NeighbourIndex(emb).query(queries, k, exclude)
 

@@ -7,7 +7,10 @@ adversary is assumed to hold the public embeddings). The word itself is
 excluded from both rankings, so an unperturbed vector scores exactly 1.
 
 Both rankings run on one `NeighbourIndex` of the clean words, so the words
-are clustered once per evaluation.
+are clustered once per evaluation. They read only which words are ranked,
+so they call `NeighbourIndex.ranks`: a row whose Gram distances certify its
+order gets no direct distance, and the overlap is that of the exact
+(distance, index) rankings all the same.
 
 Even a probability of 1 leaves a residual 1/k uncertainty about which
 neighbour is the word, k = min(m, n - 1) the size of each ranking; that
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import NeighbourIndex, _overlap
+from .graph import NeighbourIndex, _overlap, _self_k
 
 DEFAULT_EVAL_M = 10
 HISTOGRAM_BINS = 20
@@ -84,12 +87,12 @@ def privacy_report(
     """
     if original.words != perturbed.words:
         raise ValueError("original and perturbed vocabularies do not match")
+    # each word's clean ranking is its kNN row: m >= 1 and two words needed
+    n = original.n
+    k = _self_k(m, n)
     index = NeighbourIndex(original)
-    # the clean ranking is the kNN self query, which rejects m < 1 and n < 2
-    clean = index.self_knn(m).indices
-    n, k = clean.shape
-    query, _ = index.query(perturbed.vectors, k, np.arange(n))
-    probs = _overlap(clean, query)
+    clean = index.ranks(original.vectors, k, np.arange(n))
+    probs = _overlap(clean, index.ranks(perturbed.vectors, k, np.arange(n)))
     std = float(probs.std(ddof=1))
     degenerate = std == 0.0
     skew = skewness(probs) if n >= 3 else 0.0

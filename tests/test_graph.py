@@ -809,3 +809,134 @@ def test_non_finite_queries_keep_their_lowest_indices(clustered):
                 emb.vectors, queries[good], 3, None if excl is None else excl[good]
             )
             assert idx[good].tolist() == expected
+
+
+# `NeighbourIndex.ranks` returns the indices `query` returns: rows whose Gram
+# distances certify their order skip the direct distances, and the others
+# (ties, duplicates, NaN) are reranked by them as `query`'s rows are.
+
+
+def _uncertified_rows(monkeypatch) -> list[int]:
+    """The rows of every `_rerank` call: those the Gram order did not certify."""
+    rows = []
+    rerank = graph._rerank
+    monkeypatch.setattr(
+        graph, "_rerank", lambda x, sq_x, q, *a: rows.append(len(q)) or rerank(x, sq_x, q, *a)
+    )
+    return rows
+
+
+def _with_copies(base: EmbeddingSet, count: int) -> tuple[EmbeddingSet, np.ndarray]:
+    copies = np.linspace(0, base.n - 1, count).astype(np.int64)
+    x = base.vectors.copy()
+    x[copies] = x[copies[0]]
+    return _set(x), copies
+
+
+def _ranks_case(name: str):
+    """(emb, queries, k, exclude, whether every row is certified)."""
+    rng = np.random.default_rng(60)
+    if name in ("clustered", "isotropic"):
+        emb = _pruned_set() if name == "clustered" else random_embeddings(3000, 300, seed=31)
+        near = emb.vectors[rng.choice(emb.n, 12, replace=False)]
+        queries = np.vstack([near + rng.normal(0.0, 0.2, near.shape), near[:4] * 3.0])
+        return emb, queries, 10, rng.integers(0, emb.n, len(queries)), True
+    if name == "duplicates":
+        emb, copies = _with_copies(_pruned_set(), 15)
+        queries = np.vstack([emb.vectors[copies], emb.vectors[:5] + 0.1])
+        return emb, queries, 10, np.concatenate([copies, np.arange(5)]), False
+    if name == "grid":
+        emb = _tie_grid_2400()
+        queries = np.vstack([np.full((3, 3), 3.0), rng.integers(0, 10, (9, 3))])
+        return emb, queries, 10, rng.integers(0, emb.n, len(queries)), False
+    # k = n - 1 with exclusion: every word but the excluded one, ties included
+    emb, copies = _with_copies(random_embeddings(300, 20, seed=54), 15)
+    queries = np.vstack([emb.vectors[copies], rng.normal(0.0, 1.0, (5, 20))])
+    return emb, queries, emb.n - 1, np.concatenate([copies, copies[:5]]), False
+
+
+@pytest.mark.parametrize("name", ["clustered", "isotropic", "duplicates", "grid", "all_but_one"])
+def test_ranks_equal_query_and_bruteforce(monkeypatch, name):
+    emb, queries, k, exclude, certified = _ranks_case(name)
+    index = graph.NeighbourIndex(emb)
+    assert (index.centres is not None) == (name in ("clustered", "duplicates"))
+    for excl in (None, exclude):
+        top = k if excl is not None else min(k + 1, emb.n)
+        uncertified = _uncertified_rows(monkeypatch)
+        idx = index.ranks(queries, top, excl)
+        assert (uncertified == []) == certified
+        assert idx.dtype == np.int64 and idx.shape == (len(queries), top)
+        assert _bits(idx) == _bits(index.query(queries, top, excl)[0])
+        assert idx.tolist() == rank_bruteforce(emb.vectors, queries, top, excl)
+
+
+@pytest.mark.parametrize("clustered", [True, False])
+def test_ranks_of_nan_queries_equal_query(monkeypatch, clustered):
+    emb = _pruned_set() if clustered else random_embeddings(300, 8, seed=1)
+    index = graph.NeighbourIndex(emb)
+    queries = emb.vectors[:4] + 0.01
+    queries[1, 3] = np.nan
+    queries[3] = np.nan
+    uncertified = _uncertified_rows(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        for excl in (None, np.array([5, 0, 1, 3])):
+            idx = index.ranks(queries, 3, excl)
+            assert _bits(idx) == _bits(index.query(queries, 3, excl)[0])
+            assert idx[1].tolist() == ([0, 1, 2] if excl is None else [1, 2, 3])
+            good = [0, 2]
+            excl_good = None if excl is None else excl[good]
+            assert idx[good].tolist() == rank_bruteforce(emb.vectors, queries[good], 3, excl_good)
+    # only the NaN rows go to the direct distances
+    assert uncertified and all(rows == 2 for rows in uncertified)
+
+
+def test_query_computes_one_direct_distance_per_ranked_word(monkeypatch):
+    emb = _pruned_set()
+    index = graph.NeighbourIndex(emb)
+    queries = emb.vectors[:40] + 0.1
+    pairs = []
+    direct_sq = graph._direct_sq
+    monkeypatch.setattr(
+        graph, "_direct_sq", lambda q, x, cols: pairs.append(cols.size) or direct_sq(q, x, cols)
+    )
+    idx, dist = index.query(queries, 10, np.arange(40))
+    # the rho pass (one pair per query), then k pairs per row: no rerank
+    assert pairs == [40, 400]
+    assert np.array_equal(dist, _norms(queries, emb.vectors, idx))
+
+
+def test_gram_order_within_the_rounding_is_reranked(monkeypatch):
+    # each query has two words at distances 1 and 1 + delta, delta ~ 1e-9,
+    # and every other word 1,000 away; 1e4 from the origin the Gram
+    # distances round by ~1e-8, so they order such a pair by chance. A gap
+    # within the certification's margin must send the row to the direct
+    # distances, however the Gram values fall
+    rng = np.random.default_rng(61)
+    queries = 1e4 + np.stack([np.arange(50) * 1000.0, np.zeros(50)], axis=1)
+    angle = rng.uniform(0.0, 2.0 * np.pi, (50, 2))
+    radius = np.stack([np.ones(50), 1.0 + rng.uniform(-1e-9, 1e-9, 50)], axis=1)
+    words = queries[:, None, :] + radius[..., None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=2
+    )
+    emb = _set(words.reshape(100, 2))
+    uncertified = _uncertified_rows(monkeypatch)
+    idx = graph.NeighbourIndex(emb).ranks(queries, 2)
+    assert sum(uncertified) == 50
+    assert idx.tolist() == rank_bruteforce(emb.vectors, queries, 2, None)
+
+
+@pytest.mark.parametrize("gap, certified", [(1.5, False), (2.5, True)])
+def test_a_kth_gram_distance_within_two_margins_of_the_next_is_reranked(
+    monkeypatch, gap, certified
+):
+    # the k-th word's direct squared distance may lie one margin err above
+    # its Gram distance, and the next word's one margin below its own, so a
+    # row whose k-th and (k+1)-th Gram distances lie fewer than two margins
+    # apart goes to the direct distances; 1e4 from the origin the Gram
+    # distances round by ~1e-8, against a margin of ~1e-6
+    far = np.array([[1.1e4, 1e3], [9e3, -1e3]])
+    err = graph._rel(2) * (1e4 + np.hypot(*far[0])) ** 2
+    emb = _set(np.vstack([[1e4 + 1.0, 0.0], [1e4, np.sqrt(1.0 + gap * err)], far]))
+    uncertified = _uncertified_rows(monkeypatch)
+    assert graph.NeighbourIndex(emb).ranks(np.array([[1e4, 0.0]]), 1).tolist() == [[0]]
+    assert (uncertified == []) == certified

@@ -207,3 +207,31 @@ def test_mean_probability_decreases_with_noise():
         )
         means.append(privacy_report(emb, pert, m=10).mean)
     assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("clustered", [True, False])
+def test_report_computes_at_most_one_direct_distance_per_perturbed_query(
+    monkeypatch, clustered
+):
+    # both rankings read only indices, so a certified row gets no direct
+    # distance: beyond the index's own build, the pruned search's rho pass
+    # (each perturbed query's distance from its nearest centre) is all
+    if clustered:
+        emb = clustered_embeddings(3000, 20, 60, seed=48)
+    else:
+        emb = random_embeddings(500, 20, seed=3)
+    rng = np.random.default_rng(2)
+    pert = EmbeddingSet(emb.words, emb.vectors + rng.normal(0.0, 0.3, emb.vectors.shape))
+    pairs = []
+    direct_sq = graph._direct_sq
+    monkeypatch.setattr(
+        graph, "_direct_sq", lambda q, x, cols: pairs.append(cols.size) or direct_sq(q, x, cols)
+    )
+    graph.NeighbourIndex(emb)
+    build = sum(pairs)
+    pairs.clear()
+    report = privacy_report(emb, pert, m=10)
+    assert sum(pairs) - build == (emb.n if clustered else 0)
+    clean = knn(emb, 10).indices
+    query, _ = rank_queries(emb, pert.vectors, 10, np.arange(emb.n))
+    assert np.array_equal(report.probabilities, _overlap(clean, query))
