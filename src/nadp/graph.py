@@ -16,34 +16,39 @@ distance depends on which columns shared a matrix product, so
 The search skips the words the triangle inequality rules out. The searched
 words are clustered once per `NeighbourIndex` (a farthest-point traversal of
 a subsample picks the centres, then one full assignment), each cluster kept
-as a centre c and a radius r from its members' direct distances, padded for
-rounding; every search of the index reuses them, so a caller that ranks one
-vocabulary twice (the privacy evaluation, `nadp neighbours`) builds one
-index and clusters its words once. The search is planned per cluster: the
-rounding-safe distances between centres and each query's direct distance rho
-from its nearest centre a bound every word of cluster c from below by
-|a - c| - r_c - rho, and the query's k-th distance from above by rho plus the
-least |a - c| + r_c over the clusters of more than k words. So a query needs
-a prefix of a's clusters taken in order of |a - c| - r_c. Queries are
-ordered by (a, rho), and a block of one centre's consecutive queries
-searches the prefix its last query needs. A query or a block that needs more
-than a quarter of the columns (a query far from every cluster, say) is
-pooled into blocks of `_block_rows(n)` query rows over every column. A
-cluster-level estimate of the share of distances still needed selects, where
-pruning cannot pay (an isotropic set, say, or a small one), the one-cluster
-case: every block is such a block.
+as a centre c, its members and a radius r from their direct distances,
+padded for rounding; every search of the index reuses them, so a caller
+that ranks one vocabulary twice (the privacy evaluation, `nadp neighbours`)
+builds one index and clusters its words once. The search is planned per
+cluster: the rounding-safe distances between centres and each query's
+direct distance rho from its centre a bound every word of cluster c from
+below by |a - c| - r_c - rho, and the query's k-th distance from above by
+rho plus the least |a - c| + r_c over the clusters of more than k words. So
+a query needs a prefix of a's clusters taken in order of |a - c| - r_c.
+Queries are ordered by (a, rho), and a block of one centre's consecutive
+queries searches the prefix its last query needs: the members of those
+clusters, in ascending order. A word's or a query's centre is the nearest
+by float32 keys (`_nearest`), which only picks a label: every radius and
+every rho is a direct float64 distance, so every bound stays rigorous. A
+query or a block that needs more than a quarter of the columns (a query far
+from every cluster, say) is pooled into blocks of `_block_rows(n)` query
+rows over every column. A cluster-level estimate of the share of distances
+still needed selects, where pruning cannot pay (an isotropic set, say, or a
+small one), the one-cluster case: every block is such a block.
 
 Within a block, Gram-matrix distances (|q|^2 + |x|^2) - 2 q.x only select:
 one read pass over the block's Gram product keeps each column's key
 |x|^2/2 - q.x as one minimum per group of `_GROUP` columns, only the columns
 of each row's best groups get Gram distances, and the k nearest by (Gram
 distance, index) are selected in that order, with their Gram distances and
-a lower bound on the Gram distance of every column not selected. A row is
-certified by its Gram distances alone when consecutive ones lie more than
-four times the bound on the Gram and the direct formulas' difference apart,
-and its k-th plus that bound lies below the bound on the columns left out
-and the lower bound of every cluster its block skipped (`_certified`): its
-direct distances then rise in its Gram order, square roots included. The
+a lower bound on the Gram distance of every column not selected; a block of
+fewer than (k + 2) `_GROUP` columns, as most pruned blocks are, is ordered
+by one stable sort of its Gram distances instead. A row is certified by its
+Gram distances alone when consecutive ones lie more than four times the
+bound on the Gram and the direct formulas' difference apart, and its k-th
+plus that bound lies below the bound on the columns left out and the lower
+bound of every cluster its block skipped (`_certified`): its direct
+distances then rise in its Gram order, square roots included. The
 other rows' k columns are recomputed as direct distances and ordered by
 (distance, index), and a row whose direct k-th distance does not lie below
 those bounds is computed from its full row (`_exact_row`, the one full-row
@@ -209,34 +214,36 @@ def _sq_dists(gram: np.ndarray, sq_q: np.ndarray, sq_x: np.ndarray) -> np.ndarra
 
 
 def _block_topk(
-    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int
+    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, sq_q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-k indices of one query block by (Gram distance, index), their
     Gram distances in that order, and a lower bound per row on the Gram
-    distance of every column not selected.
+    distance of every column not selected; `sq_q` holds the rows' squared
+    norms.
 
-    One read pass over the block's Gram product selects the columns worth a
-    distance: column j's key |x_j|^2/2 - q.x_j, half of d^2 - |q|^2, is
-    reduced to a minimum per group of `_GROUP` columns, and the columns of
-    the k + 2 groups with the smallest minima (plus the n mod `_GROUP` tail
-    columns) get Gram distances: the k nearest columns lie in at most k
-    groups, so the groups left out hold nothing nearer than the (k+1)-th
-    unless ties reach it. When n // `_GROUP` <= k + 1 every column is
-    gathered. The min(n, k + 1) nearest gathered columns are the candidates:
-    the (k+1)-th bounds the rest, and a tie with the k-th fails
-    certification. The bound is that candidate's distance, or less where a
-    column left out might be nearer; `NeighbourIndex.ranks` certifies the
-    rows."""
+    When n // `_GROUP` <= k + 1 every column is a candidate, and one stable
+    sort of each row's Gram distances is their (Gram distance, index) order:
+    the columns ascend. Otherwise one read pass over the block's Gram
+    product selects the columns worth a distance: column j's key
+    |x_j|^2/2 - q.x_j, half of d^2 - |q|^2, is reduced to a minimum per
+    group of `_GROUP` columns, and the columns of the k + 2 groups with the
+    smallest minima (plus the n mod `_GROUP` tail columns) get Gram
+    distances: the k nearest columns lie in at most k groups, so the groups
+    left out hold nothing nearer than the (k+1)-th unless ties reach it. The
+    min(n, k + 1) nearest gathered columns are the candidates: the (k+1)-th
+    bounds the rest, and a tie with the k-th fails certification. The bound
+    is that candidate's distance, or less where a column left out might be
+    nearer; `NeighbourIndex.ranks` certifies the rows."""
     rows, n = len(queries), x.shape[0]
     n_cand = min(n, k + 1)
-    sq_q = np.einsum("ij,ij->i", queries, queries)
     gram = queries @ x.T
     width = n // _GROUP
-    dense = width <= n_cand  # every column is a candidate
-    if dense:
-        thr = np.full(rows, np.inf)
-        cols = np.broadcast_to(np.arange(n), (rows, n))
+    if width <= n_cand:  # every column is a candidate
         d2 = _sq_dists(gram, sq_q[:, None], sq_x)  # over the Gram product
+        # the columns ascend, so a stable sort breaks ties by index
+        order = np.argsort(d2, axis=1, kind="stable")[:, :n_cand]
+        sel, cand_d = order[:, :k], np.take_along_axis(d2, order, axis=1)
+        bound = np.full(rows, np.inf)
     else:
         # group g holds columns g, g + width, ..., g + 15 width: its minimum
         # reduces _GROUP contiguous slices of a few rows' keys at a time
@@ -258,26 +265,27 @@ def _block_topk(
         # a flat take: take_along_axis gathers them about half as fast
         gathered = np.take(gram, cols + n * np.arange(rows)[:, None])
         d2 = _sq_dists(gathered, sq_q[:, None], sq_x[cols])
-    cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
-    cand_d = np.take_along_axis(d2, cand, axis=1)
-    cand_i = np.take_along_axis(cols, cand, axis=1)
-    order = np.lexsort((cand_i, cand_d), axis=1)
-    sel = np.take_along_axis(cand_i, order[:, :k], axis=1)
-    cand_d = np.take_along_axis(cand_d, order, axis=1)
-    # Lower bound on the distance of a column j left out. Let g_j be q.x_j
-    # as BLAS computed it, u = eps/2 the unit roundoff and s_j = |x_j|^2 -
-    # 2 g_j exactly. Its group was not gathered, so fl(|x_j|^2/2 - g_j) >=
-    # thr/2, which gives s_j >= thr - u|s_j|. Its distance
-    # fl(fl(|q|^2 + |x_j|^2) - 2 g_j) rounds twice, by at most
-    # u(|q|^2 + |x_j|^2) and u|fl(|q|^2 + |x_j|^2) - 2 g_j|; the clamp only
-    # raises it. B = (|q| + max|x|)^2 bounds all three magnitudes, up to a
-    # factor 1 + O(d u) for the BLAS error in g_j, so d_j >= |q|^2 + thr -
-    # 3uB. Evaluating (thr + |q|^2) - err rounds twice more, by at most uB
-    # each: 5uB in all, which 4 eps B = 8uB covers. The smallest normal
-    # number covers the absolute error of results below it.
-    big = np.sqrt(sq_q) + np.sqrt(sq_x.max())
-    err = 4.0 * np.finfo(np.float64).eps * big * big + np.finfo(np.float64).tiny
-    bound = (thr + sq_q) - err
+        cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
+        cand_d = np.take_along_axis(d2, cand, axis=1)
+        cand_i = np.take_along_axis(cols, cand, axis=1)
+        order = np.lexsort((cand_i, cand_d), axis=1)
+        sel = np.take_along_axis(cand_i, order[:, :k], axis=1)
+        cand_d = np.take_along_axis(cand_d, order, axis=1)
+        # Lower bound on the distance of a column j left out. Let g_j be
+        # q.x_j as BLAS computed it, u = eps/2 the unit roundoff and s_j =
+        # |x_j|^2 - 2 g_j exactly. Its group was not gathered, so
+        # fl(|x_j|^2/2 - g_j) >= thr/2, which gives s_j >= thr - u|s_j|. Its
+        # distance fl(fl(|q|^2 + |x_j|^2) - 2 g_j) rounds twice, by at most
+        # u(|q|^2 + |x_j|^2) and u|fl(|q|^2 + |x_j|^2) - 2 g_j|; the clamp
+        # only raises it. B = (|q| + max|x|)^2 bounds all three magnitudes,
+        # up to a factor 1 + O(d u) for the BLAS error in g_j, so d_j >=
+        # |q|^2 + thr - 3uB. Evaluating (thr + |q|^2) - err rounds twice
+        # more, by at most uB each: 5uB in all, which 4 eps B = 8uB covers.
+        # The smallest normal number covers the absolute error of results
+        # below it.
+        big = np.sqrt(sq_q) + np.sqrt(sq_x.max())
+        err = 4.0 * np.finfo(np.float64).eps * big * big + np.finfo(np.float64).tiny
+        bound = (thr + sq_q) - err
     # candidates not selected are >= the next one, gathered non-candidates
     # >= the candidates' maximum, so >= the next one too; when k = n, none
     # is left out
@@ -318,16 +326,29 @@ def _direct_sq(q: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest centre by the Gram formula, lowest on a
-    tie, in chunks of points whose keys fit `_CHUNK_BYTES`."""
-    half = 0.5 * np.einsum("ij,ij->i", centres, centres)
+def _nearest(points: np.ndarray, centres: np.ndarray, top: float) -> np.ndarray:
+    """Index of a nearby centre of each point: the least float32 key
+    |c|^2/2 - p.c, lowest on a tie, in chunks of points whose float32 copies
+    and keys fit `_CHUNK_BYTES`. It only picks a label, so rounding costs no
+    exactness: every bound is taken from the direct float64 distance to the
+    centre picked. Points and centres are first scaled by the power of two
+    that brings `top`, the largest norm of the searched words, into [1/2,
+    1), so the keys of every point within float32's range of it stay
+    finite; a point beyond that range (searched over every column anyway)
+    gets any label."""
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    c32 = (centres * scale).astype(np.float32)
+    half = 0.5 * np.einsum("ij,ij->i", c32, c32)
     out = np.empty(len(points), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * len(centres)))
-    for lo in range(0, len(points), step):
-        key = points[lo : lo + step] @ centres.T
-        np.subtract(half, key, out=key)
-        out[lo : lo + step] = key.argmin(axis=1)
+    d = points.shape[1]
+    step = max(1, _CHUNK_BYTES // (4 * (len(centres) + d)))
+    p32 = np.empty((min(step, len(points)), d), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(points), step):
+            chunk = points[lo : lo + step]
+            key = np.multiply(chunk, scale, out=p32[: len(chunk)]) @ c32.T
+            np.subtract(half, key, out=key)
+            out[lo : lo + step] = key.argmin(axis=1)
     return out
 
 
@@ -357,12 +378,14 @@ def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
     none is).
 
     Without clusters the blocks are consecutive rows over every column.
-    With them, a row of nearest centre a, at a direct distance rho from it,
-    needs the clusters c whose gap[a, c] (a lower bound on |a - c| - r_c) is
-    at most reach[a] + 2 rho (see `_centre_bounds`): a prefix of a's
-    clusters in order of gap, found by one searchsorted. Rows are ordered by
-    (a, rho), and a block of one centre's consecutive rows searches the
-    prefix its last row needs. A row or a block that needs more than a
+    With them, a row of centre a (`_nearest`'s label), at a direct distance
+    rho from it, needs the clusters c whose gap[a, c] (a lower bound on
+    |a - c| - r_c) is at most reach[a] + 2 rho (see `_centre_bounds`): a
+    prefix of a's clusters in order of gap, found by one searchsorted. Rows
+    are ordered by (a, rho), and a block of one centre's consecutive rows
+    searches the prefix its last row needs: its columns are those clusters'
+    member lists, joined and sorted, so they ascend, in time that grows with
+    the block's columns, not with n. A row or a block that needs more than a
     quarter of the columns (or more rows of x than `_BLOCK_BYTES` holds)
     would cost a full block's GEMM and more, so such rows are pooled into
     blocks of `_block_rows(n)` rows over every column."""
@@ -376,33 +399,33 @@ def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
     if queries is index.emb.vectors:  # the words' own centres are their clusters
         near, rho = index.assign, index.r2
     else:
-        near = _nearest(queries, index.centres)
+        near = _nearest(queries, index.centres, np.sqrt(index.sq_x.max()))
         rho = _direct_sq(queries, index.centres, near[:, None])[:, 0]
     rho = np.sqrt(rho) * (1.0 + rel) + _TINY_DIST  # padded for its rounding
     order = np.lexsort((rho, near))
-    size = index.size
-    starts = np.searchsorted(near[order], np.arange(len(size) + 1))
+    size, members, starts = index.size, index.members, index.starts
+    at = np.searchsorted(near[order], np.arange(len(size) + 1))  # rows of each centre
     # centres per chunk: its (centres, C) arrays, eight at most, fit _CHUNK_BYTES
     span = max(1, _CHUNK_BYTES // (64 * len(size)))
     wide = np.empty(0, dtype=np.int64)  # pooled rows
     for c_lo in range(0, len(size), span):
         gap, by_gap, reach = _centre_bounds(index, slice(c_lo, c_lo + span), k, rel)
         for g in range(len(gap)):
-            group = order[starts[c_lo + g] : starts[c_lo + g + 1]]
+            group = order[at[c_lo + g] : at[c_lo + g + 1]]
             bound = (reach[g] + 2.0 * rho[group]) * (1.0 + rel)
             want = np.searchsorted(gap[g], bound, "right")  # >= 1: a's own gap < 0
-            alone = np.cumsum(size[by_gap[g]])[want - 1] > n // 4
+            columns = np.cumsum(size[by_gap[g]])  # of each prefix of a's clusters
+            alone = columns[want - 1] > n // 4
             wide = np.concatenate([wide, group[alone]])
             group, want = group[~alone], want[~alone]
             for lo in range(0, len(group), step):
                 rows, j = group[lo : lo + step], want[lo : lo + step][-1]
-                keep = np.zeros(len(size), dtype=bool)
-                keep[by_gap[g, :j]] = True
-                cols = np.flatnonzero(keep[index.assign])
                 # k columns or fewer cannot hold the rows' top k
-                if not k < len(cols) <= n // 4 or 8 * d * len(cols) > _BLOCK_BYTES:
+                if not k < columns[j - 1] <= n // 4 or 8 * d * columns[j - 1] > _BLOCK_BYTES:
                     wide = np.concatenate([wide, rows])
                     continue
+                kept = [members[starts[c] : starts[c + 1]] for c in by_gap[g, :j].tolist()]
+                cols = np.sort(np.concatenate(kept))
                 # every cluster left out has a gap of at least gap[g, j]
                 floor = np.maximum((gap[g, j] - rho[rows]) * (1.0 - rel), 0.0)
                 yield rows, cols, floor * floor * (1.0 - rel)
@@ -491,10 +514,11 @@ class NeighbourIndex:
     centre, need cluster c when |a - c| - r_c - r_a <= 2 r_a. Above
     `_MAX_SHARE`, or below `_MIN_CLUSTERED` words, the search takes every
     column. Otherwise the picks are the centres, and one full assignment
-    places every word. A group of words the subsample missed would widen
-    some cluster's radius, so the words beyond twice the distance from their
-    centre that holds three in four of the words get centres of their own,
-    by the same traversal (at most as many again)."""
+    (`_nearest`, by float32 keys) places every word. A group of words the
+    subsample missed would widen some cluster's radius, so the words beyond
+    twice the distance from their centre that holds three in four of the
+    words get centres of their own, by the same traversal (at most as many
+    again)."""
 
     def __init__(self, emb: EmbeddingSet):
         self.emb, self.centres = emb, None
@@ -524,7 +548,7 @@ class NeighbourIndex:
             return
         del d2, apart, need  # the probes' distances, before the full assignment
         centres = sub[picks]
-        assign = _nearest(x, centres)
+        assign = _nearest(x, centres, np.sqrt(sq_x.max()))
         r2 = _direct_sq(x, centres, assign[:, None])[:, 0]
         # words beyond twice the distance that holds three in four of them (a
         # tenth of the words were beyond it on some perfbench seeds, where the
@@ -557,8 +581,10 @@ class NeighbourIndex:
         self.size = size[used]
         self.centres = centres[used]
         self.sq_c = np.einsum("ij,ij->i", self.centres, self.centres)
-        order = np.argsort(self.assign, kind="stable")
-        far = np.maximum.reduceat(r2[order], np.cumsum(self.size) - self.size)
+        # each cluster's members, ascending: members[starts[c] : starts[c + 1]]
+        self.members = np.argsort(self.assign, kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(self.size)])
+        far = np.maximum.reduceat(r2[self.members], self.starts[:-1])
         # the largest member distance, padded for its rounding
         self.radius = np.sqrt(far) * (1.0 + _rel(centres.shape[1])) + _TINY_DIST
 
@@ -588,11 +614,13 @@ class NeighbourIndex:
         low = np.empty(nq, dtype=np.float64)
         # |Gram - direct| of any column of a row: a Gram bound less err bounds
         # the direct distance
-        norm_q = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-        err = _rel(self.emb.d) * (norm_q + np.sqrt(sq_x.max())) ** 2 + _TINY
+        sq_q = sq_x if queries is x else np.einsum("ij,ij->i", queries, queries)
+        err = _rel(self.emb.d) * (np.sqrt(sq_q) + np.sqrt(sq_x.max())) ** 2 + _TINY
         for rows, cols, floor in _searches(self, queries, k_search):
             xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
-            sel, gram[rows], gram_low = _block_topk(queries[rows], xs, sq_xs, k_search)
+            sel, gram[rows], gram_low = _block_topk(
+                queries[rows], xs, sq_xs, k_search, sq_q[rows]
+            )
             top[rows] = sel if cols is None else cols[sel]
             low[rows] = np.minimum(gram_low - err[rows], floor)
         bad = np.flatnonzero(~_certified(gram, low, err))
@@ -641,17 +669,17 @@ def rank_queries(
     From `_MIN_CLUSTERED` words on, the words are clustered, each cluster
     kept as a centre c and a radius r, and the search is planned per
     cluster: from the rounding-safe distances between centres and a query's
-    direct distance rho from its nearest centre a, the query searches the
-    clusters whose lower bound |a - c| - r_c - rho is not above its upper
-    bound on its k-th distance, and queries of one centre in order of rho
-    share blocks (see `_searches`). Queries that need more than a quarter of
-    the columns, and every query where the clusters' estimate of the share
-    of distances still needed exceeds `_MAX_SHARE`, are searched over every
-    column. A block holds as many query rows as keep its (rows,
+    direct distance rho from its centre a (labelled in float32, see
+    `_nearest`), the query searches the clusters whose lower bound
+    |a - c| - r_c - rho is not above its upper bound on its k-th distance,
+    and queries of one centre in order of rho share blocks (see
+    `_searches`). Queries that need more than a quarter of the columns, and
+    every query where the clusters' estimate of the share of distances
+    still needed exceeds `_MAX_SHARE`, are searched over every column. A block holds as many query rows as keep its (rows,
     columns) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows over
     10,000 columns, 20 over 100,000). (When columns // _GROUP <= k + 1
     every column is a candidate: the distances overwrite the Gram product,
-    and ranking them takes a second such array.)
+    and their one stable sort takes a second such array.)
 
     The Gram formula only selects the k nearest columns of a block's rows,
     in (Gram distance, index) order, with a lower bound on the Gram

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,29 @@ def test_grouped_search_covers_the_tail_columns(tail):
     )
 
 
+@pytest.mark.parametrize("n, k", [(40, 1), (40, 3), (79, 3), (207, 11), (30, 30)])
+def test_dense_block_order_is_a_lexsort_by_gram_distance_and_index(n, k):
+    # every column is a candidate (n // _GROUP <= k + 1) and integer grid
+    # points tie often, with Gram and direct distances agreeing exactly: the
+    # one stable sort must give the (Gram distance, index) order of the
+    # whole block, its Gram distances and the (k+1)-th as the bound
+    assert n // graph._GROUP <= k + 1
+    rng = np.random.default_rng(63)
+    x = rng.integers(0, 4, (n, 3)).astype(float)
+    queries = np.vstack([x[:5], rng.integers(-1, 5, (7, 3)).astype(float)])
+    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_q = np.einsum("ij,ij->i", queries, queries)
+    sel, gram, bound = graph._block_topk(queries, x, sq_x, k, sq_q)
+    d2 = ((queries[:, None, :] - x) ** 2).sum(axis=2)
+    order = np.array([np.lexsort((np.arange(n), row)) for row in d2])
+    assert sel.tolist() == order[:, :k].tolist()
+    assert np.array_equal(gram, np.take_along_axis(d2, order[:, :k], axis=1))
+    expected = d2[np.arange(len(queries)), order[:, k]] if k < n else np.full(len(queries), np.inf)
+    assert np.array_equal(bound, expected)
+    # the grid ties: some row's k-th and (k+1)-th distances are equal
+    assert k == n or (gram[:, -1] == bound).any()
+
+
 def test_uncertified_row_falls_back_to_its_full_row(monkeypatch):
     # a query on the 80-member duplicate group ties at its k-th distance
     # with more columns than it has candidates
@@ -612,6 +637,56 @@ def test_exclusion_filter_matches_bruteforce(clustered):
     ns = knn(emb, k)
     assert ns.indices[copies].tolist() == [row[:k] for row in expected[: len(copies)]]
     assert ns.indices[copies[-1]].tolist() == copies[:k].tolist()
+
+
+@pytest.mark.parametrize("scale", [2.0**66, 2.0**-140])
+def test_float32_labels_of_a_set_outside_float32_range(scale):
+    # squared norms of ~1e43 are inf in float32 and those of ~1e-83 are 0:
+    # the centre labels, formed in float32, scale by a power of two first,
+    # so the scaled set keeps the unscaled set's clusters, and no overflow
+    # or invalid value is raised on the way
+    base = _pruned_set()
+    emb = _set(base.vectors * scale)
+    x = emb.vectors
+    rng = np.random.default_rng(64)
+    rows = rng.choice(emb.n, 30, replace=False)
+    moved = x[rows] + rng.normal(0.0, 0.2 * scale, (30, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = graph.NeighbourIndex(emb)
+        assert index.centres is not None
+        assert np.array_equal(index.assign, graph.NeighbourIndex(base).assign)
+        ns = knn(emb, 10)
+        assert ns.indices[rows].tolist() == rank_bruteforce(x, x[rows], 10, rows)
+        assert np.array_equal(ns.distances[rows], _norms(x[rows], x, ns.indices[rows]))
+        for excl in (None, rows):
+            idx, dist = rank_queries(emb, moved, 10, excl)
+            assert idx.tolist() == rank_bruteforce(x, moved, 10, excl)
+            assert np.array_equal(dist, _norms(moved, x, idx))
+            assert _bits(index.ranks(moved, 10, excl)) == _bits(idx)
+
+
+@pytest.mark.parametrize("query", ["self", "moved", "far"])
+def test_search_columns_are_whole_clusters_in_ascending_order(query):
+    # the dense selection's stable sort reads ties in column order, so every
+    # block's columns ascend; they are the members of whole clusters
+    emb = _pruned_set()
+    index = graph.NeighbourIndex(emb)
+    x = emb.vectors
+    queries = x
+    if query != "self":
+        # a fifth of the far queries moved far from every cluster
+        rng = np.random.default_rng(65)
+        far = (rng.random(emb.n) < 0.2) & (query == "far")
+        queries = x + rng.normal(0.0, np.where(far, 100.0, 0.5)[:, None], x.shape)
+    pruned = 0
+    for _, cols, _ in graph._searches(index, queries, 11):
+        if cols is None:
+            continue
+        assert (np.diff(cols) > 0).all()
+        assert np.array_equal(np.flatnonzero(np.isin(index.assign, index.assign[cols])), cols)
+        pruned += 1
+    assert pruned > 0
 
 
 def test_isotropic_set_takes_every_column(monkeypatch):
