@@ -43,6 +43,14 @@ _MAX_BISECT_STEPS = 500
 _TOL = 1e-12
 
 
+def _require_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless `epsilon` is finite and >= 0: the domain of
+    a `PrivacyParams` epsilon, and of every mechanism's but laplacian's and
+    mahalanobis' (see `mechanisms.check_epsilon`)."""
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy level: epsilon >= 0, delta in (0, 1)."""
@@ -51,8 +59,7 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        _require_epsilon(self.epsilon)
         require("delta", self.delta)
 
 

@@ -34,6 +34,7 @@ from .graph import (
     NeighbourGraph,
     NeighbourIndex,
     _require_two_words,
+    _self_k,
     build_graph,
     graph_report,
 )
@@ -214,9 +215,13 @@ def _resolve_seed(params: dict) -> int:
     return int(params["seed"])
 
 
+# the parameters that name an input file, which the manifest hashes
+_INPUTS = ("embeddings", "perturbed", "vocab_file", "wordsim", "sts", "oddman")
+
+
 def _input_hashes(params: dict) -> dict[str, str]:
     hashes = {}
-    for key in ("embeddings", "perturbed", "vocab_file", "wordsim", "sts", "oddman"):
+    for key in _INPUTS:
         path = params.get(key)
         if path is not None:
             hashes[str(path)] = _sha256(path)
@@ -232,8 +237,8 @@ def _require_distinct_files(params: dict, out_dir: Path, written: dict) -> None:
     and none of them an input: a file written over another, or over an input
     whose hash the manifest then records, leaves a run that cannot replay."""
     seen = {}
-    for key in ("embeddings", "vocab_file"):
-        if params[key] is not None:
+    for key in _INPUTS:
+        if params.get(key) is not None:
             seen[Path(params[key]).resolve()] = _PARAMS[key][0]
     for what, name in written.items():
         path = out_dir / name
@@ -257,7 +262,7 @@ def _build_graph(params: dict, emb: EmbeddingSet) -> NeighbourGraph:
     sets share at most k - 1 words and their Jaccard similarity is at most
     (k - 1) / (k + 1)."""
     graph = build_graph(emb, params["m"], params["tau"])
-    k = min(graph.m, graph.n - 1)
+    k = _self_k(graph.m, graph.n)
     bound = (k - 1) / (k + 1)
     if graph.tau > bound:
         print(

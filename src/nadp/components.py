@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .graph import NeighbourGraph
-from .utility import _chunks, _dots
+from .graph import NeighbourGraph, _direct_sq
+from .utility import _chunks
 
 _EXACT_MEMBERS = 64  # a word's uint64 bitset holds the members it reaches
 _LISTED_MEMBERS = 50  # members a component report names
@@ -119,9 +119,8 @@ def build_partition(graph: NeighbourGraph, emb: EmbeddingSet) -> ComponentPartit
     local = np.zeros(k, dtype=np.float64)
     x = emb.vectors
     for run in _chunks(len(i), 2 * 8 * emb.d):
-        diff = x[i[run]]
-        diff -= x[j[run]]
-        np.maximum.at(local, assignment[i[run]], np.sqrt(_dots(diff, diff)))
+        d2 = _direct_sq(x[i[run]], x, j[run, None])[:, 0]
+        np.maximum.at(local, assignment[i[run]], np.sqrt(d2))
     sizes = np.bincount(assignment, minlength=k)
     for cid in np.flatnonzero((sizes > 1) & (local == 0.0)).tolist():
         warnings.warn(

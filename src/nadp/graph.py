@@ -5,8 +5,9 @@ Euclidean distance, and (b) the Jaccard similarity of their top-m sets meets
 the threshold tau. The graph over this symmetric relation is what the
 component factorisation and the noise calibration operate on.
 
-All searches go through one exact top-k primitive, `NeighbourIndex.query`
-(`rank_queries` builds an index and queries it once), whose result is
+All searches go through one exact top-k primitive, `NeighbourIndex.ranks`
+(`rank_queries` builds an index, ranks its queries and adds one direct
+distance per word ranked; `knn` is its self query), whose result is
 defined by direct distances: |q - x| is the square root of one BLAS dot of
 the difference q - x with itself (`utility._dots`, the dot `np.linalg.norm`
 takes), and each row holds the k words of smallest (distance, index). No
@@ -30,11 +31,13 @@ queries searches the prefix its last query needs: the members of those
 clusters, in ascending order. A word's or a query's centre is the nearest
 by float32 keys (`_nearest`), which only picks a label: every radius and
 every rho is a direct float64 distance, so every bound stays rigorous. A
-query or a block that needs more than a quarter of the columns (a query far
-from every cluster, say) is pooled into blocks of `_block_rows(n)` query
-rows over every column. A cluster-level estimate of the share of distances
-still needed selects, where pruning cannot pay (an isotropic set, say, or a
-small one), the one-cluster case: every block is such a block.
+query whose prefix holds more than a quarter of the columns (a query far
+from every cluster, say), more vectors than `_BLOCK_BYTES` holds, or no
+more than k columns is pooled: after the pruned blocks, the pooled queries
+are searched over every column in blocks of `_block_rows(n)` rows. A
+cluster-level estimate of the share of distances still needed selects,
+where pruning cannot pay (an isotropic set, say, or a small one), the
+one-cluster case: every query is pooled.
 
 Within a block, Gram-matrix distances (|q|^2 + |x|^2) - 2 q.x only select:
 one read pass over the block's Gram product keeps each column's key
@@ -54,10 +57,10 @@ other rows' k columns are recomputed as direct distances and ordered by
 those bounds is computed from its full row (`_exact_row`, the one full-row
 search), so results equal a full (direct distance, index) sort.
 `NeighbourIndex.ranks` stops there, with the indices, which is all the
-privacy evaluation and `nadp neighbours` read; `query` adds one direct
-distance per word ranked. An excluded word is a filter: a query that
+privacy evaluation and `nadp neighbours` read; `rank_queries` adds one
+direct distance per word ranked. An excluded word is a filter: a query that
 excludes one searches its top k + 1 and drops that word, or else its last
-column. `knn` is its self query, each word excluded. A block holds as many
+column. `knn` excludes each word from its own row. A block holds as many
 query rows as keep its (rows, columns) 8-byte Gram product within
 `_BLOCK_BYTES`, the clustering's and the centre-to-centre bounds' chunks
 stay within `_CHUNK_BYTES` and the direct distances' within
@@ -214,12 +217,12 @@ def _sq_dists(gram: np.ndarray, sq_q: np.ndarray, sq_x: np.ndarray) -> np.ndarra
 
 
 def _block_topk(
-    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, sq_q: np.ndarray
+    queries: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, sq_q: np.ndarray, err: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-k indices of one query block by (Gram distance, index), their
     Gram distances in that order, and a lower bound per row on the Gram
     distance of every column not selected; `sq_q` holds the rows' squared
-    norms.
+    norms and `err` their rounding allowances (see `NeighbourIndex.ranks`).
 
     When n // `_GROUP` <= k + 1 every column is a candidate, and one stable
     sort of each row's Gram distances is their (Gram distance, index) order:
@@ -280,11 +283,9 @@ def _block_topk(
         # only raises it. B = (|q| + max|x|)^2 bounds all three magnitudes,
         # up to a factor 1 + O(d u) for the BLAS error in g_j, so d_j >=
         # |q|^2 + thr - 3uB. Evaluating (thr + |q|^2) - err rounds twice
-        # more, by at most uB each: 5uB in all, which 4 eps B = 8uB covers.
-        # The smallest normal number covers the absolute error of results
-        # below it.
-        big = np.sqrt(sq_q) + np.sqrt(sq_x.max())
-        err = 4.0 * np.finfo(np.float64).eps * big * big + np.finfo(np.float64).tiny
+        # more, by at most uB each: 5uB in all, which err = `_rel(d)` B +
+        # tiny >= 10 eps B = 20uB covers; its tiny term covers the absolute
+        # error of results below the normal range.
         bound = (thr + sq_q) - err
     # candidates not selected are >= the next one, gathered non-candidates
     # >= the candidates' maximum, so >= the next one too; when k = n, none
@@ -304,10 +305,23 @@ def _rel(d: int) -> float:
     return 2.0 * (d + 4) * np.finfo(np.float64).eps
 
 
-# absolute allowances for results below the normal range: a squared
-# distance, and a distance, the square root of one
+# absolute allowance of a squared distance below the normal range
 _TINY = np.finfo(np.float64).tiny
-_TINY_DIST = np.sqrt(_TINY)
+
+
+def _padded(d2: np.ndarray, rel: float) -> np.ndarray:
+    """Distances from direct squared distances `d2`, padded for their
+    rounding (by `rel`, and by the square root of `_TINY` below the normal
+    range) so that each is at least the exact distance."""
+    return np.sqrt(d2) * (1.0 + rel) + np.sqrt(_TINY)
+
+
+def _below(d2: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Whether squared distances `d2` lie below the bounds `low` with room
+    for the rounding of their square roots: sqrt(d2), rounded, then lies
+    strictly below the distance of every column `low` bounds. Written so
+    that NaN gives False."""
+    return d2 * (1.0 + 4.0 * np.finfo(np.float64).eps) + _TINY < low
 
 
 def _direct_sq(q: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -326,8 +340,9 @@ def _direct_sq(q: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(points: np.ndarray, centres: np.ndarray, top: float) -> np.ndarray:
-    """Index of a nearby centre of each point: the least float32 key
+def _nearest(points: np.ndarray, centres: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index of a nearby centre of each point, and the point's direct
+    squared distance from it. The centre is the least float32 key
     |c|^2/2 - p.c, lowest on a tie, in chunks of points whose float32 copies
     and keys fit `_CHUNK_BYTES`. It only picks a label, so rounding costs no
     exactness: every bound is taken from the direct float64 distance to the
@@ -349,7 +364,7 @@ def _nearest(points: np.ndarray, centres: np.ndarray, top: float) -> np.ndarray:
             key = np.multiply(chunk, scale, out=p32[: len(chunk)]) @ c32.T
             np.subtract(half, key, out=key)
             out[lo : lo + step] = key.argmin(axis=1)
-    return out
+    return out, _direct_sq(points, centres, out[:, None])[:, 0]
 
 
 def _centre_bounds(
@@ -381,14 +396,15 @@ def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
     With them, a row of centre a (`_nearest`'s label), at a direct distance
     rho from it, needs the clusters c whose gap[a, c] (a lower bound on
     |a - c| - r_c) is at most reach[a] + 2 rho (see `_centre_bounds`): a
-    prefix of a's clusters in order of gap, found by one searchsorted. Rows
-    are ordered by (a, rho), and a block of one centre's consecutive rows
-    searches the prefix its last row needs: its columns are those clusters'
-    member lists, joined and sorted, so they ascend, in time that grows with
-    the block's columns, not with n. A row or a block that needs more than a
-    quarter of the columns (or more rows of x than `_BLOCK_BYTES` holds)
-    would cost a full block's GEMM and more, so such rows are pooled into
-    blocks of `_block_rows(n)` rows over every column."""
+    prefix of a's clusters in order of gap, found by one searchsorted. A row
+    whose prefix holds more than a quarter of the columns or more vectors
+    than `_BLOCK_BYTES` holds would cost a full block's GEMM and more, and
+    one of k columns or fewer cannot hold its top k: such rows are pooled,
+    and searched last, in blocks of `_block_rows(n)` rows over every column.
+    The other rows are ordered by (a, rho), so a block of one centre's
+    consecutive rows searches the prefix its last row needs: its columns
+    are those clusters' member lists, joined and sorted, so they ascend, in
+    time that grows with the block's columns, not with n."""
     n, d = index.emb.vectors.shape
     step = _block_rows(n)
     if index.centres is None:
@@ -399,41 +415,35 @@ def _searches(index: NeighbourIndex, queries: np.ndarray, k: int):
     if queries is index.emb.vectors:  # the words' own centres are their clusters
         near, rho = index.assign, index.r2
     else:
-        near = _nearest(queries, index.centres, np.sqrt(index.sq_x.max()))
-        rho = _direct_sq(queries, index.centres, near[:, None])[:, 0]
-    rho = np.sqrt(rho) * (1.0 + rel) + _TINY_DIST  # padded for its rounding
+        near, rho = _nearest(queries, index.centres, index.max_norm)
+    rho = _padded(rho, rel)
     order = np.lexsort((rho, near))
     size, members, starts = index.size, index.members, index.starts
     at = np.searchsorted(near[order], np.arange(len(size) + 1))  # rows of each centre
+    most = min(n // 4, _BLOCK_BYTES // (8 * d))  # columns a pruned row may search
     # centres per chunk: its (centres, C) arrays, eight at most, fit _CHUNK_BYTES
     span = max(1, _CHUNK_BYTES // (64 * len(size)))
-    wide = np.empty(0, dtype=np.int64)  # pooled rows
+    pooled = []
     for c_lo in range(0, len(size), span):
         gap, by_gap, reach = _centre_bounds(index, slice(c_lo, c_lo + span), k, rel)
         for g in range(len(gap)):
             group = order[at[c_lo + g] : at[c_lo + g + 1]]
             bound = (reach[g] + 2.0 * rho[group]) * (1.0 + rel)
             want = np.searchsorted(gap[g], bound, "right")  # >= 1: a's own gap < 0
-            columns = np.cumsum(size[by_gap[g]])  # of each prefix of a's clusters
-            alone = columns[want - 1] > n // 4
-            wide = np.concatenate([wide, group[alone]])
-            group, want = group[~alone], want[~alone]
+            columns = np.cumsum(size[by_gap[g]])[want - 1]  # of each row's prefix
+            pruned = (k < columns) & (columns <= most)
+            pooled.append(group[~pruned])
+            group, want = group[pruned], want[pruned]
             for lo in range(0, len(group), step):
                 rows, j = group[lo : lo + step], want[lo : lo + step][-1]
-                # k columns or fewer cannot hold the rows' top k
-                if not k < columns[j - 1] <= n // 4 or 8 * d * columns[j - 1] > _BLOCK_BYTES:
-                    wide = np.concatenate([wide, rows])
-                    continue
                 kept = [members[starts[c] : starts[c + 1]] for c in by_gap[g, :j].tolist()]
                 cols = np.sort(np.concatenate(kept))
                 # every cluster left out has a gap of at least gap[g, j]
                 floor = np.maximum((gap[g, j] - rho[rows]) * (1.0 - rel), 0.0)
                 yield rows, cols, floor * floor * (1.0 - rel)
-            while len(wide) >= step:
-                yield wide[:step], None, np.inf
-                wide = wide[step:]
-    if len(wide):
-        yield wide, None, np.inf
+    pooled = np.concatenate(pooled)
+    for lo in range(0, len(pooled), step):
+        yield pooled[lo : lo + step], None, np.inf
 
 
 def _exact_row(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k: int, err: float) -> np.ndarray:
@@ -456,7 +466,6 @@ def _certified(gram: np.ndarray, low: np.ndarray, err: np.ndarray) -> np.ndarray
     (Gram distance, index) order, `low` bounds from below the direct
     squared distance of every column not selected, and `err` the
     difference of a Gram and a direct squared distance of the row."""
-    eps = np.finfo(np.float64).eps
     # Let g_i be a row's Gram distances and D_i the direct ones, |g_i - D_i|
     # <= err = rel B + tiny, B = (|q| + max|x|)^2 and rel = 2 (d + 4) eps >=
     # 10 eps (`_rel`). A computed gap fl(g_{i+1} - g_i) > 4 err leaves an
@@ -466,37 +475,31 @@ def _certified(gram: np.ndarray, low: np.ndarray, err: np.ndarray) -> np.ndarray
     # sqrt(D_i) (1 + 4 eps), and square roots rounded to within a factor 1
     # +- eps/2 stay strictly apart: the direct distances rise in Gram order,
     # and no index breaks a tie. The largest D_i is at most g_k + err, so
-    # the slack `_rerank` gives the k-th direct distance, (1 + 4 eps) and
+    # the slack `_below` gives the k-th direct distance, (1 + 4 eps) and
     # tiny, covers the two roundings of g_k + err as well: every column left
     # out lies strictly farther. Written so that NaN certifies nothing.
     apart = (np.diff(gram, axis=1) > 4.0 * err[:, None]).all(axis=1)
-    return apart & ((gram[:, -1] + err) * (1.0 + 4.0 * eps) + _TINY < low)
+    return apart & _below(gram[:, -1] + err, low)
 
 
 def _rerank(
-    x: np.ndarray,
-    sq_x: np.ndarray,
-    queries: np.ndarray,
-    top: np.ndarray,
-    low: np.ndarray,
-    err: np.ndarray,
+    index: NeighbourIndex, queries: np.ndarray, top: np.ndarray, low: np.ndarray, err: np.ndarray
 ) -> np.ndarray:
     """Order the k Gram-selected columns `top` of the rows `_certified`
-    rejects by (direct distance, index), and certify them.
+    rejects by (direct distance, index) among the index's words, and
+    certify them.
 
     `low` bounds from below the direct squared distance of every column
     not in a row's `top`, and `err` the difference of a Gram and a direct
     squared distance of the row. A row is kept when its direct k-th
-    distance lies below `low`, with room for the rounding of the square
-    root; any other row goes to `_exact_row`, the one full-row search."""
-    k = top.shape[1]
+    distance lies below `low` (`_below`); any other row goes to
+    `_exact_row`, the one full-row search."""
+    k, x = top.shape[1], index.emb.vectors
     d2 = _direct_sq(queries, x, top)
     dist = np.sqrt(d2)
     indices = np.take_along_axis(top, np.lexsort((top, dist), axis=1), axis=1)
-    eps = np.finfo(np.float64).eps
-    # written so that a NaN bound certifies nothing
-    for r in np.flatnonzero(~(d2.max(axis=1) * (1.0 + 4.0 * eps) + _TINY < low)):
-        indices[r] = _exact_row(queries[r], x, sq_x, k, err[r])
+    for r in np.flatnonzero(~_below(d2.max(axis=1), low)):
+        indices[r] = _exact_row(queries[r], x, index.sq_x, k, err[r])
     return indices
 
 
@@ -524,6 +527,7 @@ class NeighbourIndex:
         self.emb, self.centres = emb, None
         x, n = emb.vectors, emb.n
         self.sq_x = sq_x = np.einsum("ij,ij->i", x, x)
+        self.max_norm = np.sqrt(sq_x.max(initial=0.0))  # of the words
         if n < _MIN_CLUSTERED or not np.isfinite(sq_x).all():
             return
         # the probes' (s, s) distances stay within _BLOCK_BYTES
@@ -548,8 +552,7 @@ class NeighbourIndex:
             return
         del d2, apart, need  # the probes' distances, before the full assignment
         centres = sub[picks]
-        assign = _nearest(x, centres, np.sqrt(sq_x.max()))
-        r2 = _direct_sq(x, centres, assign[:, None])[:, 0]
+        assign, r2 = _nearest(x, centres, self.max_norm)
         # words beyond twice the distance that holds three in four of them (a
         # tenth of the words were beyond it on some perfbench seeds, where the
         # subsample had missed groups of a few words)
@@ -585,15 +588,14 @@ class NeighbourIndex:
         self.members = np.argsort(self.assign, kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(self.size)])
         far = np.maximum.reduceat(r2[self.members], self.starts[:-1])
-        # the largest member distance, padded for its rounding
-        self.radius = np.sqrt(far) * (1.0 + _rel(centres.shape[1])) + _TINY_DIST
+        self.radius = _padded(far, _rel(centres.shape[1]))  # the largest member distance
 
     def ranks(
         self, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
     ) -> np.ndarray:
-        """The indices `query` returns, without their distances. A row whose
-        Gram distances certify its order (`_certified`) keeps the order
-        `_block_topk` selected, so only the other rows get direct
+        """The indices `rank_queries` returns, without their distances. A
+        row whose Gram distances certify its order (`_certified`) keeps the
+        order `_block_topk` selected, so only the other rows get direct
         distances (`_rerank`)."""
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.emb.d:
@@ -612,41 +614,27 @@ class NeighbourIndex:
         top = np.empty((nq, k_search), dtype=np.int64)
         gram = np.empty((nq, k_search), dtype=np.float64)
         low = np.empty(nq, dtype=np.float64)
-        # |Gram - direct| of any column of a row: a Gram bound less err bounds
-        # the direct distance
+        # a row's rounding allowance: it bounds |Gram - direct| of any of its
+        # columns, so a Gram bound less err bounds the direct distance, and
+        # the rounding of `_block_topk`'s key pass
         sq_q = sq_x if queries is x else np.einsum("ij,ij->i", queries, queries)
-        err = _rel(self.emb.d) * (np.sqrt(sq_q) + np.sqrt(sq_x.max())) ** 2 + _TINY
+        err = _rel(self.emb.d) * (np.sqrt(sq_q) + self.max_norm) ** 2 + _TINY
         for rows, cols, floor in _searches(self, queries, k_search):
             xs, sq_xs = (x, sq_x) if cols is None else (x[cols], sq_x[cols])
             sel, gram[rows], gram_low = _block_topk(
-                queries[rows], xs, sq_xs, k_search, sq_q[rows]
+                queries[rows], xs, sq_xs, k_search, sq_q[rows], err[rows]
             )
             top[rows] = sel if cols is None else cols[sel]
             low[rows] = np.minimum(gram_low - err[rows], floor)
         bad = np.flatnonzero(~_certified(gram, low, err))
         if len(bad):
-            top[bad] = _rerank(x, sq_x, queries[bad], top[bad], low[bad], err[bad])
+            top[bad] = _rerank(self, queries[bad], top[bad], low[bad], err[bad])
         if exclude is None:
             return top
         # a row's indices are distinct: drop its excluded word, or else its last
         keep = top != exclude[:, None]
         keep[keep.all(axis=1), k] = False
         return top[keep].reshape(nq, k)
-
-    def query(
-        self, queries: np.ndarray, k: int, exclude: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """`rank_queries` over the index's words: `ranks`, then one direct
-        distance per word ranked."""
-        queries = np.asarray(queries, dtype=np.float64)
-        indices = self.ranks(queries, k, exclude)
-        return indices, np.sqrt(_direct_sq(queries, self.emb.vectors, indices))
-
-    def self_knn(self, m: int) -> NeighbourSets:
-        """`knn` over the index's words."""
-        n = self.emb.n
-        indices, distances = self.query(self.emb.vectors, _self_k(m, n), np.arange(n))
-        return NeighbourSets(m=m, indices=indices, distances=distances)
 
 
 def rank_queries(
@@ -666,44 +654,20 @@ def rank_queries(
     q - x with itself, the value `np.linalg.norm(q - x)` returns, so it does
     not depend on the block a row was searched in.
 
-    From `_MIN_CLUSTERED` words on, the words are clustered, each cluster
-    kept as a centre c and a radius r, and the search is planned per
-    cluster: from the rounding-safe distances between centres and a query's
-    direct distance rho from its centre a (labelled in float32, see
-    `_nearest`), the query searches the clusters whose lower bound
-    |a - c| - r_c - rho is not above its upper bound on its k-th distance,
-    and queries of one centre in order of rho share blocks (see
-    `_searches`). Queries that need more than a quarter of the columns, and
-    every query where the clusters' estimate of the share of distances
-    still needed exceeds `_MAX_SHARE`, are searched over every column. A block holds as many query rows as keep its (rows,
-    columns) Gram product within `_BLOCK_BYTES` (16 MiB: 209 rows over
-    10,000 columns, 20 over 100,000). (When columns // _GROUP <= k + 1
-    every column is a candidate: the distances overwrite the Gram product,
-    and their one stable sort takes a second such array.)
-
-    The Gram formula only selects the k nearest columns of a block's rows,
-    in (Gram distance, index) order, with a lower bound on the Gram
-    distance of the others (see `_block_topk`). The rounding-safe lower
-    bound on every other column is that Gram bound less the Gram and the
-    direct formulas' largest difference, and the lower bound of every
-    cluster its block skipped. A row whose Gram distances are apart by
-    more than four such differences, and whose k-th plus one such
-    difference lies below that bound, keeps its Gram order, which is then
-    its (distance, index) order (see `_certified`). The other rows' k
-    columns get direct distances and are ordered by (distance, index); a
-    row is kept when its direct k-th distance lies below the bound, and any
-    other is computed from its full row, so the output equals a full
-    (distance, index) sort, duplicate vectors included. The distances
-    returned are then computed directly, one per word ranked;
-    `NeighbourIndex.ranks` returns the indices alone.
+    The result equals a full (direct distance, index) sort of every word,
+    duplicate vectors included; the module docstring describes the search
+    that finds it (`NeighbourIndex.ranks`) without that sort.
     """
-    return NeighbourIndex(emb).query(queries, k, exclude)
+    queries = np.asarray(queries, dtype=np.float64)
+    indices = NeighbourIndex(emb).ranks(queries, k, exclude)
+    return indices, np.sqrt(_direct_sq(queries, emb.vectors, indices))
 
 
 def knn(emb: EmbeddingSet, m: int) -> NeighbourSets:
     """Exact top-m Euclidean neighbours of every word, self excluded: the
     self query of `rank_queries`, with each word excluded from its own row."""
-    return NeighbourIndex(emb).self_knn(m)
+    k = _self_k(m, emb.n)
+    return NeighbourSets(m, *rank_queries(emb, emb.vectors, k, np.arange(emb.n)))
 
 
 def _overlap(clean_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:

@@ -35,7 +35,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .calibration import PrivacyParams, calibrate_components, classic_sigma_formula
+from .calibration import (
+    PrivacyParams,
+    _require_epsilon,
+    calibrate_components,
+    classic_sigma_formula,
+)
 from .components import ComponentPartition, build_partition
 from .domains import DOMAINS, require
 from .embeddings import EmbeddingSet
@@ -466,8 +471,7 @@ def check_epsilon(kind: str, epsilon: float, strict: bool) -> bool:
         if not (epsilon > 0.0 and math.isfinite(epsilon)):
             raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
         return False
-    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    _require_epsilon(epsilon)
     if kind == "nadp" or 0.0 < epsilon < 1.0:
         return True
     if strict:

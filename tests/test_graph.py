@@ -473,7 +473,8 @@ def test_dense_block_order_is_a_lexsort_by_gram_distance_and_index(n, k):
     queries = np.vstack([x[:5], rng.integers(-1, 5, (7, 3)).astype(float)])
     sq_x = np.einsum("ij,ij->i", x, x)
     sq_q = np.einsum("ij,ij->i", queries, queries)
-    sel, gram, bound = graph._block_topk(queries, x, sq_x, k, sq_q)
+    err = graph._rel(3) * (np.sqrt(sq_q) + np.sqrt(sq_x.max())) ** 2 + graph._TINY
+    sel, gram, bound = graph._block_topk(queries, x, sq_x, k, sq_q, err)
     d2 = ((queries[:, None, :] - x) ** 2).sum(axis=2)
     order = np.array([np.lexsort((np.arange(n), row)) for row in d2])
     assert sel.tolist() == order[:, :k].tolist()
@@ -779,6 +780,37 @@ def test_far_queries_are_pooled_into_full_blocks(monkeypatch):
     assert np.array_equal(dist[sample], _norms(queries[sample], x, idx[sample]))
 
 
+def test_pooling_is_decided_per_row(monkeypatch):
+    # clusters of 21 words on lines, radius 1, centred at 0 and 5 and, far
+    # off, at six points 100 away; 298 zero coordinates make each vector 2,400
+    # bytes. Queries at (0, t) share centre 0: up to t = 1.5 they need its
+    # cluster alone (21 columns), beyond it the cluster at 5 too (42). With
+    # room for 30 columns of vectors, exactly the rows beyond 1.5 are pooled,
+    # while the rows before them, which fit one block of rows with them,
+    # still search their own cluster
+    d, t = 300, np.linspace(-1.0, 1.0, 21)
+    angle = np.arange(6) * np.pi / 3
+    far = 100.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    centres = np.zeros((8, d))
+    centres[:, :2] = np.vstack([[0.0, 0.0], [5.0, 0.0], far])
+    assign = np.repeat(np.arange(8), 21)
+    x = centres[assign]
+    x[:, 0] += np.tile(t, 8)
+    index = graph.NeighbourIndex(_set(x))  # 168 words: not clustered by itself
+    index._keep(centres, assign, ((x - centres[assign]) ** 2).sum(axis=1))
+    queries = np.zeros((17, d))
+    queries[:, 1] = np.concatenate([np.linspace(0.1, 1.3, 13), np.linspace(1.7, 2.0, 4)])
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 8 * d * 30)
+    assert graph._block_rows(len(x)) > len(queries) and 42 <= len(x) // 4
+    blocks = list(graph._searches(index, queries, 3))
+    pruned = [(rows.tolist(), cols.tolist()) for rows, cols, _ in blocks if cols is not None]
+    pooled = [rows.tolist() for rows, cols, _ in blocks if cols is None]
+    assert pruned == [(list(range(13)), list(range(21)))]
+    assert pooled == [list(range(13, 17))]
+    expected = rank_bruteforce(x, queries, 3, None)
+    assert index.ranks(queries, 3).tolist() == expected
+
+
 @pytest.mark.parametrize("query", ["self", "perturbed"])
 def test_search_blocks_cover_every_query_row_once(monkeypatch, query):
     # blocks of 20 rows split a cluster's rows, and a fifth of the perturbed
@@ -886,9 +918,9 @@ def test_non_finite_queries_keep_their_lowest_indices(clustered):
             assert idx[good].tolist() == expected
 
 
-# `NeighbourIndex.ranks` returns the indices `query` returns: rows whose Gram
-# distances certify their order skip the direct distances, and the others
-# (ties, duplicates, NaN) are reranked by them as `query`'s rows are.
+# `NeighbourIndex.ranks` returns the indices `rank_queries` returns: rows
+# whose Gram distances certify their order skip the direct distances, and the
+# others (ties, duplicates, NaN) are reranked by them.
 
 
 def _uncertified_rows(monkeypatch) -> list[int]:
@@ -896,7 +928,7 @@ def _uncertified_rows(monkeypatch) -> list[int]:
     rows = []
     rerank = graph._rerank
     monkeypatch.setattr(
-        graph, "_rerank", lambda x, sq_x, q, *a: rows.append(len(q)) or rerank(x, sq_x, q, *a)
+        graph, "_rerank", lambda index, q, *a: rows.append(len(q)) or rerank(index, q, *a)
     )
     return rows
 
@@ -941,7 +973,7 @@ def test_ranks_equal_query_and_bruteforce(monkeypatch, name):
         idx = index.ranks(queries, top, excl)
         assert (uncertified == []) == certified
         assert idx.dtype == np.int64 and idx.shape == (len(queries), top)
-        assert _bits(idx) == _bits(index.query(queries, top, excl)[0])
+        assert _bits(idx) == _bits(rank_queries(emb, queries, top, excl)[0])
         assert idx.tolist() == rank_bruteforce(emb.vectors, queries, top, excl)
 
 
@@ -956,7 +988,7 @@ def test_ranks_of_nan_queries_equal_query(monkeypatch, clustered):
     with np.errstate(invalid="ignore"):
         for excl in (None, np.array([5, 0, 1, 3])):
             idx = index.ranks(queries, 3, excl)
-            assert _bits(idx) == _bits(index.query(queries, 3, excl)[0])
+            assert _bits(idx) == _bits(rank_queries(emb, queries, 3, excl)[0])
             assert idx[1].tolist() == ([0, 1, 2] if excl is None else [1, 2, 3])
             good = [0, 2]
             excl_good = None if excl is None else excl[good]
@@ -967,14 +999,20 @@ def test_ranks_of_nan_queries_equal_query(monkeypatch, clustered):
 
 def test_query_computes_one_direct_distance_per_ranked_word(monkeypatch):
     emb = _pruned_set()
-    index = graph.NeighbourIndex(emb)
     queries = emb.vectors[:40] + 0.1
     pairs = []
     direct_sq = graph._direct_sq
     monkeypatch.setattr(
         graph, "_direct_sq", lambda q, x, cols: pairs.append(cols.size) or direct_sq(q, x, cols)
     )
-    idx, dist = index.query(queries, 10, np.arange(40))
+    init = graph.NeighbourIndex.__init__
+
+    def built(index, emb):  # the pairs of the index's own build do not count
+        init(index, emb)
+        pairs.clear()
+
+    monkeypatch.setattr(graph.NeighbourIndex, "__init__", built)
+    idx, dist = rank_queries(emb, queries, 10, np.arange(40))
     # the rho pass (one pair per query), then k pairs per row: no rerank
     assert pairs == [40, 400]
     assert np.array_equal(dist, _norms(queries, emb.vectors, idx))
